@@ -179,6 +179,22 @@ def _add_common_args(sub) -> None:
     sub.add_argument("--threads", type=int, default=None, help="worker threads for verification")
 
 
+def _int_in(lo: int, hi: int | None = None):
+    """An argparse type for integers in [lo, hi), so out-of-range values exit 2."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lo or (hi is not None and value >= hi):
+            bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+            raise argparse.ArgumentTypeError(f"expected an integer {bounds}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="udes", description="unitary design construction and verification for qubits"
@@ -212,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("mc", help="Monte Carlo cross-check of the closed-form averaging")
     p.add_argument("--t", type=int, default=2)
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_in(2), default=100000)
+    p.add_argument("--seed", type=_int_in(0, 2**64), default=0)
     _add_common_args(p)
 
     p = subs.add_parser("table", help="print all 24 closure elements in every picture")
@@ -378,11 +394,13 @@ def cmd_geometry(args) -> tuple[dict, int]:
 
 def cmd_mc(args) -> tuple[dict, int]:
     sampler = twirl.HaarSampler(args.seed)
+    counter_start = sampler.counter
     check = twirl.mc_oracle_check(sampler, args.t, args.samples)
     result = {
         "t": args.t,
         "samples": check.n,
         "seed": args.seed,
+        "sampler": {"seed": sampler.seed, "counter_start": counter_start, "counter_end": sampler.counter},
         "nsigma": check.nsigma,
         "max_deviation": check.max_deviation,
         "max_ratio": check.max_ratio,
@@ -563,6 +581,7 @@ def render_text(report: dict) -> str:
         lines += [
             _kv("samples", result["samples"]),
             _kv("seed", result["seed"]),
+            *(_kv("sampler " + k.replace("_", " "), v) for k, v in result["sampler"].items()),
             _kv("max deviation", result["max_deviation"]),
             _kv("max deviation / SE", result["max_ratio"]),
             _kv("nsigma", result["nsigma"]),

@@ -246,7 +246,7 @@ def _tensor_batch(U: np.ndarray, t: int) -> np.ndarray:
     M = U
     for _ in range(t - 1):
         n, a, _ = M.shape
-        M = np.einsum("nab,ncd->nacbd", M, U).reshape(n, 2 * a, 2 * a)
+        M = (M[:, :, None, :, None] * U[:, None, :, None, :]).reshape(n, 2 * a, 2 * a)
     return M
 
 
@@ -273,7 +273,7 @@ def mc_haar_twirl(h: HaarSampler, t: int, A, n: int, chunk: int = 65536) -> MCTw
     while left > 0:
         m = min(left, chunk)
         M = _tensor_batch(su2_batch(h.quaternions(m)), t)
-        terms = np.einsum("nij,jk,nlk->nil", M, A, M.conj())
+        terms = (M @ A) @ M.conj().swapaxes(1, 2)
         total += terms.sum(axis=0)
         total_sq += (np.abs(terms) ** 2).sum(axis=0)
         left -= m
@@ -316,9 +316,14 @@ def mc_oracle_check(
 ) -> McOracleReport:
     """Single-pass MC sweep of the twirl over the whole operator basis.
 
-    Accumulates the empirical twirl superoperator (whose column j*D+i is the
-    vectorized twirl of E(i,j)) together with entrywise second moments, then
-    scores every basis element against the exact Haar oracle.
+    Estimates the twirl superoperator (whose column j*D+i is the vectorized
+    twirl of E(i,j)) together with entrywise second moments, then scores
+    every basis element against the exact Haar oracle.  With the samples of
+    a chunk flattened row-major to X = M.reshape(m, D*D), the first moment
+    sum_n conj(M)[a,b] M[c,d] is the Gram matrix X^H X and the second moment
+    sum_n |M[a,b]|^2 |M[c,d]|^2 is P^T P with P = |X|^2, both indexed
+    [(a,b),(c,d)]; the sums are permuted to the superoperator's
+    [(a,c),(b,d)] = kron(conj(M), M) layout once, after the last chunk.
     """
     if t not in (1, 2):
         raise UnsupportedOrder(f"oracle check implements t in {{1, 2}}, got {t}")
@@ -331,21 +336,14 @@ def mc_oracle_check(
     left = n
     while left > 0:
         m = min(left, chunk)
-        M = _tensor_batch(su2_batch(h.quaternions(m)), t)
-        # kron(conj(M), M)[(a,c),(b,d)] = conj(M)[a,b] M[c,d], whose squared
-        # modulus is an entry of kron(|M|^2, |M|^2) — hence twin accumulators.
-        first += np.einsum("nab,ncd->acbd", M.conj(), M).reshape(D * D, D * D)
-        P = np.abs(M) ** 2
-        second += np.einsum("nab,ncd->acbd", P, P).reshape(D * D, D * D)
+        X = _tensor_batch(su2_batch(h.quaternions(m)), t).reshape(m, D * D)
+        first += X.conj().T @ X
+        P = X.real**2 + X.imag**2
+        second += P.T @ P
         left -= m
-    mean = first / n
+    mean = first.reshape((D,) * 4).swapaxes(1, 2).reshape(D * D, D * D) / n
+    second = second.reshape((D,) * 4).swapaxes(1, 2).reshape(D * D, D * D)
     entry_var = np.maximum(second / n - np.abs(mean) ** 2, 0.0)
-    oracle = np.zeros((D * D, D * D), dtype=complex)
-    for i in range(D):
-        for j in range(D):
-            E = np.zeros((D, D), dtype=complex)
-            E[i, j] = 1.0
-            oracle[:, j * D + i] = vec(haar_twirl(t, E))
-    deviations = np.linalg.norm(mean - oracle, axis=0)
+    deviations = np.linalg.norm(mean - superop_of_twirl(HAAR, t).matrix, axis=0)
     std_errors = np.sqrt(entry_var.sum(axis=0) / n)
     return McOracleReport(t, n, seed, deviations, std_errors, nsigma)

@@ -123,11 +123,24 @@ def test_verify_unsupported_order(capsys):
     assert "t" in err
 
 
+def text_fields(text: str) -> dict:
+    return dict(l.split(": ", 1) for l in text.splitlines() if ": " in l)
+
+
 def test_verify_text_and_json_print_the_same_numbers(capsys):
     code, text, _ = run(capsys, "verify", "--builtin", "pauli", "--t", "2")
-    gap_line = next(l for l in text.splitlines() if l.startswith("frame gap"))
     _, doc = run_json(capsys, "verify", "--builtin", "pauli", "--t", "2")
-    assert float(gap_line.split(":")[1]) == doc["result"]["frame_gap"]
+    assert float(text_fields(text)["frame gap"]) == doc["result"]["frame_gap"]
+    args = ("mc", "--t", "1", "--samples", "3000", "--seed", "5")
+    _, text, _ = run(capsys, *args)
+    _, doc = run_json(capsys, *args)
+    fields, result = text_fields(text), doc["result"]
+    assert float(fields["max deviation"]) == result["max_deviation"]
+    assert float(fields["max deviation / SE"]) == result["max_ratio"]
+    sampler = result["sampler"]
+    assert sampler == {"seed": 5, "counter_start": 0, "counter_end": 3000}
+    for key, value in sampler.items():
+        assert int(fields["sampler " + key.replace("_", " ")]) == value
 
 
 def test_verify_requires_exactly_one_source(capsys):
@@ -243,6 +256,25 @@ def test_mc_command_is_deterministic(capsys):
     assert doc1 == doc2
     assert doc1["result"]["ok"] is True
     assert doc1["result"]["max_ratio"] < 5
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--samples", "0"), ("--samples", "1"), ("--seed", "-1"), ("--seed", str(2**64)), ("--seed", "x")],
+)
+def test_mc_rejects_out_of_range_arguments(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "--t", "1", flag, value])
+    assert exc.value.code == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
+    assert len(errors) == 1
+    assert errors[0].startswith("udes mc: error: argument " + flag)
+
+
+def test_mc_accepts_the_extreme_valid_arguments(capsys):
+    code, doc = run_json(capsys, "mc", "--t", "1", "--samples", "2", "--seed", str(2**64 - 1))
+    assert code == 0
+    assert doc["result"]["sampler"] == {"seed": 2**64 - 1, "counter_start": 0, "counter_end": 2}
 
 
 def test_table_command_values(capsys):

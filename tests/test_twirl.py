@@ -8,7 +8,7 @@ from udes.errors import (
     NotUnitary,
     UnsupportedOrder,
 )
-from udes.linalg import hs_norm, kron
+from udes.linalg import hs_norm, kron, kron_power
 from udes.qubit import bell_diagonal_part, pauli, singlet_triplet
 from udes.twirl import (
     HaarSampler,
@@ -21,6 +21,7 @@ from udes.twirl import (
     haar_twirl,
     mc_haar_twirl,
     mc_oracle_check,
+    su2_batch,
     superop_of_twirl,
     twirl_finite,
     unvec,
@@ -272,6 +273,48 @@ def test_mc_oracle_check_within_bars(t):
     assert rep.ok
     assert rep.max_ratio < 5.0
     assert rep.deviations.shape == (4**t,)
+
+
+def reference_oracle_check(seed, t, n):
+    """The oracle check from per-sample Kronecker products, one sample at a time."""
+    first, second = 0, 0
+    for q in HaarSampler(seed).quaternions(n):
+        M = kron_power(su2_batch(q[None])[0], t)
+        first = first + np.kron(M.conj(), M)
+        second = second + np.kron(np.abs(M) ** 2, np.abs(M) ** 2)
+    mean = first / n
+    entry_var = np.maximum(second / n - np.abs(mean) ** 2, 0.0)
+    deviations = np.linalg.norm(mean - superop_of_twirl("haar", t).matrix, axis=0)
+    return deviations, np.sqrt(entry_var.sum(axis=0) / n)
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_mc_oracle_check_matches_per_sample_reference(t):
+    rep = mc_oracle_check(HaarSampler(31), t, 300, chunk=64)
+    deviations, std_errors = reference_oracle_check(31, t, 300)
+    assert np.max(np.abs(rep.deviations - deviations)) < 1e-12
+    assert np.max(np.abs(rep.std_errors - std_errors)) < 1e-12
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_mc_oracle_check_is_chunk_invariant(t):
+    reports, counters = [], []
+    for chunk in (7, 1000, 65536):
+        h = HaarSampler(8)
+        reports.append(mc_oracle_check(h, t, 2500, chunk=chunk))
+        counters.append(h.counter)
+    assert counters == [2500] * 3
+    for rep in reports[1:]:
+        assert np.max(np.abs(rep.deviations - reports[0].deviations)) < 1e-12
+        assert np.max(np.abs(rep.std_errors - reports[0].std_errors)) < 1e-12
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_mc_oracle_check_replays_bit_identically(t):
+    a = mc_oracle_check(HaarSampler(2**64 - 1), t, 70000)
+    b = mc_oracle_check(HaarSampler(2**64 - 1), t, 70000)
+    assert a.deviations.tobytes() == b.deviations.tobytes()
+    assert a.std_errors.tobytes() == b.std_errors.tobytes()
 
 
 def test_mc_oracle_check_needs_samples():
