@@ -6,7 +6,9 @@ table.
 Exit codes: 0 success (and verdict true), 1 verdict false, 2 input/parse
 problem, 3 unsupported averaging order, 4 precondition failure in the
 math (non-unitary input, classification failure, ...), 5 proportional
-elements where a closure needs distinct antipodal pairs.
+elements where a closure needs distinct antipodal pairs, 6 internal
+consistency failure (two mathematically equivalent checks disagreed: a bug
+in this package, not in the input).
 
 All numbers are serialized with 17 significant digits (%.17g), enough to
 round-trip IEEE doubles exactly, and JSON and text renderings of a report
@@ -176,7 +178,6 @@ def _add_common_args(sub) -> None:
     sub.add_argument("--out", help="write the primary output to this path")
     sub.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
     sub.add_argument("--strict", action="store_true", help="reject unknown file fields")
-    sub.add_argument("--threads", type=int, default=None, help="worker threads for verification")
 
 
 def _int_in(lo: int, hi: int | None = None):
@@ -261,8 +262,8 @@ def _resolve_source(args) -> tuple[twirl.UnitarySet, dict]:
 # commands
 
 
-def _verification_payload(S, t, tol, method, threads) -> dict:
-    rep = designs.verify_design(S, t, tol=tol, method=method, threads=threads)
+def _verification_payload(S, t, tol, method) -> dict:
+    rep = designs.verify_design(S, t, tol=tol, method=method)
     out = {
         "t": t,
         "is_design": rep.is_design,
@@ -279,7 +280,7 @@ def _verification_payload(S, t, tol, method, threads) -> dict:
 
 def cmd_verify(args) -> tuple[dict, int]:
     S, source = _resolve_source(args)
-    result = _verification_payload(S, args.t, args.tol, args.method, args.threads)
+    result = _verification_payload(S, args.t, args.tol, args.method)
     report = {
         "command": "verify",
         "source": source,
@@ -299,7 +300,7 @@ def cmd_construct(args) -> tuple[dict, int]:
     labeled = twirl.UnitarySet(
         list(design.elems), labels=base + [f"G{l}" for l in base] + [f"G*{l}" for l in base]
     )
-    result = _verification_payload(labeled, 2, args.tol, "both", args.threads)
+    result = _verification_payload(labeled, 2, args.tol, "both")
     report = {
         "command": "construct",
         "source": source,
@@ -603,27 +604,25 @@ def render_text(report: dict) -> str:
 # entry point
 
 
+#: exit code per error kind; the first matching entry applies
+_EXIT_CODES = (
+    (FileNotFoundError, 2),
+    (FileFormatError, 2),
+    (UnknownName, 2),
+    (UnsupportedOrder, 3),
+    (ProportionalElements, 5),
+    (InternalConsistencyError, 6),
+    (UdesError, 4),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, code = _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UdesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileFormatError, UnknownName) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnsupportedOrder as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ProportionalElements as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except InternalConsistencyError:
-        raise
-    except UdesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     rendered = emit_json(report) + "\n" if args.fmt == "json" else render_text(report)
     sys.stdout.write(rendered)
     if getattr(args, "out", None) and args.command != "construct":

@@ -12,12 +12,12 @@ cyclically permutes the coordinate axes.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     InternalConsistencyError,
     NotMinimal1Design,
     NotOrthogonalBasis,
@@ -30,7 +30,7 @@ from .errors import (
 from .linalg import hs_inner, hs_norm
 from .qubit import pauli
 from .su2 import canonical_su2, normalize_to_su2, quaternion_of, so3_rep, su2_from_rotation
-from .twirl import UnitarySet, frame_potential, haar_twirl, twirl_finite
+from .twirl import HAAR, UnitarySet, frame_potential, superop_of_twirl
 
 #: the quaternion units as special unitaries: -iX, -iY, -iZ
 UNIT_I = np.array([[0.0, -1.0j], [-1.0j, 0.0]])
@@ -80,58 +80,41 @@ class NamedDesign:
     set: UnitarySet
 
 
-def _basis_ops(D: int):
-    for i in range(D):
-        for j in range(D):
-            E = np.zeros((D, D), dtype=complex)
-            E[i, j] = 1.0
-            yield E
-
-
-def verify_design(
-    S: UnitarySet,
-    t: int,
-    tol: float = 1e-10,
-    method: str = "both",
-    threads: int | None = None,
-) -> DesignReport:
+def verify_design(S: UnitarySet, t: int, tol: float = 1e-10, method: str = "both") -> DesignReport:
     """Check whether S is a t-design, by two independent criteria.
 
-    The twirl criterion compares the finite twirl against the Haar oracle on
-    every standard basis operator; the frame criterion checks that the frame
-    potential meets its Haar lower bound.  These are equivalent — `method`
-    ("twirl", "frame" or "both") picks which one decides the verdict, and
-    with "both" any disagreement within `tol` is treated as an internal bug
-    rather than resolved silently.
+    With Delta = Phi_S - Phi_Haar, the twirl criterion is the largest column
+    norm of Delta (the worst twirl error on a basis operator E(i, j)) and the
+    frame criterion the gap of the Gram-matrix frame potential over its Haar
+    value.  `method` ("twirl", "frame" or "both") picks which one, compared
+    with `tol`, is the verdict; "both" takes the twirl one.  Near a design
+    the deviation (~eps) and the gap (~eps^2) can fall on either side of one
+    `tol`, which `method_agreement` reports.  "both" checks the identity
+    gap = ||Delta||_F^2 instead and raises InternalConsistencyError when the
+    two differ by more than 1e-12 d^(2t), for rounding (at most 6e-16 d^(2t)
+    was measured on sets of up to 1000 elements), plus 2 h ((1 + delta)^t - 1),
+    the identity's error for elements unitary only to within
+    delta = S.unitarity_defect, with h the Haar frame potential.
     """
     if t not in (1, 2):
         raise UnsupportedOrder(f"design verification implements t in {{1, 2}}, got {t}")
     if method not in ("twirl", "frame", "both"):
         raise ValueError(f"unknown method {method!r}")
-
-    def deviation(E) -> float:
-        return hs_norm(twirl_finite(S, t, E) - haar_twirl(t, E))
-
-    ops = list(_basis_ops(S.dim**t))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            devs = list(pool.map(deviation, ops))
-    else:
-        devs = [deviation(E) for E in ops]
-    max_dev = max(devs)
-    gap = frame_potential(S, t).gap
-    by_twirl = max_dev <= tol
-    by_frame = gap <= tol
-    agree = by_twirl == by_frame
+    if S.dim != 2:
+        raise DimensionMismatch(f"expected dimension 2, got {S.dim}")
+    delta = superop_of_twirl(S, t).matrix - superop_of_twirl(HAAR, t).matrix
+    max_dev = float(np.linalg.norm(delta, axis=0).max())
+    fp = frame_potential(S, t)
+    gap = float(fp.gap)
     if method == "both":
-        if not agree:
+        dist_sq = np.vdot(delta, delta).real
+        bound = 1e-12 * S.dim ** (2 * t) + 2 * fp.haar_value * ((1 + S.unitarity_defect) ** t - 1)
+        if abs(gap - dist_sq) > bound:
             raise InternalConsistencyError(
-                f"twirl deviation {max_dev} and frame gap {gap} disagree at tol {tol}"
+                f"frame gap {gap} and ||Delta||^2 {dist_sq} differ by more than {bound:.3e}"
             )
-        verdict = by_twirl
-    else:
-        verdict = by_twirl if method == "twirl" else by_frame
-    return DesignReport(t, verdict, float(gap), float(max_dev), agree)
+    verdict = (gap if method == "frame" else max_dev) <= tol
+    return DesignReport(t, verdict, gap, max_dev, (max_dev <= tol) == (gap <= tol))
 
 
 def verify_rotation_sum(S: UnitarySet, tol: float = 1e-10) -> bool:

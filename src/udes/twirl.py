@@ -5,6 +5,13 @@ potentials, and a deterministic Monte-Carlo Haar sampler.
 Vectorization is column-stacking throughout: vec(A) = A.reshape(-1,
 order="F"), so vec(M A M^H) = kron(conj(M), M) vec(A) and the standard
 basis operator E(i, j) vectorizes to the unit vector at index j*D + i.
+
+Every finite twirl goes through one moment operator, the twirl superoperator
+Phi_S = (1/N) sum_a conj(M_a) (x) M_a with M_a = U_a^{(x)t}: for the stacked
+tensor powers flattened to X = M.reshape(N, D*D) it is the Gram matrix X^H X,
+permuted.  Design checks use Delta = Phi_S - Phi_Haar, whose largest column
+norm is the worst twirl error on a basis operator and whose squared norm is
+the frame-potential gap (Gross, Audenaert & Eisert, JMP 48, 052104 (2007)).
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DuplicateElements, NotUnitary, UnsupportedOrder
-from .linalg import EQ_TOL, RANK_TOL, as_matrix, assert_unitary, hs_dist, hs_inner, kron_power, rank
+from .linalg import EQ_TOL, RANK_TOL, as_matrix, rank
 from .qubit import singlet_triplet
 
 HAAR = "haar"
@@ -37,23 +44,38 @@ class UnitarySet:
         if not mats:
             raise ValueError("a unitary set must be nonempty")
         d = mats[0].shape[0]
-        for k, m in enumerate(mats):
-            if m.shape[0] != d:
-                raise DimensionMismatch(f"element {k} is {m.shape[0]}x{m.shape[0]}, expected {d}x{d}")
-            try:
-                assert_unitary(m, tol)
-            except NotUnitary as exc:
-                raise NotUnitary(f"element {k}: {exc}") from None
-        for a in range(len(mats)):
-            for b in range(a + 1, len(mats)):
-                if hs_dist(mats[a], mats[b]) <= tol:
-                    raise DuplicateElements(f"elements {a} and {b} coincide within {tol}")
+        # the first offending element decides the error, as in a single pass
+        same = next((k for k, m in enumerate(mats) if m.shape[0] != d), len(mats))
+        stack = np.stack(mats[:same])
+        defects = np.linalg.norm(stack.conj().swapaxes(1, 2) @ stack - np.eye(d), axis=(1, 2))
+        bad = np.flatnonzero(defects > tol)
+        if bad.size:
+            k = bad[0]
+            raise NotUnitary(
+                f"element {k}: matrix is not unitary: ||U^H U - 1|| = {defects[k]:.3e} > {tol:.1e}"
+            )
+        if same < len(mats):
+            m = mats[same].shape[0]
+            raise DimensionMismatch(f"element {same} is {m}x{m}, expected {d}x{d}")
+        # all pairwise distances, in row blocks of at most 2^16 differences;
+        # pairs (a, b > a) are searched in the order a double loop visits them
+        n = len(mats)
+        X = stack.reshape(n, d * d)
+        rows = max(1, 2**16 // (n * d * d))
+        for lo in range(0, n, rows):
+            dist = np.linalg.norm(X[lo : lo + rows, None] - X[None], axis=2)
+            close = np.argwhere(np.triu(dist <= tol, lo + 1))
+            if close.size:
+                a, b = close[0]
+                raise DuplicateElements(f"elements {lo + a} and {b} coincide within {tol}")
         if labels is not None:
             labels = tuple(str(s) for s in labels)
-            if len(labels) != len(mats):
-                raise ValueError(f"{len(labels)} labels for {len(mats)} elements")
+            if len(labels) != n:
+                raise ValueError(f"{len(labels)} labels for {n} elements")
         self.dim = d
-        self.elems = tuple(m.copy() for m in mats)
+        self.stack = stack  # (N, d, d); the elements are views into it
+        self.unitarity_defect = float(defects.max())  # max ||U^H U - 1||_HS
+        self.elems = tuple(stack)
         self.labels = labels
 
     def __len__(self) -> int:
@@ -108,28 +130,19 @@ def twirl_finite(S: UnitarySet, t: int, A) -> np.ndarray:
     if t < 1:
         raise UnsupportedOrder(f"twirl order must be >= 1, got {t}")
     A = as_matrix(A, S.dim**t)
-    out = np.zeros_like(A)
-    for U in S:
-        M = kron_power(U, t)
-        out += M @ A @ M.conj().T
-    return out / len(S)
+    M = _tensor_batch(S.stack, t)
+    return ((M @ A) @ M.conj().swapaxes(1, 2)).sum(axis=0) / len(S)
 
 
 def haar_twirl(t: int, A) -> np.ndarray:
-    """The Haar-average twirl on qubits, in closed form.
+    """The Haar-average twirl on qubits: the Haar superoperator applied to A.
 
     t = 1 is the completely depolarizing channel A -> tr(A) 1/2; t = 2
     projects onto the span of the singlet and triplet projectors,
     A -> <P_s, A> P_s + <P_t, A> P_t / 3.
     """
-    if t == 1:
-        A = as_matrix(A, 2)
-        return np.trace(A) * np.eye(2, dtype=complex) / 2.0
-    if t == 2:
-        A = as_matrix(A, 4)
-        P_s, P_t = singlet_triplet()
-        return hs_inner(P_s, A) * P_s + hs_inner(P_t, A) * P_t / 3.0
-    raise UnsupportedOrder(f"haar_twirl implements t in {{1, 2}}, got {t}")
+    Phi = superop_of_twirl(HAAR, t).matrix
+    return unvec(Phi @ vec(as_matrix(A, 2**t)))
 
 
 def superop_of_twirl(source, t: int) -> SuperOp:
@@ -152,11 +165,8 @@ def superop_of_twirl(source, t: int) -> SuperOp:
     if t < 1:
         raise UnsupportedOrder(f"twirl order must be >= 1, got {t}")
     D = source.dim**t
-    M_sum = np.zeros((D * D, D * D), dtype=complex)
-    for U in source:
-        M = kron_power(U, t)
-        M_sum += np.kron(M.conj(), M)
-    return SuperOp(D * D, M_sum / len(source))
+    X = _tensor_batch(source.stack, t).reshape(len(source), D * D)
+    return SuperOp(D * D, _superop_layout(X.conj().T @ X, D) / len(source))
 
 
 def choi(S: SuperOp) -> np.ndarray:
@@ -181,8 +191,7 @@ def frame_potential(S: UnitarySet, t: int) -> FramePotentialReport:
     for t in {1, 2}; the reference (and the gap) is None for other orders."""
     if t < 1:
         raise UnsupportedOrder(f"frame potential order must be >= 1, got {t}")
-    M = np.stack(S.elems)
-    gram = np.einsum("aij,bij->ab", M.conj(), M)
+    gram = np.einsum("aij,bij->ab", S.stack.conj(), S.stack)
     value = float(np.mean(np.abs(gram) ** (2 * t)))
     haar_value = _FRAME_POTENTIAL_HAAR.get(t)
     gap = None if haar_value is None else value - haar_value
@@ -241,13 +250,18 @@ def haar_sample(h: HaarSampler) -> np.ndarray:
 
 
 def _tensor_batch(U: np.ndarray, t: int) -> np.ndarray:
-    if t == 1:
-        return U
-    M = U
+    """The t-fold tensor powers of an (n, d, d) stack, as an (n, d^t, d^t) stack."""
+    M, d = U, U.shape[1]
     for _ in range(t - 1):
         n, a, _ = M.shape
-        M = (M[:, :, None, :, None] * U[:, None, :, None, :]).reshape(n, 2 * a, 2 * a)
+        M = (M[:, :, None, :, None] * U[:, None, :, None, :]).reshape(n, a * d, a * d)
     return M
+
+
+def _superop_layout(G: np.ndarray, D: int) -> np.ndarray:
+    """Permute a moment matrix indexed [(a,b),(c,d)] to the superoperator's
+    [(a,c),(b,d)] = kron(conj(M), M) layout."""
+    return G.reshape((D,) * 4).swapaxes(1, 2).reshape(D * D, D * D)
 
 
 @dataclass(frozen=True)
@@ -341,8 +355,8 @@ def mc_oracle_check(
         P = X.real**2 + X.imag**2
         second += P.T @ P
         left -= m
-    mean = first.reshape((D,) * 4).swapaxes(1, 2).reshape(D * D, D * D) / n
-    second = second.reshape((D,) * 4).swapaxes(1, 2).reshape(D * D, D * D)
+    mean = _superop_layout(first, D) / n
+    second = _superop_layout(second, D)
     entry_var = np.maximum(second / n - np.abs(mean) ** 2, 0.0)
     deviations = np.linalg.norm(mean - superop_of_twirl(HAAR, t).matrix, axis=0)
     std_errors = np.sqrt(entry_var.sum(axis=0) / n)

@@ -143,6 +143,33 @@ def test_verify_text_and_json_print_the_same_numbers(capsys):
         assert int(fields["sampler " + key.replace("_", " ")]) == value
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1e-7, 1e-8])
+def test_verify_near_design_file_gives_a_verdict(tmp_path, capsys, eps):
+    from udes.designs import named_design
+
+    elems = list(named_design("D").set)
+    elems[5] = (np.cos(eps) * np.eye(2) - 1j * np.sin(eps) * pauli(1)) @ elems[5]
+    src = tmp_path / "near.json"
+    save_unitary_set(UnitarySet(elems), str(src))
+    code, _, err = run(capsys, "verify", "--file", str(src), "--t", "2")
+    assert code == 1
+    assert err == ""
+
+
+def test_internal_consistency_failure_has_its_own_exit_code(monkeypatch, capsys):
+    from udes import designs
+    from udes.errors import InternalConsistencyError
+
+    def broken(*args, **kwargs):
+        raise InternalConsistencyError("checks disagree")
+
+    monkeypatch.setattr(designs, "verify_design", broken)
+    code, out, err = run(capsys, "verify", "--builtin", "D")
+    assert code == 6
+    assert out == ""
+    assert err.splitlines() == ["error: checks disagree"]
+
+
 def test_verify_requires_exactly_one_source(capsys):
     code, _, err = run(capsys, "verify", "--t", "2")
     assert code == 2

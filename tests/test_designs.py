@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,15 +13,18 @@ from udes.designs import (
     verify_design,
     verify_rotation_sum,
 )
+import udes.designs as designs
 from udes.errors import (
+    DimensionMismatch,
+    InternalConsistencyError,
     NotMinimal1Design,
     NotOrthogonalBasis,
     NotUnitaryElements,
     UnknownName,
     UnsupportedOrder,
 )
-from udes.linalg import hs_dist, hs_norm
-from udes.qubit import pauli
+from udes.linalg import hs_dist, hs_inner, hs_norm, kron_power
+from udes.qubit import pauli, singlet_triplet
 from udes.twirl import HaarSampler, UnitarySet, haar_sample
 
 W = AXIS_CYCLE
@@ -93,12 +98,83 @@ def test_completions_are_2designs(name):
         assert rep.frame_gap < 1e-12
 
 
-def test_verify_design_threaded_agrees():
+def near_d(eps, k=5):
+    """D with element k rotated by exp(-i eps X)."""
+    elems = list(named_design("D").set)
+    elems[k] = (np.cos(eps) * np.eye(2) - 1j * np.sin(eps) * pauli(1)) @ elems[k]
+    return UnitarySet(elems)
+
+
+def reference_max_deviation(S, t):
+    """The largest twirl error over the basis operators, one operator and one
+    element at a time, against the closed-form Haar twirl."""
+    D = S.dim**t
+    P_s, P_t = singlet_triplet()
+    devs = []
+    for i in range(D):
+        for j in range(D):
+            E = np.zeros((D, D), dtype=complex)
+            E[i, j] = 1.0
+            finite = sum(kron_power(U, t) @ E @ kron_power(U, t).conj().T for U in S) / len(S)
+            if t == 1:
+                haar = np.trace(E) * np.eye(2) / 2
+            else:
+                haar = hs_inner(P_s, E) * P_s + hs_inner(P_t, E) * P_t / 3
+            devs.append(hs_norm(finite - haar))
+    return max(devs)
+
+
+@pytest.mark.parametrize(
+    "S",
+    [
+        named_design("B").set,
+        named_design("D").set,
+        named_design("D2").set,
+        near_d(1e-3),
+        near_d(1e-7),
+        UnitarySet([haar_sample(h) for h in [HaarSampler(3)] * 9]),
+    ],
+)
+def test_verify_design_deviation_matches_the_per_basis_loop(S):
+    for t in (1, 2):
+        rep = verify_design(S, t, method="twirl")
+        assert abs(rep.max_twirl_deviation - reference_max_deviation(S, t)) <= 1e-15
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-7, 1e-8])
+def test_both_takes_the_twirl_verdict_near_a_design(eps):
+    # the deviation (~eps) fails tol while the gap (~eps^2) passes it
+    S = near_d(eps)
+    both = verify_design(S, 2)
+    assert both == verify_design(S, 2, method="twirl")
+    assert not both.is_design and not both.method_agreement
+    assert verify_design(S, 2, method="frame").is_design
+
+
+def test_both_raises_only_when_the_frame_identity_fails(monkeypatch):
     D = named_design("D").set
-    solo = verify_design(D, 2)
-    pooled = verify_design(D, 2, threads=4)
-    assert solo.is_design == pooled.is_design
-    assert solo.max_twirl_deviation == pytest.approx(pooled.max_twirl_deviation)
+    real = designs.frame_potential
+
+    def shifted(S, t):
+        fp = real(S, t)
+        return dataclasses.replace(fp, gap=fp.gap + 1e-9)
+
+    monkeypatch.setattr(designs, "frame_potential", shifted)
+    with pytest.raises(InternalConsistencyError):
+        verify_design(D, 2)
+    assert verify_design(D, 2, method="twirl").is_design
+
+
+def test_both_allows_elements_unitary_only_within_tolerance():
+    # ||U^H U - 1|| = 5.7e-11 moves gap - ||Delta||^2 by ~3e-10 at t = 2
+    S = UnitarySet([(1 + 2e-11) * U for U in named_design("D").set])
+    for t in (1, 2):
+        verify_design(S, t)
+
+
+def test_verify_design_needs_qubits():
+    with pytest.raises(DimensionMismatch):
+        verify_design(UnitarySet([np.eye(3)]), 1)
 
 
 def test_verify_design_single_methods():

@@ -11,6 +11,7 @@ from udes.errors import (
 from udes.linalg import hs_norm, kron, kron_power
 from udes.qubit import bell_diagonal_part, pauli, singlet_triplet
 from udes.twirl import (
+    _tensor_batch,
     HaarSampler,
     MCTwirlEstimate,
     UnitarySet,
@@ -68,6 +69,51 @@ def test_unitary_set_rejects_non_unitary():
 def test_unitary_set_rejects_duplicates():
     with pytest.raises(DuplicateElements):
         UnitarySet([pauli(1), pauli(1)])
+
+
+@pytest.mark.parametrize(
+    "elems,error,message",
+    [
+        (
+            [np.eye(2), pauli(1), np.diag([1.0, 2.0]), np.diag([1.0, 3.0])],
+            NotUnitary,
+            "element 2: matrix is not unitary: ||U^H U - 1|| = 3.000e+00 > 1.0e-10",
+        ),
+        (
+            [np.eye(2), np.diag([1.0, 2.0]), np.eye(4)],
+            NotUnitary,
+            "element 1: matrix is not unitary: ||U^H U - 1|| = 3.000e+00 > 1.0e-10",
+        ),
+        (
+            [np.eye(2), np.eye(4), np.diag([1.0, 2.0])],
+            DimensionMismatch,
+            "element 1 is 4x4, expected 2x2",
+        ),
+        # (0, 4) comes before (1, 3) in the order a double loop over pairs visits them
+        (
+            [pauli(1), pauli(2), pauli(3), pauli(2), pauli(1)],
+            DuplicateElements,
+            "elements 0 and 4 coincide within 1e-10",
+        ),
+        (
+            [np.eye(2), pauli(3), np.exp(1e-11j) * np.eye(2)],
+            DuplicateElements,
+            "elements 0 and 2 coincide within 1e-10",
+        ),
+    ],
+)
+def test_unitary_set_names_the_first_offending_element(elems, error, message):
+    with pytest.raises(error) as err:
+        UnitarySet(elems)
+    assert str(err.value) == message
+
+
+def test_unitary_set_finds_the_first_duplicate_pair_across_row_blocks():
+    elems = list(su2_batch(HaarSampler(6).quaternions(200)))  # three row blocks
+    elems[190] = elems[150].copy()
+    elems[199] = elems[100].copy()
+    with pytest.raises(DuplicateElements, match="^elements 100 and 199 coincide"):
+        UnitarySet(elems)
 
 
 def test_unitary_set_rejects_bad_label_count():
@@ -159,6 +205,54 @@ def test_finite_twirl_works_beyond_oracle_orders():
     out = twirl_finite(PAULI_SET, 3, np.eye(8))
     assert out.shape == (8, 8)
     assert hs_norm(out - np.eye(8)) < 1e-14  # identity is always a fixed point
+
+
+# ---- the moment operator against per-element Kronecker loops -----------------
+
+
+def random_unitaries(d, n, seed):
+    g = np.random.default_rng(seed)
+    Z = g.normal(size=(n, d, d)) + 1j * g.normal(size=(n, d, d))
+    return [np.linalg.qr(z)[0] for z in Z]
+
+
+RANDOM_SET = UnitarySet(random_unitaries(2, 7, 1))
+QUTRIT_SET = UnitarySet(random_unitaries(3, 5, 2))
+
+
+def reference_superop(S, t):
+    total = 0
+    for U in S:
+        M = kron_power(U, t)
+        total = total + np.kron(M.conj(), M)
+    return total / len(S)
+
+
+def reference_twirl(S, t, A):
+    total = 0
+    for U in S:
+        M = kron_power(U, t)
+        total = total + M @ A @ M.conj().T
+    return total / len(S)
+
+
+@pytest.mark.parametrize(
+    "S,t",
+    [(PAULI_SET, 1), (PAULI_SET, 2), (PAULI_SET, 3), (RANDOM_SET, 1), (RANDOM_SET, 2), (RANDOM_SET, 3),
+     (QUTRIT_SET, 1), (QUTRIT_SET, 2)],
+)
+def test_moment_operator_matches_per_element_kron_loops(S, t):
+    assert hs_norm(superop_of_twirl(S, t).matrix - reference_superop(S, t)) < 1e-13
+    A = random_op(S.dim**t)
+    assert hs_norm(twirl_finite(S, t, A) - reference_twirl(S, t, A)) < 1e-13 * hs_norm(A)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_tensor_batch_takes_the_element_dimension(t):
+    M = _tensor_batch(QUTRIT_SET.stack, t)
+    assert M.shape == (len(QUTRIT_SET), 3**t, 3**t)
+    for k, U in enumerate(QUTRIT_SET):
+        assert np.array_equal(M[k], kron_power(U, t))
 
 
 # ---- superoperators and Choi matrices ---------------------------------------
