@@ -347,8 +347,8 @@ def _closure_labels(C: groups.Su2Closure) -> list[str]:
 
 def cmd_group(args) -> tuple[dict, int]:
     S, source = _resolve_source(args)
-    C = groups.su2_closure(S)
-    prof = groups.group_profile(C)
+    C = groups.su2_closure(S, args.tol)
+    prof = groups.group_profile(C, args.tol)
     labels = _closure_labels(C)
     histogram = {str(k): prof.order_histogram[k] for k in sorted(prof.order_histogram)}
     result = {
@@ -371,8 +371,8 @@ def cmd_group(args) -> tuple[dict, int]:
 
 def cmd_geometry(args) -> tuple[dict, int]:
     S, source = _resolve_source(args)
-    C = groups.su2_closure(S)
-    pid = groups.polytope_identify(C.points())
+    C = groups.su2_closure(S, args.tol)
+    pid = groups.polytope_identify(C.points(), args.tol)
     rotations = [
         {"axis": list(aa.axis), "angle": aa.angle, "vector": list(aa.vector())}
         for aa in groups.so3_image_table(C)

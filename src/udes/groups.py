@@ -5,24 +5,74 @@ Every unitary has exactly two determinant-1 phase shifts, an antipodal pair
 on the unit quaternion 3-sphere; the closure collects both for every element
 of a set.  For the Pauli basis this yields the quaternion group Q8 (a
 16-cell on the 3-sphere), and for its 12-element 2-design completion the
-binary tetrahedral group (a 24-cell).
+binary tetrahedral group (a 24-cell).  Everything here works on that
+(2n, 4) quaternion array, with Hamilton products in place of matmuls.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonUnitPoint, NotHalfInteger, ProportionalElements
-from .linalg import hs_norm
-from .su2 import AxisAngle, axis_angle_of, normalize_to_su2, quaternion_of
+from .errors import DimensionMismatch, NonUnitPoint, NotHalfInteger, ProportionalElements
+from .su2 import _SIGMA, AxisAngle
 from .twirl import UnitarySet
 
 _MEMBER_TOL = 1e-9  # products of lattice-exact elements leave huge margin
 
 _ORDER_CAP = 48  # largest element order we ever probe for
+
+_ZTOL = 1e-9  # smallest coordinate that decides the canonical sign, as in su2
+
+#: B_k = 1, iX, iY, iZ: U = s 1 - i (x,y,z).sigma has coordinates tr(B_k U) / 2
+_QUATERNION_BASIS = np.stack([np.eye(2), *(1j * s for s in _SIGMA)])
+
+
+def _quaternions(U: np.ndarray) -> np.ndarray:
+    """(s, x, y, z) rows of an (n, 2, 2) special unitary stack."""
+    return 0.5 * np.einsum("kij,nji->nk", _QUATERNION_BASIS, U).real
+
+
+def _canonical_signs(Q: np.ndarray) -> np.ndarray:
+    """+-1 per quaternion row, making its first coordinate above _ZTOL positive."""
+    first = Q[np.arange(len(Q)), np.argmax(np.abs(Q) > _ZTOL, axis=1)]
+    return np.where(first < 0, -1.0, 1.0)
+
+
+def _hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hamilton products of broadcast quaternion arrays (..., 4); the map
+    q -> s 1 - i (x,y,z).sigma turns them into matrix products."""
+    a, b, c, d = np.moveaxis(p, -1, 0)
+    e, f, g, h = np.moveaxis(q, -1, 0)
+    return np.stack(
+        [
+            a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e,
+        ],
+        axis=-1,
+    )
+
+
+def _hs_distance(d: np.ndarray) -> np.ndarray:
+    """||U - V|| = sqrt(2) |p - q| from quaternion differences d = p - q (..., 4)."""
+    return math.sqrt(2.0) * np.sqrt(np.einsum("...i,...i->...", d, d))
+
+
+def _axis_angles(Q: np.ndarray) -> list[AxisAngle]:
+    """Axis-angle of the covering rotation of each quaternion row, as
+    su2.axis_angle_of: the canonical sign puts the angle in [0, pi], and the
+    identity reports axis (0, 0, 1)."""
+    R = Q * _canonical_signs(Q)[:, None]
+    vnorm = np.linalg.norm(R[:, 1:], axis=1)
+    small = vnorm <= _ZTOL
+    axes = np.where(small[:, None], (0.0, 0.0, 1.0), R[:, 1:] / np.maximum(vnorm, _ZTOL)[:, None])
+    angles = [0.0 if z else 2.0 * math.atan2(v, s) for z, v, s in zip(small, vnorm, R[:, 0])]
+    return [AxisAngle(tuple(n), float(a)) for n, a in zip((axes + 0.0).tolist(), angles)]
 
 
 @dataclass(frozen=True)
@@ -31,12 +81,14 @@ class Su2Closure:
 
     closure[2a] is the canonical normalization of original element a (first
     nonzero quaternion coordinate positive) and closure[2a+1] its negative;
-    `pairing` maps each index to its antipodal partner.
+    `pairing` maps each index to its antipodal partner, and row k of the
+    read-only `quaternions` array holds the coordinates of closure[k].
     """
 
     original: UnitarySet
     closure: tuple
     pairing: tuple
+    quaternions: np.ndarray
 
     def __len__(self) -> int:
         return len(self.closure)
@@ -47,30 +99,34 @@ class Su2Closure:
 
     def points(self) -> np.ndarray:
         """The closure as an (n, 4) array of unit quaternions."""
-        return np.array([quaternion_of(U) for U in self.closure])
+        return self.quaternions
 
 
-def su2_closure(S: UnitarySet) -> Su2Closure:
+def su2_closure(S: UnitarySet, tol: float = _MEMBER_TOL) -> Su2Closure:
     """Collect both determinant-1 phase shifts of every element.
 
     Proportional elements share their normalizations, which would collapse
     the closure; they are rejected.  (|tr(U^H V)| = 2 characterizes
-    proportionality of unitaries.)
+    proportionality of unitaries; |tr| >= 2 - tol counts as proportional.)
     """
-    for a in range(len(S)):
-        for b in range(a + 1, len(S)):
-            if abs(np.trace(S[a].conj().T @ S[b])) >= 2.0 - _MEMBER_TOL:
-                raise ProportionalElements(
-                    f"elements {a} and {b} are proportional and share normalizations"
-                )
-    closure = []
-    pairing = []
-    for U in S:
-        plus, minus = normalize_to_su2(U)
-        k = len(closure)
-        closure += [plus, minus]
-        pairing += [k + 1, k]
-    return Su2Closure(S, tuple(closure), tuple(pairing))
+    X = S.stack.reshape(len(S), -1)
+    close = np.argwhere(np.triu(np.abs(X.conj() @ X.T) >= 2.0 - tol, 1))
+    if close.size:
+        a, b = close[0]
+        raise ProportionalElements(
+            f"elements {a} and {b} are proportional and share normalizations"
+        )
+    if S.dim != 2:
+        raise DimensionMismatch(f"expected dimension 2, got {S.dim}")
+    # conj(omega) U with omega the principal square root of det U, then the
+    # canonical sign, as su2.normalize_to_su2
+    U = S.stack
+    V = np.conj(np.sqrt(U[:, 0, 0] * U[:, 1, 1] - U[:, 0, 1] * U[:, 1, 0]))[:, None, None] * U
+    V *= _canonical_signs(_quaternions(V))[:, None, None]
+    stack = np.stack([V, -V], axis=1).reshape(-1, 2, 2)
+    Q = _quaternions(stack)
+    Q.flags.writeable = False
+    return Su2Closure(S, tuple(stack), tuple(k ^ 1 for k in range(len(stack))), Q)
 
 
 @dataclass(frozen=True)
@@ -82,34 +138,35 @@ class GroupProfile:
     semidirect_check: bool
 
 
-def _find(stack: np.ndarray, M: np.ndarray, tol: float = _MEMBER_TOL) -> int:
-    d = np.linalg.norm(stack - M, axis=(1, 2))
-    k = int(np.argmin(d))
-    return k if d[k] <= tol else -1
+def _lookup(P: np.ndarray, Q: np.ndarray, tol: float) -> np.ndarray:
+    """Index of the row of Q nearest each quaternion of P, or -1 where it is
+    farther than tol in Hilbert-Schmidt distance ||U - V|| = sqrt(2) |p - q|.
+
+    The largest dot product picks the candidate, in row blocks of at most
+    2^15 dot products (256 kB); the distance is then taken directly, because
+    2 - 2 p.q loses the 1e-9 scale to cancellation.
+    """
+    flat = P.reshape(-1, 4)
+    out = np.empty(len(flat), dtype=int)
+    step = max(1, 2**15 // len(Q))
+    for lo in range(0, len(flat), step):
+        out[lo : lo + step] = np.argmax(flat[lo : lo + step] @ Q.T, axis=1)
+    out[_hs_distance(flat - Q[out]) > tol] = -1
+    return out.reshape(P.shape[:-1])
 
 
-def _element_order(U: np.ndarray, tol: float = _MEMBER_TOL) -> int:
-    """Smallest k >= 1 with U^k = 1, or 0 if none up to the probe cap."""
-    P = U.copy()
-    eye = np.eye(U.shape[0])
-    for k in range(1, _ORDER_CAP + 1):
-        if hs_norm(P - eye) <= tol:
-            return k
-        P = P @ U
-    return 0
+def _orders(Q: np.ndarray, tol: float) -> np.ndarray:
+    """Smallest k <= _ORDER_CAP with ||U^k - 1|| <= tol per element, 0 if none.
 
+    The powers come in doublings, q^(m+1..2m) = q^m q^(1..m), one batched
+    product each; ||U^k - 1|| = sqrt(2) |q^k - 1| is taken as a difference.
+    """
+    powers = Q[None]
+    while len(powers) < _ORDER_CAP:
+        powers = np.concatenate([powers, _hamilton(powers[-1], powers)])
+    hit = _hs_distance(powers[:_ORDER_CAP] - (1.0, 0.0, 0.0, 0.0)) <= tol
+    return np.where(hit.any(axis=0), hit.argmax(axis=0) + 1, 0)
 
-# the exact lattice elements whose subsets are the candidate normal subgroups
-_LATTICE = {
-    "1": np.eye(2, dtype=complex),
-    "-1": -np.eye(2, dtype=complex),
-    "I": np.array([[0.0, -1.0j], [-1.0j, 0.0]]),
-    "-I": np.array([[0.0, 1.0j], [1.0j, 0.0]]),
-    "J": np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex),
-    "-J": np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex),
-    "K": np.array([[-1.0j, 0.0], [0.0, 1.0j]]),
-    "-K": np.array([[1.0j, 0.0], [0.0, -1.0j]]),
-}
 
 _CANDIDATE_SUBGROUPS = (
     ("1", "-1", "I", "-I", "J", "-J", "K", "-K"),  # quaternion group Q8
@@ -119,89 +176,59 @@ _CANDIDATE_SUBGROUPS = (
     ("1", "-1"),
 )
 
+#: the signed quaternion units, in the order of Q8 above
+_UNITS = np.array([sign * e for e in np.eye(4) for sign in (1.0, -1.0)])
+
 
 def group_profile(C: Su2Closure, tol: float = _MEMBER_TOL) -> GroupProfile:
     """Multiplicative structure of a closure: closure-under-product verdict,
     element orders, center size, coset split by the largest proper normal
     subgroup among the quaternion-unit subgroups, and whether that subgroup
-    admits a cyclic complement (an inner semidirect decomposition)."""
-    G = list(C.closure)
-    n = len(G)
-    stack = np.stack(G)
-    prod = np.full((n, n), -1, dtype=int)
-    is_group = True
-    for a in range(n):
-        for b in range(n):
-            prod[a, b] = _find(stack, G[a] @ G[b], tol)
-            if prod[a, b] < 0:
-                is_group = False
+    admits a cyclic complement (an inner semidirect decomposition), all from
+    one table of Hamilton products looked up within tol."""
+    Q = C.points()
+    n = len(C)
+    P = _hamilton(Q[:, None, :], Q[None, :, :])
+    prod = _lookup(P, Q, tol)
+    is_group = bool((prod >= 0).all())
+    histogram = dict(Counter(_orders(Q, tol).tolist()))
+    commutes = _hs_distance(P - P.swapaxes(0, 1)) <= tol
+    center = int(np.count_nonzero(commutes.all(axis=1)))
 
-    histogram: dict = {}
-    for U in G:
-        k = _element_order(U, tol)
-        histogram[k] = histogram.get(k, 0) + 1
-
-    center = 0
-    for a in range(n):
-        if all(hs_norm(G[a] @ G[b] - G[b] @ G[a]) <= tol for b in range(n)):
-            center += 1
-
-    cosets = None
-    semidirect = False
+    cosets, semidirect = None, False
     if is_group:
-        normal = None
+        e = int(np.argmax((prod == np.arange(n)).all(axis=1)))
+        inverse = np.argmax(prod == e, axis=1)
+        units = dict(zip(_CANDIDATE_SUBGROUPS[0], _lookup(_UNITS, Q, tol)))
         for names in _CANDIDATE_SUBGROUPS:
-            idx = [_find(stack, _LATTICE[nm], tol) for nm in names]
-            if any(k < 0 for k in idx) or len(idx) >= n:
+            idx = np.array([units[nm] for nm in names])
+            if (idx < 0).any() or len(idx) >= n:
                 continue
-            members = set(idx)
-            if all(
-                prod[g, h] >= 0 and prod[prod[g, h], _inverse(prod, g)] in members
-                for g in range(n)
-                for h in members
-            ):
-                normal = idx
+            # normal: g h g^-1 stays in the subgroup for every g
+            if np.isin(prod[prod[:, idx], inverse[:, None]], idx).all():
+                # row r starts a new left coset rH exactly when r is its smallest member
+                left = prod[:, idx]
+                starts = np.flatnonzero(left.min(axis=1) == np.arange(n))
+                cosets = tuple(tuple(sorted(left[r].tolist())) for r in starts)
+                semidirect = _has_cyclic_complement(prod, set(idx.tolist()), e)
                 break
-        if normal is not None:
-            members = set(normal)
-            seen = set()
-            parts = []
-            for r in range(n):
-                if r in seen:
-                    continue
-                coset = tuple(sorted(int(prod[r, h]) for h in members))
-                parts.append(coset)
-                seen.update(coset)
-            cosets = tuple(parts)
-            semidirect = _has_cyclic_complement(prod, members, n)
     return GroupProfile(is_group, histogram, center, cosets, semidirect)
 
 
-def _inverse(prod: np.ndarray, g: int) -> int:
-    """Index of g^-1 in the multiplication table (identity is prod[e,e]=e)."""
-    n = prod.shape[0]
-    e = next(k for k in range(n) if prod[k, k] == k and all(prod[k, b] == b for b in range(n)))
-    return next(h for h in range(n) if prod[g, h] == e)
-
-
-def _has_cyclic_complement(prod: np.ndarray, members: set, n: int) -> bool:
-    if n % len(members) != 0:
-        return False
+def _has_cyclic_complement(prod: np.ndarray, members: set, e: int) -> bool:
+    """Whether some cyclic subgroup of order n/|members| meets the normal
+    subgroup only in e, so that the two together cover the group."""
+    n = len(prod)
     want = n // len(members)
-    e = next(k for k in range(n) if all(prod[k, b] == b for b in range(n)))
     for g in range(n):
         powers = [e]
         cur = g
         while cur != e and len(powers) <= want:
             powers.append(cur)
-            cur = prod[cur, g]
-        if cur != e or len(powers) != want:
-            continue
-        if set(powers) & members != {e}:
-            continue
-        covered = {prod[h, k] for h in members for k in powers}
-        if len(covered) == n:
-            return True
+            cur = int(prod[cur, g])
+        if cur == e and len(powers) == want and set(powers) & members == {e}:
+            if len({prod[h, k] for h in members for k in powers}) == n:
+                return True
     return False
 
 
@@ -285,7 +312,7 @@ def demitesseract_class(q, tol: float = 1e-9) -> str:
 def so3_image_table(C: Su2Closure) -> list[AxisAngle]:
     """Axis-angle of the covering rotation, one per antipodal pair,
     evaluated on the canonical representative of each pair."""
-    return [axis_angle_of(U) for U in C.representatives()]
+    return _axis_angles(C.points()[0::2])
 
 
 def snap(x: float, candidates, tol: float = 1e-12):
@@ -319,24 +346,21 @@ class ClosureTableRow:
 
 def axis_cycle_closure_table() -> list[ClosureTableRow]:
     """All 24 elements of the closed quaternion-unit completion, row per
-    signed element, with coordinates snapped to their exact values."""
+    signed element, with coordinates snapped to their exact values.  The
+    Pauli coefficients of s 1 - i (x,y,z).sigma are (2s, -2ix, -2iy, -2iz)."""
     from .designs import named_design
-    from .qubit import pauli
-    from .linalg import hs_inner
 
-    base = named_design("D0")
+    base = named_design("D0").set
+    Q = _quaternions(base.stack)
+    Q = np.stack([Q, -Q], axis=1).reshape(-1, 4)
+    labels = [tag + name for name in base.labels for tag in "+-"]
     rows = []
-    for U, name in zip(base.set.elems, base.set.labels):
-        for sign, tag in ((1.0, "+"), (-1.0, "-")):
-            E = sign * U
-            coeff = tuple(
-                complex(
-                    snap(hs_inner(pauli(mu), E).real, _PAULI_COEFF_VALUES),
-                    snap(hs_inner(pauli(mu), E).imag, _PAULI_COEFF_VALUES),
-                )
-                for mu in range(4)
-            )
-            q = tuple(snap(v, _QUATERNION_VALUES) for v in quaternion_of(E))
-            rot = tuple(snap(v, _ROTATION_VALUES) for v in axis_angle_of(E).vector())
-            rows.append(ClosureTableRow(tag + name, coeff, q, rot))
+    for label, q, aa in zip(labels, Q.tolist(), _axis_angles(Q)):
+        coeff = tuple(
+            complex(snap(c.real, _PAULI_COEFF_VALUES), snap(c.imag, _PAULI_COEFF_VALUES))
+            for c in (2.0 * q[0], -2j * q[1], -2j * q[2], -2j * q[3])
+        )
+        quaternion = tuple(snap(v, _QUATERNION_VALUES) for v in q)
+        rotation = tuple(snap(v, _ROTATION_VALUES) for v in aa.vector())
+        rows.append(ClosureTableRow(label, coeff, quaternion, rotation))
     return rows

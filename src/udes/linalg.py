@@ -2,8 +2,8 @@
 
 Everything downstream works with square numpy arrays of complex128, at most
 16x16.  This module fixes the conventions once: row-major tensor products,
-the Hilbert-Schmidt inner product tr(A^H B), numerical rank by pivoted
-elimination, and unitary change of basis T A T^H.
+the Hilbert-Schmidt inner product tr(A^H B), numerical rank by singular
+values, and unitary change of basis T A T^H.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .errors import DimensionMismatch, NotUnitary
 
 #: default tolerance for unitarity certification
 UNITARITY_TOL = 1e-10
-#: default relative pivot threshold for numerical rank
+#: default threshold for numerical rank, relative to the largest singular value
 RANK_TOL = 1e-10
 #: default tolerance for matrix equality in HS norm
 EQ_TOL = 1e-10
@@ -80,35 +80,14 @@ def hs_dist(A, B) -> float:
 
 
 def rank(A, tol: float = RANK_TOL) -> int:
-    """Numerical rank by Gaussian elimination with complete pivoting.
-
-    A pivot counts as nonzero while its magnitude stays above
-    ``tol * (largest pivot seen)``.  For the exact lattice-valued matrices
-    this library produces, the pivot sequence separates cleanly by many
-    orders of magnitude, so the threshold is uncritical.
-    """
+    """Numerical rank: the number of singular values above ``tol`` times the
+    largest one.  For the exact lattice-valued matrices this library
+    produces, the spectrum separates cleanly by many orders of magnitude, so
+    the threshold is uncritical."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    m = as_matrix(A).copy()
-    n = m.shape[0]
-    pivots: list[float] = []
-    rows = list(range(n))
-    cols = list(range(n))
-    while rows and cols:
-        sub = np.abs(m[np.ix_(rows, cols)])
-        k = int(np.argmax(sub))
-        ri, ci = divmod(k, len(cols))
-        piv = sub[ri, ci]
-        if piv == 0.0:
-            break
-        pivots.append(float(piv))
-        r, c = rows.pop(ri), cols.pop(ci)
-        for r2 in rows:
-            m[r2, :] -= (m[r2, c] / m[r, c]) * m[r, :]
-    if not pivots:
-        return 0
-    largest = max(pivots)
-    return sum(1 for p in pivots if p >= tol * largest)
+    s = np.linalg.svd(as_matrix(A), compute_uv=False)
+    return int(np.count_nonzero(s > tol * s.max(initial=0.0)))
 
 
 def assert_unitary(U, tol: float = UNITARITY_TOL, what: str = "matrix") -> np.ndarray:

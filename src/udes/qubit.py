@@ -17,14 +17,9 @@ import numpy as np
 
 from .errors import InternalConsistencyError, NotSpecialUnitary
 from .linalg import as_matrix, assert_unitary, change_of_basis, kron
-from .su2 import _euler_args, so3_rep
+from .su2 import _SIGMA, _euler_args, so3_rep
 
-_PAULI = (
-    np.eye(2, dtype=complex),
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
+_PAULI = (np.eye(2, dtype=complex), *_SIGMA)
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
 

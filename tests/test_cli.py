@@ -1,10 +1,12 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from udes.cli import (
+    BUILTIN_NAMES,
     emit_json,
     format_number,
     load_unitary_set,
@@ -273,6 +275,50 @@ def test_geometry_command(capsys):
     assert len(doc["result"]["quaternions"]) == 8
     code, doc = run_json(capsys, "geometry", "--builtin", "D1")
     assert doc["result"]["polytope"] == "24-cell"
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+GOLDEN = [
+    (cmd, name, fmt) for cmd in ("group", "geometry") for name in BUILTIN_NAMES for fmt in ("json", "text")
+] + [("table", None, "json"), ("table", None, "text")]
+
+
+@pytest.mark.parametrize("cmd,name,fmt", GOLDEN)
+def test_structure_reports_match_their_golden_files(capsys, cmd, name, fmt):
+    # the files hold the reports of the matrix-based groups layer; the paper's
+    # tables must not move by one byte
+    argv = [cmd] + (["--builtin", name] if name else []) + ["--format", fmt]
+    code, out, err = run(capsys, *argv)
+    stem = f"{cmd}_{name}" if name else cmd
+    assert code == 0 and err == ""
+    assert out.encode("utf-8") == (DATA / f"{stem}.{'json' if fmt == 'json' else 'txt'}").read_bytes()
+
+
+@pytest.fixture
+def near_design(tmp_path):
+    """D with element 3 rotated by exp(-i 1e-8 X): a group and a 24-cell
+    within 1e-6, neither within 1e-10."""
+    from udes.designs import named_design
+
+    elems = list(named_design("D").set.elems)
+    eps = 1e-8
+    elems[3] = elems[3] @ (math.cos(eps) * np.eye(2) - 1j * math.sin(eps) * pauli(1))
+    path = tmp_path / "near.json"
+    save_unitary_set(UnitarySet(elems), str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("tol,code_want,polytope", [("1e-6", 0, "24-cell"), ("1e-10", 1, "other")])
+def test_group_and_geometry_apply_the_tolerance_they_report(capsys, near_design, tol, code_want, polytope):
+    code, doc = run_json(capsys, "group", "--file", near_design, "--tol", tol)
+    assert code == code_want
+    assert doc["tolerance"] == float(tol)
+    assert doc["result"]["is_group"] is (code_want == 0)
+    code, doc = run_json(capsys, "geometry", "--file", near_design, "--tol", tol)
+    assert code == 0
+    assert doc["tolerance"] == float(tol)
+    assert doc["result"]["polytope"] == polytope
 
 
 def test_mc_command_is_deterministic(capsys):

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from udes.cli import BUILTIN_NAMES
 from udes.designs import AXIS_CYCLE, named_design
-from udes.errors import NonUnitPoint, NotHalfInteger, ProportionalElements
+from udes.errors import DimensionMismatch, NonUnitPoint, NotHalfInteger, ProportionalElements
 from udes.groups import (
+    GroupProfile,
     axis_cycle_closure_table,
     demitesseract_class,
     group_profile,
@@ -16,7 +19,8 @@ from udes.groups import (
     su2_closure,
 )
 from udes.qubit import pauli
-from udes.su2 import quaternion_of
+from udes.linalg import hs_norm
+from udes.su2 import axis_angle_of, normalize_to_su2, quaternion_of
 from udes.twirl import UnitarySet
 
 B = named_design("B").set
@@ -167,3 +171,203 @@ def test_closure_table_antipodal_rows_share_rotation():
         assert even.label[1:] == odd.label[1:]
         assert even.rotation == odd.rotation
         assert np.allclose(np.array(even.quaternion), -np.array(odd.quaternion))
+
+
+# ---- the quaternion layer against the loop-based matrix code it replaced ----
+
+
+def _reference_closure(S) -> list:
+    """su2_closure's matrices, one normalize_to_su2 call per element."""
+    out = []
+    for U in S:
+        out += list(normalize_to_su2(U))
+    return out
+
+
+_REFERENCE_LATTICE = {
+    "1": np.eye(2, dtype=complex),
+    "-1": -np.eye(2, dtype=complex),
+    "I": np.array([[0.0, -1.0j], [-1.0j, 0.0]]),
+    "-I": np.array([[0.0, 1.0j], [1.0j, 0.0]]),
+    "J": np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex),
+    "-J": np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex),
+    "K": np.array([[-1.0j, 0.0], [0.0, 1.0j]]),
+    "-K": np.array([[1.0j, 0.0], [0.0, -1.0j]]),
+}
+
+_REFERENCE_SUBGROUPS = (
+    ("1", "-1", "I", "-I", "J", "-J", "K", "-K"),
+    ("1", "-1", "I", "-I"),
+    ("1", "-1", "J", "-J"),
+    ("1", "-1", "K", "-K"),
+    ("1", "-1"),
+)
+
+
+def _reference_profile(G: list, tol: float = 1e-9) -> GroupProfile:
+    """group_profile as it was built from 2x2 matrix products, an O(n^3)
+    table of nearest-element scans, repeated matmuls and a rescanned
+    inverse; kept here as the oracle for the quaternion layer."""
+    n = len(G)
+    stack = np.stack(G)
+    eye = np.eye(2)
+
+    def find(M):
+        d = np.linalg.norm(stack - M, axis=(1, 2))
+        k = int(np.argmin(d))
+        return k if d[k] <= tol else -1
+
+    def order(U):
+        P = U.copy()
+        for k in range(1, 49):
+            if hs_norm(P - eye) <= tol:
+                return k
+            P = P @ U
+        return 0
+
+    prod = np.array([[find(G[a] @ G[b]) for b in range(n)] for a in range(n)])
+    is_group = bool((prod >= 0).all())
+    histogram: dict = {}
+    for k in map(order, G):
+        histogram[k] = histogram.get(k, 0) + 1
+    center = sum(
+        all(hs_norm(G[a] @ G[b] - G[b] @ G[a]) <= tol for b in range(n)) for a in range(n)
+    )
+    cosets, semidirect = None, False
+    if is_group:
+        e = next(k for k in range(n) if all(prod[k, b] == b for b in range(n)))
+        inverse = [next(h for h in range(n) if prod[g, h] == e) for g in range(n)]
+        for names in _REFERENCE_SUBGROUPS:
+            idx = [find(_REFERENCE_LATTICE[nm]) for nm in names]
+            if any(k < 0 for k in idx) or len(idx) >= n:
+                continue
+            members = set(idx)
+            if all(prod[prod[g, h], inverse[g]] in members for g in range(n) for h in members):
+                seen, parts = set(), []
+                for r in range(n):
+                    if r not in seen:
+                        coset = tuple(sorted(int(prod[r, h]) for h in members))
+                        parts.append(coset)
+                        seen.update(coset)
+                cosets = tuple(parts)
+                semidirect = _reference_complement(prod, members, e)
+                break
+    return GroupProfile(is_group, histogram, center, cosets, semidirect)
+
+
+def _reference_complement(prod, members, e) -> bool:
+    n = len(prod)
+    if n % len(members):
+        return False
+    want = n // len(members)
+    for g in range(n):
+        powers, cur = [e], g
+        while cur != e and len(powers) <= want:
+            powers.append(cur)
+            cur = prod[cur, g]
+        if cur == e and len(powers) == want and set(powers) & members == {e}:
+            if len({prod[h, k] for h in members for k in powers}) == n:
+                return True
+    return False
+
+
+def _haar(rng, n: int) -> np.ndarray:
+    z = (rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _conjugated(rng, elems) -> np.ndarray:
+    """{e^{i phi_a} V U_a V^H} for a Haar V and uniform phases."""
+    V = _haar(rng, 1)[0]
+    phases = np.exp(2j * np.pi * rng.random(len(elems)))
+    return phases[:, None, None] * (V @ np.stack(elems) @ V.conj().T)
+
+
+def _generated(kind: str, seed: int) -> UnitarySet:
+    """A conjugated, rephased and shuffled Pauli set or 12-element design, or
+    the union of such a design with a Haar translate of it: a 24-element set
+    whose 48-element closure is no group and holds elements of no finite
+    order.  Shuffling interleaves the cosets' indices; the "lattice" kind,
+    the design shuffled and rephased but not conjugated, keeps the quaternion
+    units and with them the Q8 coset split."""
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        phases = np.exp(2j * np.pi * rng.random(12))[:, None, None]
+        return UnitarySet(list((phases * D.stack)[rng.permutation(12)]))
+    if kind == "pauli":
+        return UnitarySet(list(_conjugated(rng, B.elems)[rng.permutation(4)]))
+    design = _conjugated(rng, D.elems)[rng.permutation(12)]
+    if kind == "design":
+        return UnitarySet(list(design))
+    return UnitarySet(list(np.concatenate([design, _haar(rng, 1)[0] @ design])))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_group_profile_matches_the_matrix_reference_on_builtins(name):
+    S = named_design(name).set
+    assert group_profile(su2_closure(S)) == _reference_profile(_reference_closure(S))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["pauli", "design", "lattice", "union"]), st.integers(min_value=0, max_value=10**9)
+)
+def test_group_profile_matches_the_matrix_reference_on_generated_sets(kind, seed):
+    S = _generated(kind, seed)
+    C = su2_closure(S)
+    prof = group_profile(C)
+    assert prof == _reference_profile(_reference_closure(S))
+    assert prof.is_group == (kind != "union")
+    if kind == "union":
+        assert len(C) == 48 and prof.order_histogram.get(0, 0) > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["pauli", "design", "union"]), st.integers(min_value=0, max_value=10**9))
+def test_quaternions_and_rotations_match_the_scalar_path(kind, seed):
+    S = _generated(kind, seed)
+    C = su2_closure(S)
+    ref = _reference_closure(S)
+    assert np.abs(np.stack(C.closure) - np.stack(ref)).max() <= 1e-15
+    scalar = np.array([quaternion_of(U) for U in ref])
+    assert np.abs(C.points() - scalar).max() <= 1e-15
+    for aa, U in zip(so3_image_table(C), ref[0::2]):
+        want = axis_angle_of(U)
+        assert np.abs(np.subtract(aa.axis, want.axis)).max() <= 1e-15
+        assert abs(aa.angle - want.angle) <= 1e-15
+    got, want = polytope_identify(C.points()), polytope_identify(scalar)
+    assert got.kind == want.kind
+    assert [m for _, m in got.distance_spectrum] == [m for _, m in want.distance_spectrum]
+    assert np.allclose([d for d, _ in got.distance_spectrum], [d for d, _ in want.distance_spectrum], rtol=0, atol=1e-15)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["B", "D", "wings"]), st.integers(min_value=0, max_value=10**9))
+def test_structure_is_invariant_under_rephased_conjugation(name, seed):
+    elems = D.elems[4:] if name == "wings" else named_design(name).set.elems
+    S, T = UnitarySet(list(elems)), UnitarySet(list(_conjugated(np.random.default_rng(seed), elems)))
+    p, q = group_profile(su2_closure(S)), group_profile(su2_closure(T))
+    assert (p.is_group, p.order_histogram, p.center_size) == (q.is_group, q.order_histogram, q.center_size)
+    assert polytope_identify(su2_closure(S).points()).kind == polytope_identify(su2_closure(T).points()).kind
+
+
+def test_closure_reports_the_first_proportional_pair_in_row_order():
+    # (0, 3) and (1, 2) are both proportional; a row-major scan meets (0, 3) first
+    S = UnitarySet([pauli(1), pauli(2), 1j * pauli(2), -pauli(1)])
+    with pytest.raises(ProportionalElements) as exc:
+        su2_closure(S)
+    assert str(exc.value) == "elements 0 and 3 are proportional and share normalizations"
+
+
+def test_closure_rejects_non_qubit_sets():
+    with pytest.raises(DimensionMismatch):
+        su2_closure(UnitarySet([np.eye(3), np.diag([1.0, 1.0, -1.0])]))
+
+
+def test_closure_points_are_computed_once_and_read_only():
+    C = su2_closure(D)
+    assert C.points() is C.points()
+    with pytest.raises(ValueError):
+        C.points()[0, 0] = 0.0
