@@ -126,8 +126,8 @@ def parse_unitary_set(doc, strict: bool = False) -> twirl.UnitarySet:
     if "dim" not in doc or "unitaries" not in doc:
         raise FileFormatError("fields 'dim' and 'unitaries' are required")
     dim = doc["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise FileFormatError(f"dim: expected a positive integer, got {dim!r}")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim != 2:
+        raise FileFormatError(f"dim: udes works on one qubit, expected 2, got {dim!r}")
     raw = doc["unitaries"]
     if not isinstance(raw, list) or not raw:
         raise FileFormatError("unitaries: expected a nonempty list of matrices")
@@ -169,14 +169,10 @@ def load_unitary_set(path: str, strict: bool = False) -> tuple[twirl.UnitarySet,
 
 
 def _add_source_args(sub) -> None:
+    """A unitary set to read, how strictly to parse it, and the tolerance its checks apply."""
     sub.add_argument("--builtin", choices=BUILTIN_NAMES, help="use a named builtin set")
     sub.add_argument("--file", help="load a unitary-set JSON file")
-
-
-def _add_common_args(sub) -> None:
     sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance")
-    sub.add_argument("--out", help="write the primary output to this path")
-    sub.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
     sub.add_argument("--strict", action="store_true", help="reject unknown file fields")
 
 
@@ -202,39 +198,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("verify", help="check the design property of a unitary set")
-    _add_source_args(p)
+    def command(name: str, help: str, source: bool = True):
+        p = subs.add_parser(name, help=help)
+        if source:
+            _add_source_args(p)
+        p.add_argument("--out", help="write the primary output to this path")
+        p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
+        return p
+
+    p = command("verify", "check the design property of a unitary set")
     p.add_argument("--t", type=int, default=2, help="averaging order (1 or 2)")
     p.add_argument("--method", choices=("twirl", "frame", "both"), default="both")
-    _add_common_args(p)
-
-    p = subs.add_parser("construct", help="complete an orthogonal unitary basis to a 2-design")
+    p = command("construct", "complete an orthogonal unitary basis to a 2-design")
     p.add_argument("--from", dest="source_kind", choices=("pauli", "file"))
     p.add_argument("path", nargs="?", help="unitary-set file (with --from file)")
-    _add_source_args(p)
-    _add_common_args(p)
-
-    p = subs.add_parser("frame-potential", help="evaluate the order-t frame potential")
-    _add_source_args(p)
+    p = command("frame-potential", "evaluate the order-t frame potential")
     p.add_argument("--t", type=int, default=2)
-    _add_common_args(p)
-
-    p = subs.add_parser("group", help="multiplicative structure of the determinant-1 closure")
-    _add_source_args(p)
-    _add_common_args(p)
-
-    p = subs.add_parser("geometry", help="polytope and rotation picture of the closure")
-    _add_source_args(p)
-    _add_common_args(p)
-
-    p = subs.add_parser("mc", help="Monte Carlo cross-check of the closed-form averaging")
+    command("group", "multiplicative structure of the determinant-1 closure")
+    command("geometry", "polytope and rotation picture of the closure")
+    p = command("mc", "Monte Carlo cross-check of the closed-form averaging", source=False)
     p.add_argument("--t", type=int, default=2)
     p.add_argument("--samples", type=_int_in(2), default=100000)
     p.add_argument("--seed", type=_int_in(0, 2**64), default=0)
-    _add_common_args(p)
-
-    p = subs.add_parser("table", help="print all 24 closure elements in every picture")
-    _add_common_args(p)
+    command("table", "print all 24 closure elements in every picture", source=False)
     return parser
 
 
@@ -409,12 +395,7 @@ def cmd_mc(args) -> tuple[dict, int]:
         "std_errors": list(check.std_errors),
         "ok": check.ok,
     }
-    report = {
-        "command": "mc",
-        "t": args.t,
-        "tolerance": args.tol,
-        "result": result,
-    }
+    report = {"command": "mc", "t": args.t, "result": result}
     return report, 0 if check.ok else 1
 
 

@@ -27,21 +27,24 @@ from .errors import (
     UnknownName,
     UnsupportedOrder,
 )
-from .linalg import hs_inner, hs_norm
+from .linalg import first_pair, hs_norm
 from .qubit import pauli
-from .su2 import canonical_su2, normalize_to_su2, quaternion_of, so3_rep, su2_from_rotation
+from .su2 import (
+    canonical_signs,
+    normalize_batch,
+    quaternion_batch,
+    so3_rep,
+    su2_batch,
+    su2_from_rotation,
+)
 from .twirl import HAAR, UnitarySet, frame_potential, superop_of_twirl
 
-#: the quaternion units as special unitaries: -iX, -iY, -iZ
-UNIT_I = np.array([[0.0, -1.0j], [-1.0j, 0.0]])
-UNIT_J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-UNIT_K = np.array([[-1.0j, 0.0], [0.0, 1.0j]])
+#: the quaternion units 1, I, J, K as special unitaries 1, -iX, -iY, -iZ
+_EYE2, UNIT_I, UNIT_J, UNIT_K = su2_batch(np.eye(4))
 
 #: order-6 special unitary whose covering rotation is the cyclic axis shift
 #: x -> y -> z -> x; all four entries are exact dyadic rationals
 AXIS_CYCLE = np.array([[0.5 - 0.5j, -0.5 - 0.5j], [0.5 - 0.5j, 0.5 + 0.5j]])
-
-_EYE2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -150,47 +153,36 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
         raise NotOrthogonalBasis(
             f"a minimal 1-design has four 2x2 elements, got {len(S)} of dim {S.dim}"
         )
-    for a in range(4):
-        for b in range(a + 1, 4):
-            ip = hs_inner(S[a], S[b])
-            if abs(ip) > tol:
-                raise NotOrthogonalBasis(
-                    f"elements {a} and {b} have HS inner product {ip:.3e}"
-                )
+    X = S.stack.reshape(4, 4)
+    pair = first_pair(X, lambda A, X: np.nonzero(np.abs(A.conj() @ X.T) > tol))  # tr(U_a^H U_b)
+    if pair:
+        a, b = pair
+        raise NotOrthogonalBasis(
+            f"elements {a} and {b} have HS inner product {X[a].conj() @ X[b]:.3e}"
+        )
 
-    V0 = normalize_to_su2(S[0])[0]
-    ns = []
-    for i in (1, 2, 3):
-        T = normalize_to_su2(V0.conj().T @ S[i])[0]
-        q = quaternion_of(T)
-        if abs(q.s) > 1e-8:
-            raise InternalConsistencyError("relative element is not traceless")
-        # T = -i n.X: the quaternion of T is (0, n)
-        n = np.array([q.x, q.y, q.z])
-        ns.append(n / np.linalg.norm(n))
-    if np.dot(ns[0], np.cross(ns[1], ns[2])) > 0:
-        perm = (1, 2, 3)
-    else:
-        perm = (1, 3, 2)
-    R = np.column_stack([ns[p - 1] for p in perm])
-    VR = canonical_su2(su2_from_rotation(R, tol=1e-8)[0])
-    V = V0 @ VR
+    V = normalize_batch(S.stack)
+    # relative to the anchor V[0] each element is T = -i n.X, with quaternion (0, n)
+    Q = quaternion_batch(V[0].conj().T @ V[1:])
+    Q *= canonical_signs(Q)[:, None]
+    if (np.abs(Q[:, 0]) > 1e-8).any():
+        raise InternalConsistencyError("relative element is not traceless")
+    ns = Q[:, 1:] / np.linalg.norm(Q[:, 1:], axis=1, keepdims=True)
+    perm = (1, 2, 3) if np.dot(ns[0], np.cross(ns[1], ns[2])) > 0 else (1, 3, 2)
+    VR = su2_from_rotation(ns[[p - 1 for p in perm]].T, tol=1e-8)[0]
+    V = V[0] @ VR
     Vp = VR.conj().T
-    # perm maps Pauli slot k -> input position perm[k-1]; invert it
-    sigma = [0, 0, 0, 0]
-    for k, pos in enumerate(perm, start=1):
-        sigma[pos] = k
-    phases = []
-    for mu in range(4):
-        ph = hs_inner(V @ pauli(sigma[mu]) @ Vp, S[mu]) / 2.0
-        if abs(abs(ph) - 1.0) > 1e-8:
-            raise InternalConsistencyError("extracted phase is not a unit complex")
-        phases.append(complex(ph))
-    frame = OneDesignFrame(V, Vp, tuple(phases), tuple(sigma))
-    worst = max(hs_norm(r - s) for r, s in zip(frame.reconstruct(), S))
+    # perm maps Pauli slot k -> input position perm[k-1]; both candidates are
+    # their own inverse, so position mu plays slot sigma[mu]
+    sigma = (0, *perm)
+    P = V @ np.stack([pauli(k) for k in sigma]) @ Vp
+    phases = np.einsum("aij,aij->a", P.conj(), S.stack) / 2.0
+    if (np.abs(np.abs(phases) - 1.0) > 1e-8).any():
+        raise InternalConsistencyError("extracted phase is not a unit complex")
+    worst = np.linalg.norm(phases[:, None, None] * P - S.stack, axis=(1, 2)).max()
     if worst > max(tol, 1e-9):
         raise InternalConsistencyError(f"frame reconstruction misses by {worst:.3e}")
-    return frame
+    return OneDesignFrame(V, Vp, tuple(phases.tolist()), sigma)
 
 
 def extend_to_2design(S) -> UnitarySet:

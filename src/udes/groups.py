@@ -18,28 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonUnitPoint, NotHalfInteger, ProportionalElements
-from .su2 import _SIGMA, AxisAngle
+from .linalg import first_pair
+from .su2 import AxisAngle, axis_angle_batch, normalize_batch, quaternion_batch
 from .twirl import UnitarySet
 
 _MEMBER_TOL = 1e-9  # products of lattice-exact elements leave huge margin
 
 _ORDER_CAP = 48  # largest element order we ever probe for
-
-_ZTOL = 1e-9  # smallest coordinate that decides the canonical sign, as in su2
-
-#: B_k = 1, iX, iY, iZ: U = s 1 - i (x,y,z).sigma has coordinates tr(B_k U) / 2
-_QUATERNION_BASIS = np.stack([np.eye(2), *(1j * s for s in _SIGMA)])
-
-
-def _quaternions(U: np.ndarray) -> np.ndarray:
-    """(s, x, y, z) rows of an (n, 2, 2) special unitary stack."""
-    return 0.5 * np.einsum("kij,nji->nk", _QUATERNION_BASIS, U).real
-
-
-def _canonical_signs(Q: np.ndarray) -> np.ndarray:
-    """+-1 per quaternion row, making its first coordinate above _ZTOL positive."""
-    first = Q[np.arange(len(Q)), np.argmax(np.abs(Q) > _ZTOL, axis=1)]
-    return np.where(first < 0, -1.0, 1.0)
 
 
 def _hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -61,18 +46,6 @@ def _hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _hs_distance(d: np.ndarray) -> np.ndarray:
     """||U - V|| = sqrt(2) |p - q| from quaternion differences d = p - q (..., 4)."""
     return math.sqrt(2.0) * np.sqrt(np.einsum("...i,...i->...", d, d))
-
-
-def _axis_angles(Q: np.ndarray) -> list[AxisAngle]:
-    """Axis-angle of the covering rotation of each quaternion row, as
-    su2.axis_angle_of: the canonical sign puts the angle in [0, pi], and the
-    identity reports axis (0, 0, 1)."""
-    R = Q * _canonical_signs(Q)[:, None]
-    vnorm = np.linalg.norm(R[:, 1:], axis=1)
-    small = vnorm <= _ZTOL
-    axes = np.where(small[:, None], (0.0, 0.0, 1.0), R[:, 1:] / np.maximum(vnorm, _ZTOL)[:, None])
-    angles = [0.0 if z else 2.0 * math.atan2(v, s) for z, v, s in zip(small, vnorm, R[:, 0])]
-    return [AxisAngle(tuple(n), float(a)) for n, a in zip((axes + 0.0).tolist(), angles)]
 
 
 @dataclass(frozen=True)
@@ -106,25 +79,32 @@ def su2_closure(S: UnitarySet, tol: float = _MEMBER_TOL) -> Su2Closure:
     """Collect both determinant-1 phase shifts of every element.
 
     Proportional elements share their normalizations, which would collapse
-    the closure; they are rejected.  (|tr(U^H V)| = 2 characterizes
-    proportionality of unitaries; |tr| >= 2 - tol counts as proportional.)
+    the closure; the first pair in row order with sqrt(2) min(|p - q|,
+    |p + q|) <= tol for its normalized quaternions p and q is rejected.  The
+    Gram product gives half that gap squared as |p|^2 + |q|^2 - 2 |p.q|,
+    which cancels below 1e-8; the pairs where it is within 1e-12 of tol^2 / 2
+    are measured as differences.
     """
-    X = S.stack.reshape(len(S), -1)
-    close = np.argwhere(np.triu(np.abs(X.conj() @ X.T) >= 2.0 - tol, 1))
-    if close.size:
-        a, b = close[0]
-        raise ProportionalElements(
-            f"elements {a} and {b} are proportional and share normalizations"
-        )
     if S.dim != 2:
         raise DimensionMismatch(f"expected dimension 2, got {S.dim}")
-    # conj(omega) U with omega the principal square root of det U, then the
-    # canonical sign, as su2.normalize_to_su2
-    U = S.stack
-    V = np.conj(np.sqrt(U[:, 0, 0] * U[:, 1, 1] - U[:, 0, 1] * U[:, 1, 0]))[:, None, None] * U
-    V *= _canonical_signs(_quaternions(V))[:, None, None]
+    V = normalize_batch(S.stack)
+    P = quaternion_batch(V)
+
+    def close(A, P):
+        G = A @ P.T
+        rough = (A * A).sum(axis=1)[:, None] + (P * P).sum(axis=1) - 2.0 * np.abs(G)
+        i, j = np.nonzero(rough <= 0.5 * tol * tol + 1e-12)
+        # the sign of p.q picks the nearer of q and -q
+        hit = _hs_distance(A[i] - np.sign(G[i, j])[:, None] * P[j]) <= tol
+        return i[hit], j[hit]
+
+    pair = first_pair(P, close)
+    if pair:
+        raise ProportionalElements(
+            f"elements {pair[0]} and {pair[1]} are proportional and share normalizations"
+        )
     stack = np.stack([V, -V], axis=1).reshape(-1, 2, 2)
-    Q = _quaternions(stack)
+    Q = np.stack([P, -P], axis=1).reshape(-1, 4)
     Q.flags.writeable = False
     return Su2Closure(S, tuple(stack), tuple(k ^ 1 for k in range(len(stack))), Q)
 
@@ -312,7 +292,8 @@ def demitesseract_class(q, tol: float = 1e-9) -> str:
 def so3_image_table(C: Su2Closure) -> list[AxisAngle]:
     """Axis-angle of the covering rotation, one per antipodal pair,
     evaluated on the canonical representative of each pair."""
-    return _axis_angles(C.points()[0::2])
+    axes, angles = axis_angle_batch(C.points()[0::2])
+    return [AxisAngle(tuple(n), a) for n, a in zip(axes.tolist(), angles.tolist())]
 
 
 def snap(x: float, candidates, tol: float = 1e-12):
@@ -351,16 +332,17 @@ def axis_cycle_closure_table() -> list[ClosureTableRow]:
     from .designs import named_design
 
     base = named_design("D0").set
-    Q = _quaternions(base.stack)
+    Q = quaternion_batch(base.stack)
     Q = np.stack([Q, -Q], axis=1).reshape(-1, 4)
+    axes, angles = axis_angle_batch(Q)
     labels = [tag + name for name in base.labels for tag in "+-"]
     rows = []
-    for label, q, aa in zip(labels, Q.tolist(), _axis_angles(Q)):
+    for label, q, r in zip(labels, Q.tolist(), (angles[:, None] * axes).tolist()):
         coeff = tuple(
             complex(snap(c.real, _PAULI_COEFF_VALUES), snap(c.imag, _PAULI_COEFF_VALUES))
             for c in (2.0 * q[0], -2j * q[1], -2j * q[2], -2j * q[3])
         )
         quaternion = tuple(snap(v, _QUATERNION_VALUES) for v in q)
-        rotation = tuple(snap(v, _ROTATION_VALUES) for v in aa.vector())
+        rotation = tuple(snap(v, _ROTATION_VALUES) for v in r)
         rows.append(ClosureTableRow(label, coeff, quaternion, rotation))
     return rows

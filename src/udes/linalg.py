@@ -79,6 +79,20 @@ def hs_dist(A, B) -> float:
     return hs_norm(np.asarray(A, dtype=complex) - np.asarray(B, dtype=complex))
 
 
+def first_pair(X: np.ndarray, find) -> tuple[int, int] | None:
+    """The first pair of rows (a, b), a < b, in double-loop order, among the
+    pairs ``find(A, X)`` returns as row-major index arrays (i, j) from a block
+    A of rows of X to all of X; blocks hold at most 2^16 entries of X."""
+    rows = max(1, 2**16 // X.size)
+    for lo in range(0, len(X), rows):
+        i, j = find(X[lo : lo + rows], X)
+        later = np.flatnonzero(j > lo + i)
+        if later.size:
+            k = later[0]
+            return lo + int(i[k]), int(j[k])
+    return None
+
+
 def rank(A, tol: float = RANK_TOL) -> int:
     """Numerical rank: the number of singular values above ``tol`` times the
     largest one.  For the exact lattice-valued matrices this library

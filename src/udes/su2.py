@@ -1,4 +1,4 @@
-"""The SU(2) / SO(3) / quaternion triangle.
+"""The SU(2) / SO(3) / quaternion triangle, and the one home of its conventions.
 
 Conventions, fixed once and used everywhere:
 
@@ -11,7 +11,9 @@ Conventions, fixed once and used everywhere:
   kernel {1, -1}; it is blind to phases, so it accepts any U(2) element.
 
 The canonical representative of an antipodal pair {U, -U} is the one whose
-quaternion has its first nonzero coordinate positive, reading (s, x, y, z).
+quaternion has its first coordinate above 1e-9 in magnitude positive.
+Every module converts through the stack maps below, which take unvalidated
+(..., 2, 2) or (..., 4) arrays; the scalar functions validate and call them.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ SHIFT_LEFT = SHIFT_RIGHT.T.copy()
 
 _RANGE_EPS = 1e-12
 
+_ZTOL = 1e-9  # smallest coordinate that decides the canonical sign
+_LEAD_WEIGHTS = np.array([8.0, 4.0, 2.0, 1.0])  # see canonical_signs
+
 
 class EulerAngles(NamedTuple):
     alpha: float
@@ -70,6 +75,61 @@ class Quaternion(NamedTuple):
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.s, -self.x, -self.y, -self.z)
+
+
+def su2_batch(q) -> np.ndarray:
+    """(..., 4) unit quaternions to the (..., 2, 2) stack of special
+    unitaries s 1 - i (x,y,z).sigma."""
+    q = np.asarray(q, dtype=float)
+    s, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    U = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
+    U[..., 0, 0] = s - 1j * z
+    U[..., 0, 1] = -y - 1j * x
+    U[..., 1, 0] = y - 1j * x
+    U[..., 1, 1] = s + 1j * z
+    return U
+
+
+#: q = (real entries of U) @ this; the entries of su2_batch(e_k) are
+#: orthogonal, of squared norm 2, so this is half the transposed q -> U map
+_QUATERNION_OF_ENTRIES = 0.5 * su2_batch(np.eye(4)).view(float).reshape(4, 8).T
+
+
+def quaternion_batch(U) -> np.ndarray:
+    """Inverse of su2_batch: coordinates (..., 4) of a (..., 2, 2) stack of
+    special unitaries."""
+    U = np.ascontiguousarray(U, dtype=complex)
+    return U.view(float).reshape(U.shape[:-2] + (8,)) @ _QUATERNION_OF_ENTRIES
+
+
+def canonical_signs(Q) -> np.ndarray:
+    """+-1 per quaternion of a (..., 4) array, making its first coordinate
+    above _ZTOL in magnitude positive: that coordinate's sign, weighted 8,
+    outweighs the signs after it, weighted 4, 2 and 1."""
+    Q = np.asarray(Q, dtype=float)
+    lead = np.where(np.abs(Q) > _ZTOL, np.sign(Q), 0.0) @ _LEAD_WEIGHTS
+    return np.where(lead < 0, -1.0, 1.0)
+
+
+def normalize_batch(U) -> np.ndarray:
+    """The canonical determinant-1 phase shift of each unitary in a
+    (..., 2, 2) stack: conj(omega) U with omega the principal square root of
+    det U, times the canonical sign."""
+    U = np.asarray(U)
+    det = U[..., 0, 0] * U[..., 1, 1] - U[..., 0, 1] * U[..., 1, 0]
+    V = np.conj(np.sqrt(det))[..., None, None] * U
+    return V * canonical_signs(quaternion_batch(V))[..., None, None]
+
+
+def axis_angle_batch(Q) -> tuple[np.ndarray, np.ndarray]:
+    """Axes (..., 3) and angles (...) of the rotations covered by a (..., 4)
+    array of unit quaternions.  The canonical sign puts each angle in
+    [0, pi + 2 _ZTOL]; the identity rotation reports axis (0, 0, 1), angle 0."""
+    R = np.asarray(Q, dtype=float) * canonical_signs(Q)[..., None]
+    vnorm = np.linalg.norm(R[..., 1:], axis=-1, keepdims=True)
+    small = vnorm <= _ZTOL
+    axes = np.where(small, (0.0, 0.0, 1.0), R[..., 1:] / np.maximum(vnorm, _ZTOL)) + 0.0  # no -0.0
+    return axes, np.where(small[..., 0], 0.0, 2.0 * np.arctan2(vnorm[..., 0], R[..., 0]))
 
 
 def _euler_args(alpha, beta, gamma) -> EulerAngles:
@@ -126,9 +186,7 @@ def shift_euler_solutions() -> list[EulerAngles]:
 def su2_from_axis_angle(axis, angle: float | None = None) -> np.ndarray:
     """cos(theta/2) 1 - i sin(theta/2) (n_x X + n_y Y + n_z Z)."""
     n, angle = _axis_angle_args(axis, angle)
-    half = angle / 2
-    ndots = n[0] * _X + n[1] * _Y + n[2] * _Z
-    return math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * ndots
+    return su2_batch(np.concatenate([[math.cos(angle / 2)], math.sin(angle / 2) * n]))
 
 
 def so3_rep(U) -> np.ndarray:
@@ -173,11 +231,7 @@ def quaternion_of(U, tol: float = 1e-10) -> Quaternion:
     det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
     if abs(det - 1.0) > tol:
         raise NotSpecialUnitary(f"det = {det}, expected 1")
-    s = 0.5 * (U[0, 0] + U[1, 1]).real
-    x = -0.5 * (U[0, 1] + U[1, 0]).imag
-    y = 0.5 * (U[1, 0] - U[0, 1]).real
-    z = 0.5 * (U[1, 1] - U[0, 0]).imag
-    return Quaternion(float(s), float(x), float(y), float(z))
+    return Quaternion(*quaternion_batch(U).tolist())
 
 
 def su2_of_quaternion(q, tol: float = 1e-10) -> np.ndarray:
@@ -186,18 +240,14 @@ def su2_of_quaternion(q, tol: float = 1e-10) -> np.ndarray:
     norm2 = s * s + x * x + y * y + z * z
     if abs(norm2 - 1.0) > 2 * tol:
         raise NonUnitQuaternion(f"|q|^2 = {norm2}, expected 1")
-    return np.array([[s - 1j * z, -y - 1j * x], [y - 1j * x, s + 1j * z]])
+    return su2_batch((s, x, y, z))
 
 
-def canonical_su2(U, ztol: float = 1e-9) -> np.ndarray:
+def canonical_su2(U) -> np.ndarray:
     """Of the antipodal pair {U, -U}, the one whose quaternion has its first
     nonzero coordinate positive, in the order (s, x, y, z)."""
     Ua = as_matrix(U, 2)
-    q = quaternion_of(Ua)
-    for v in q:
-        if abs(v) > ztol:
-            return -Ua if v < 0 else Ua
-    raise NotSpecialUnitary("zero quaternion cannot come from a unitary")
+    return -Ua if canonical_signs(quaternion_of(Ua)) < 0 else Ua
 
 
 def su2_from_rotation(R, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
@@ -240,32 +290,23 @@ def su2_from_rotation(R, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     return U, -U
 
 
-def normalize_to_su2(U, ztol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def normalize_to_su2(U) -> tuple[np.ndarray, np.ndarray]:
     """The two determinant-1 phase shifts of a unitary, canonical one first.
 
     With omega the principal square root of det(U), the pair is
     {conj(omega) U, -conj(omega) U}; which of the two comes first depends
     only on the ray of U, not on its phase.
     """
-    U = assert_unitary(as_matrix(U, 2))
-    det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
-    omega = np.sqrt(complex(det))
-    V = canonical_su2(np.conj(omega) * U, ztol)
+    V = normalize_batch(assert_unitary(as_matrix(U, 2)))
     return V, -V
 
 
-def axis_angle_of(U, ztol: float = 1e-9) -> AxisAngle:
+def axis_angle_of(U) -> AxisAngle:
     """Axis-angle of the rotation carried by a special unitary.
 
     Uses the canonical antipodal representative, so the angle lands in
     [0, pi] and antipodal inputs agree.  The identity rotation reports
     axis (0, 0, 1) and angle 0.
     """
-    q = quaternion_of(canonical_su2(U, ztol))
-    vec = np.array([q.x, q.y, q.z])
-    vnorm = float(np.linalg.norm(vec))
-    if vnorm <= ztol:
-        return AxisAngle((0.0, 0.0, 1.0), 0.0)
-    angle = 2.0 * math.atan2(vnorm, q.s)
-    n = vec / vnorm + 0.0  # the +0.0 turns -0.0 components into +0.0
-    return AxisAngle((float(n[0]), float(n[1]), float(n[2])), angle)
+    axis, angle = axis_angle_batch(quaternion_of(U))
+    return AxisAngle(tuple(axis.tolist()), float(angle))

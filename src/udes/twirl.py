@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DuplicateElements, NotUnitary, UnsupportedOrder
-from .linalg import EQ_TOL, RANK_TOL, as_matrix, rank
+from .linalg import EQ_TOL, RANK_TOL, as_matrix, first_pair, rank
 from .qubit import singlet_triplet
+from .su2 import su2_batch
 
 HAAR = "haar"
 
@@ -57,17 +58,13 @@ class UnitarySet:
         if same < len(mats):
             m = mats[same].shape[0]
             raise DimensionMismatch(f"element {same} is {m}x{m}, expected {d}x{d}")
-        # all pairwise distances, in row blocks of at most 2^16 differences;
-        # pairs (a, b > a) are searched in the order a double loop visits them
         n = len(mats)
-        X = stack.reshape(n, d * d)
-        rows = max(1, 2**16 // (n * d * d))
-        for lo in range(0, n, rows):
-            dist = np.linalg.norm(X[lo : lo + rows, None] - X[None], axis=2)
-            close = np.argwhere(np.triu(dist <= tol, lo + 1))
-            if close.size:
-                a, b = close[0]
-                raise DuplicateElements(f"elements {lo + a} and {b} coincide within {tol}")
+        pair = first_pair(
+            stack.reshape(n, d * d),
+            lambda A, X: np.nonzero(np.linalg.norm(A[:, None] - X, axis=2) <= tol),
+        )
+        if pair:
+            raise DuplicateElements(f"elements {pair[0]} and {pair[1]} coincide within {tol}")
         if labels is not None:
             labels = tuple(str(s) for s in labels)
             if len(labels) != n:
@@ -108,7 +105,7 @@ class FramePotentialReport:
 
     def is_design(self, tol: float = 1e-10) -> bool:
         if self.gap is None:
-            raise UnsupportedOrder(f"no Haar reference for t={self.t}")
+            raise UnsupportedOrder(f"no Haar reference for t={self.t}; one exists for U(2), t <= 2")
         return self.gap <= tol
 
 
@@ -188,12 +185,13 @@ def choi_rank(S: SuperOp, tol: float = RANK_TOL) -> int:
 
 def frame_potential(S: UnitarySet, t: int) -> FramePotentialReport:
     """(1/N^2) sum_{a,b} |tr(U_a^H U_b)|^(2t), with the U(2) Haar reference
-    for t in {1, 2}; the reference (and the gap) is None for other orders."""
+    for t in {1, 2}; the reference (and the gap) is None for other orders
+    and for sets of dimension other than 2."""
     if t < 1:
         raise UnsupportedOrder(f"frame potential order must be >= 1, got {t}")
     gram = np.einsum("aij,bij->ab", S.stack.conj(), S.stack)
     value = float(np.mean(np.abs(gram) ** (2 * t)))
-    haar_value = _FRAME_POTENTIAL_HAAR.get(t)
+    haar_value = _FRAME_POTENTIAL_HAAR.get(t) if S.dim == 2 else None
     gap = None if haar_value is None else value - haar_value
     return FramePotentialReport(t, value, haar_value, gap)
 
@@ -230,18 +228,6 @@ class HaarSampler:
         a2 = 2.0 * np.pi * u[:, 3]
         g = np.stack([r1 * np.cos(a1), r1 * np.sin(a1), r2 * np.cos(a2), r2 * np.sin(a2)], axis=1)
         return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
-def su2_batch(q) -> np.ndarray:
-    """Map (n, 4) unit quaternions to an (n, 2, 2) stack of special unitaries."""
-    q = np.asarray(q, dtype=float)
-    s, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    U = np.empty((q.shape[0], 2, 2), dtype=complex)
-    U[:, 0, 0] = s - 1j * z
-    U[:, 0, 1] = -y - 1j * x
-    U[:, 1, 0] = y - 1j * x
-    U[:, 1, 1] = s + 1j * z
-    return U
 
 
 def haar_sample(h: HaarSampler) -> np.ndarray:

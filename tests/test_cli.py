@@ -77,7 +77,7 @@ def test_save_load_round_trip_is_bit_identical(tmp_path):
             "unitaries[0][0][1]",
         ),
         (
-            {"dim": 1, "unitaries": [[[[1, 0]]]], "labels": ["a", "b"]},
+            {"dim": 2, "unitaries": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "labels": ["a", "b"]},
             "labels",
         ),
     ],
@@ -92,7 +92,7 @@ def test_parse_diagnostics_name_the_offending_field(doc, fragment):
 
 def test_unknown_fields_warn_or_fail(tmp_path, capsys):
     p = tmp_path / "u.json"
-    p.write_text('{"dim": 1, "unitaries": [[[[1, 0]]]], "comment": "hi"}')
+    p.write_text('{"dim": 2, "unitaries": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "comment": "hi"}')
     code, _, err = run(capsys, "frame-potential", "--file", str(p), "--t", "1")
     assert code == 0
     assert "comment" in err
@@ -268,6 +268,23 @@ def test_group_command_proportional_exit(tmp_path, capsys):
     assert code == 5
 
 
+@pytest.mark.parametrize("cmd", ["group", "geometry"])
+def test_proportionality_is_judged_at_the_distance_scale(tmp_path, capsys, cmd):
+    # X and X exp(-i 1e-6 Z) lie 1.4e-6 apart, far above the default tol of 1e-10
+    eps = 1e-6
+    near = pauli(1) @ (math.cos(eps) * np.eye(2) - 1j * math.sin(eps) * pauli(3))
+    src = tmp_path / "near.json"
+    save_unitary_set(UnitarySet([pauli(0), pauli(1), near]), str(src))
+    code, out, err = run(capsys, cmd, "--file", str(src))
+    assert code == (1 if cmd == "group" else 0)
+    assert err == "" and "closure size: 6" in out
+    src = tmp_path / "prop.json"
+    save_unitary_set(UnitarySet([pauli(1), 1j * pauli(1)]), str(src))
+    code, out, err = run(capsys, cmd, "--file", str(src))
+    assert code == 5
+    assert err == "error: elements 0 and 1 are proportional and share normalizations\n"
+
+
 def test_geometry_command(capsys):
     code, doc = run_json(capsys, "geometry", "--builtin", "B")
     assert code == 0
@@ -279,15 +296,17 @@ def test_geometry_command(capsys):
 
 DATA = pathlib.Path(__file__).parent / "data"
 
-GOLDEN = [
-    (cmd, name, fmt) for cmd in ("group", "geometry") for name in BUILTIN_NAMES for fmt in ("json", "text")
-] + [("table", None, "json"), ("table", None, "text")]
+GOLDEN = (
+    [(cmd, name, fmt) for cmd in ("group", "geometry") for name in BUILTIN_NAMES for fmt in ("json", "text")]
+    + [("table", None, "json"), ("table", None, "text")]
+    + [("construct", name, fmt) for name in ("pauli", "B", "B0") for fmt in ("json", "text")]
+)
 
 
 @pytest.mark.parametrize("cmd,name,fmt", GOLDEN)
 def test_structure_reports_match_their_golden_files(capsys, cmd, name, fmt):
-    # the files hold the reports of the matrix-based groups layer; the paper's
-    # tables must not move by one byte
+    # the files hold the reports of the matrix-based groups layer and of the
+    # loop-based classification; the paper's tables must not move by one byte
     argv = [cmd] + (["--builtin", name] if name else []) + ["--format", fmt]
     code, out, err = run(capsys, *argv)
     stem = f"{cmd}_{name}" if name else cmd
@@ -378,6 +397,37 @@ def test_report_out_file_matches_stdout(tmp_path, capsys):
     )
     assert code == 0
     assert out.read_text() == stdout
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_files_of_other_dimensions_are_rejected(tmp_path, capsys, dim):
+    from udes.cli import FileFormatError
+
+    doc = {"dim": dim, "unitaries": [[[[float(i == j), 0.0] for j in range(dim)] for i in range(dim)]]}
+    with pytest.raises(FileFormatError, match=f"expected 2, got {dim}"):
+        parse_unitary_set(doc)
+    src = tmp_path / "other.json"
+    src.write_text(json.dumps(doc))
+    for cmd in ("frame-potential", "verify", "group"):
+        code, out, err = run(capsys, cmd, "--file", str(src))
+        assert code == 2 and out == ""
+        assert err == f"error: dim: udes works on one qubit, expected 2, got {dim}\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["mc", "--tol", "1"], ["mc", "--strict"], ["table", "--tol", "1e-9"], ["table", "--strict"]]
+)
+def test_mc_and_table_take_no_options_they_would_ignore(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
+
+
+def test_mc_report_echoes_no_tolerance(capsys):
+    code, text, _ = run(capsys, "mc", "--t", "1", "--samples", "100")
+    _, doc = run_json(capsys, "mc", "--t", "1", "--samples", "100")
+    assert "tolerance" not in doc and "tolerance" not in text
 
 
 def test_errors_are_udes_errors():

@@ -25,6 +25,7 @@ from udes.errors import (
 )
 from udes.linalg import hs_dist, hs_inner, hs_norm, kron_power
 from udes.qubit import pauli, singlet_triplet
+from udes.su2 import canonical_su2, normalize_to_su2, quaternion_of, su2_from_rotation
 from udes.twirl import HaarSampler, UnitarySet, haar_sample
 
 W = AXIS_CYCLE
@@ -208,6 +209,41 @@ def random_frame(seed):
     return [phases[m] * V @ pauli(perm[m]) @ Vp for m in range(4)]
 
 
+def _reference_frame(S):
+    """classify_min_1design as it was written element by element, with one
+    normalization, quaternion and inner product per call; kept as the
+    reference for the batched version."""
+    V0 = normalize_to_su2(S[0])[0]
+    ns = []
+    for i in (1, 2, 3):
+        q = quaternion_of(normalize_to_su2(V0.conj().T @ S[i])[0])
+        n = np.array([q.x, q.y, q.z])
+        ns.append(n / np.linalg.norm(n))
+    perm = (1, 2, 3) if np.dot(ns[0], np.cross(ns[1], ns[2])) > 0 else (1, 3, 2)
+    R = np.column_stack([ns[p - 1] for p in perm])
+    VR = canonical_su2(su2_from_rotation(R, tol=1e-8)[0])
+    V, Vp = V0 @ VR, VR.conj().T
+    sigma = [0, 0, 0, 0]
+    for k, pos in enumerate(perm, start=1):
+        sigma[pos] = k
+    phases = [hs_inner(V @ pauli(sigma[mu]) @ Vp, S[mu]) / 2.0 for mu in range(4)]
+    return V, Vp, phases, tuple(sigma)
+
+
+def test_classify_matches_the_elementwise_reference():
+    # 200 generic frames plus the rephased and reordered built-in bases
+    sets = [random_frame(seed) for seed in range(200)]
+    sets += [[1j**k * U for k, U in enumerate(named_design(n).set)] for n in ("B", "B0")]
+    sets += [list(named_design(n).set)[::-1] for n in ("B", "B0")]
+    for S in sets:
+        frame = classify_min_1design(S)
+        V, Vp, phases, sigma = _reference_frame(S)
+        assert frame.permutation == sigma
+        assert np.abs(frame.V - V).max() <= 1e-14
+        assert np.abs(frame.Vp - Vp).max() <= 1e-14
+        assert np.abs(np.subtract(frame.phases, phases)).max() <= 1e-14
+
+
 def test_classify_pauli_basis_is_trivial():
     frame = classify_min_1design(named_design("B").set)
     assert np.allclose(frame.V, np.eye(2))
@@ -249,6 +285,37 @@ def test_classify_rejects_non_orthogonal_sets():
     H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     with pytest.raises(NotOrthogonalBasis):
         classify_min_1design([pauli(0), pauli(1), pauli(2), H])
+
+
+@pytest.mark.parametrize(
+    "S, message",
+    [
+        # only elements 1 and 2 overlap: tr(X (X + Y)/sqrt(2)) = sqrt(2)
+        (
+            [pauli(0), pauli(1), (pauli(1) + pauli(2)) / np.sqrt(2), pauli(3)],
+            "elements 1 and 2 have HS inner product 1.414e+00+0.000e+00j",
+        ),
+        # (0, 3) and (1, 2) both overlap; a row-major scan meets (0, 3) first
+        (
+            [pauli(0), pauli(1), 1j * pauli(1), -pauli(0)],
+            "elements 0 and 3 have HS inner product -2.000e+00+0.000e+00j",
+        ),
+    ],
+)
+def test_classify_reports_the_first_overlapping_pair(S, message):
+    with pytest.raises(NotOrthogonalBasis) as exc:
+        classify_min_1design(S)
+    assert str(exc.value) == message
+
+
+def test_classify_measures_overlap_against_tol():
+    # cos(d) Y + sin(d) X overlaps X by tr = 2 sin(d)
+    def tilted(d):
+        return [pauli(0), pauli(1), np.cos(d) * pauli(2) + np.sin(d) * pauli(1), pauli(3)]
+
+    with pytest.raises(NotOrthogonalBasis, match="^elements 1 and 2 "):
+        classify_min_1design(tilted(1e-6))
+    assert classify_min_1design(tilted(1e-12)).permutation[0] == 0
 
 
 def test_classify_rejects_wrong_size():

@@ -20,8 +20,8 @@ from udes.groups import (
 )
 from udes.qubit import pauli
 from udes.linalg import hs_norm
-from udes.su2 import axis_angle_of, normalize_to_su2, quaternion_of
-from udes.twirl import UnitarySet
+from udes.su2 import quaternion_of, rodrigues, so3_rep, su2_batch
+from udes.twirl import HaarSampler, UnitarySet
 
 B = named_design("B").set
 D = named_design("D").set
@@ -176,11 +176,24 @@ def test_closure_table_antipodal_rows_share_rotation():
 # ---- the quaternion layer against the loop-based matrix code it replaced ----
 
 
+#: B_k = 1, iX, iY, iZ: U = s 1 - i (x,y,z).sigma has coordinates tr(B_k U) / 2
+_REFERENCE_BASIS = [pauli(0)] + [1j * pauli(k) for k in (1, 2, 3)]
+
+
+def _reference_quaternion(U) -> np.ndarray:
+    return np.array([0.5 * np.trace(B @ U).real for B in _REFERENCE_BASIS])
+
+
 def _reference_closure(S) -> list:
-    """su2_closure's matrices, one normalize_to_su2 call per element."""
+    """su2_closure's matrices, element by element: U / sqrt(det U) with the
+    sign that makes the first quaternion coordinate above 1e-9 positive,
+    followed by its negative."""
     out = []
     for U in S:
-        out += list(normalize_to_su2(U))
+        V = U / np.sqrt(U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0])
+        if next(v for v in _reference_quaternion(V) if abs(v) > 1e-9) < 0:
+            V = -V
+        out += [V, -V]
     return out
 
 
@@ -329,18 +342,26 @@ def test_group_profile_matches_the_matrix_reference_on_generated_sets(kind, seed
 def test_quaternions_and_rotations_match_the_scalar_path(kind, seed):
     S = _generated(kind, seed)
     C = su2_closure(S)
+    closure = np.stack(C.closure)
     ref = _reference_closure(S)
-    assert np.abs(np.stack(C.closure) - np.stack(ref)).max() <= 1e-15
-    scalar = np.array([quaternion_of(U) for U in ref])
-    assert np.abs(C.points() - scalar).max() <= 1e-15
+    # U / sqrt(det U) and the library's conj(sqrt(det U)) U part by |det U| - 1,
+    # a few ulps for these inputs
+    assert np.abs(closure - np.stack(ref)).max() <= 1e-14
+    # det 1, and each pair proportional to its original element
+    assert np.abs(np.linalg.det(closure) - 1).max() <= 1e-14
+    overlap = np.einsum("nij,nij->n", np.repeat(S.stack, 2, axis=0).conj(), closure)
+    assert np.abs(np.abs(overlap) - 2).max() <= 1e-14
+    assert np.abs(su2_batch(C.points()) - closure).max() <= 1e-15
+    scalar = np.array([_reference_quaternion(U) for U in ref])
+    assert np.abs(C.points() - scalar).max() <= 1e-14
     for aa, U in zip(so3_image_table(C), ref[0::2]):
-        want = axis_angle_of(U)
-        assert np.abs(np.subtract(aa.axis, want.axis)).max() <= 1e-15
-        assert abs(aa.angle - want.angle) <= 1e-15
+        # the canonical sign ignores an s below 1e-9, so a pi-rotation may overshoot by 2e-9
+        assert 0.0 <= aa.angle <= math.pi + 2e-9
+        assert np.abs(rodrigues(aa.axis, aa.angle) - so3_rep(U)).max() <= 1e-14
     got, want = polytope_identify(C.points()), polytope_identify(scalar)
     assert got.kind == want.kind
     assert [m for _, m in got.distance_spectrum] == [m for _, m in want.distance_spectrum]
-    assert np.allclose([d for d, _ in got.distance_spectrum], [d for d, _ in want.distance_spectrum], rtol=0, atol=1e-15)
+    assert np.allclose([d for d, _ in got.distance_spectrum], [d for d, _ in want.distance_spectrum], rtol=0, atol=1e-14)
 
 
 @settings(max_examples=15, deadline=None)
@@ -371,3 +392,26 @@ def test_closure_points_are_computed_once_and_read_only():
     assert C.points() is C.points()
     with pytest.raises(ValueError):
         C.points()[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-5, 1e-2])
+@pytest.mark.parametrize("scale", [1.0, 1.0 - 1e-7])
+def test_closure_measures_proportionality_at_every_scale(eps, scale):
+    # the normalizations of X and i X exp(-i eps Z) lie, up to sign,
+    # ||1 - exp(-i eps Z)|| = 2 sqrt(2) sin(eps / 2) apart; a scale below 1
+    # shortens the normalized quaternions, which a unit-norm test would miss
+    gap = 2 * math.sqrt(2) * math.sin(eps / 2)
+    Xz = pauli(1) @ np.diag([np.exp(-1j * eps), np.exp(1j * eps)])
+    S = UnitarySet([scale * pauli(0), scale * pauli(1), 1j * scale * Xz], tol=1e-6)
+    tol = gap * scale**2  # the normalization scales by |det|
+    with pytest.raises(ProportionalElements, match="^elements 1 and 2 "):
+        su2_closure(S, tol=tol * (1 + 1e-6))
+    assert len(su2_closure(S, tol=tol * (1 - 1e-6))) == 6
+
+
+def test_closure_finds_the_first_proportional_pair_across_row_blocks():
+    elems = list(su2_batch(HaarSampler(6).quaternions(200)))  # three row blocks
+    elems[190] = 1j * elems[150]
+    elems[199] = -elems[100]
+    with pytest.raises(ProportionalElements, match="^elements 100 and 199 "):
+        su2_closure(UnitarySet(elems))

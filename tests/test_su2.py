@@ -11,19 +11,26 @@ from udes.errors import (
     NotSpecialUnitary,
 )
 from udes.linalg import hs_dist, hs_norm
+from udes.groups import _hamilton
+from udes.qubit import pauli
 from udes.su2 import (
     SHIFT_LEFT,
     SHIFT_RIGHT,
     AxisAngle,
     EulerAngles,
     Quaternion,
+    axis_angle_batch,
     axis_angle_of,
+    canonical_signs,
     canonical_su2,
+    normalize_batch,
     normalize_to_su2,
+    quaternion_batch,
     quaternion_of,
     rodrigues,
     shift_euler_solutions,
     so3_rep,
+    su2_batch,
     su2_from_axis_angle,
     su2_from_euler,
     su2_from_rotation,
@@ -247,3 +254,81 @@ def test_axis_angle_of_identity_and_shift():
 def test_axis_angle_vector_scales_axis():
     aa = AxisAngle((0.0, 1.0, 0.0), 0.5)
     assert np.allclose(aa.vector(), (0.0, 0.5, 0.0))
+
+
+# ---- stack maps ------------------------------------------------------------
+
+#: U = s 1 - i (x X + y Y + z Z), written out term by term
+_UNIT_BASIS = np.stack([pauli(0), *(-1j * pauli(k) for k in (1, 2, 3))])
+
+
+def _unit_quaternions(rng, shape):
+    q = rng.standard_normal(shape + (4,))
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+def test_stack_maps_round_trip_on_any_leading_shape(shape):
+    q = _unit_quaternions(np.random.default_rng(len(shape)), shape)
+    U = su2_batch(q)
+    assert U.shape == shape + (2, 2)
+    assert np.abs(U - np.einsum("...k,kij->...ij", q, _UNIT_BASIS)).max() <= 1e-15
+    assert np.abs(np.linalg.det(U) - 1).max() <= 1e-14
+    assert quaternion_batch(U).shape == shape + (4,)
+    assert np.abs(quaternion_batch(U) - q).max() <= 1e-15
+
+
+def test_stack_map_of_a_hamilton_product_is_the_matrix_product():
+    rng = np.random.default_rng(3)
+    p, q = _unit_quaternions(rng, (6,)), _unit_quaternions(rng, (6,))
+    assert np.abs(su2_batch(_hamilton(p, q)) - su2_batch(p) @ su2_batch(q)).max() <= 1e-15
+    # broadcasting: all 36 products at once
+    table = su2_batch(_hamilton(p[:, None], q[None, :]))
+    assert np.abs(table - su2_batch(p)[:, None] @ su2_batch(q)[None, :]).max() <= 1e-15
+
+
+def test_canonical_sign_per_row_equals_canonical_su2():
+    rng = np.random.default_rng(4)
+    # rows whose sign is decided by s, x, y or z, and leading entries below 1e-9
+    Q = np.concatenate(
+        [
+            _unit_quaternions(rng, (8,)),
+            [[0, 0, -1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, -0.6, 0.8, 0]],
+            [[1e-12, -1, 0, 0], [-1e-12, 0, 1e-10, 1], [2e-9, -1, 0, 0]],
+        ]
+    )
+    Q /= np.linalg.norm(Q, axis=1, keepdims=True)
+    U = su2_batch(Q)
+    signs = canonical_signs(quaternion_batch(U))
+    assert signs.tolist() == [1.0 if next(v for v in q if abs(v) > 1e-9) > 0 else -1.0 for q in Q]
+    for sign, V in zip(signs, U):
+        assert np.array_equal(sign * V, canonical_su2(V))
+        assert np.array_equal(sign * V, canonical_su2(-V))
+    # the same signs on a (3, 5) reshaping of the rows
+    assert np.array_equal(canonical_signs(Q.reshape(3, 5, 4)), signs.reshape(3, 5))
+
+
+def test_normalize_batch_gives_canonical_det_one_multiples():
+    rng = np.random.default_rng(5)
+    V = su2_batch(_unit_quaternions(rng, (2, 6)))
+    U = np.exp(2j * np.pi * rng.random((2, 6)))[..., None, None] * V
+    N = normalize_batch(U)
+    assert N.shape == (2, 6, 2, 2)
+    assert np.abs(np.linalg.det(N) - 1).max() <= 1e-14
+    overlap = np.abs(np.einsum("...ij,...ij->...", N.conj(), U))
+    assert np.abs(overlap - 2).max() <= 1e-14
+    for n, u in zip(N.reshape(-1, 2, 2), U.reshape(-1, 2, 2)):
+        assert np.abs(n - normalize_to_su2(u)[0]).max() <= 1e-15
+
+
+def test_axis_angle_batch_covers_the_rotation():
+    rng = np.random.default_rng(6)
+    Q = np.concatenate([_unit_quaternions(rng, (10,)), [[1, 0, 0, 0], [-1, 0, 0, 0], [0, 0, -1, 0]]])
+    axes, angles = axis_angle_batch(Q)
+    assert axes.shape == (13, 3) and angles.shape == (13,)
+    assert ((angles >= 0) & (angles <= math.pi)).all()
+    for n, angle, U in zip(axes, angles, su2_batch(Q)):
+        assert np.abs(rodrigues(n, angle) - so3_rep(U)).max() <= 1e-14
+    assert axes[10].tolist() == axes[11].tolist() == [0.0, 0.0, 1.0]
+    assert angles[10] == angles[11] == 0.0
+    assert axes[12].tolist() == [0.0, 1.0, 0.0] and angles[12] == math.pi

@@ -313,6 +313,16 @@ def test_frame_potential_is_translation_invariant(seed):
         assert frame_potential(right, t).value == pytest.approx(base, abs=1e-12)
 
 
+def test_frame_potential_has_no_haar_reference_off_the_qubit():
+    # the reference table holds U(2) values; other dimensions get none
+    S = UnitarySet([np.eye(3), np.diag([1.0, -1.0, 1.0])])
+    for t in (1, 2):
+        fp = frame_potential(S, t)
+        assert fp.haar_value is None and fp.gap is None
+        with pytest.raises(UnsupportedOrder):
+            fp.is_design()
+
+
 def test_frame_potential_never_below_haar():
     # Haar value is a lower bound over all finite sets
     h = HaarSampler(123)
