@@ -53,7 +53,6 @@ from .twirl import (
     frame_potential,
     haar_sample,
     haar_twirl,
-    mc_haar_twirl,
     mc_oracle_check,
     superop_of_twirl,
     twirl_finite,
@@ -91,7 +90,6 @@ __all__ = [
     "group_profile",
     "haar_sample",
     "haar_twirl",
-    "mc_haar_twirl",
     "mc_oracle_check",
     "named_design",
     "pauli",

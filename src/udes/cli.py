@@ -172,21 +172,21 @@ def _add_source_args(sub) -> None:
     """A unitary set to read, how strictly to parse it, and the tolerance its checks apply."""
     sub.add_argument("--builtin", choices=BUILTIN_NAMES, help="use a named builtin set")
     sub.add_argument("--file", help="load a unitary-set JSON file")
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance")
+    positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite positive number")
+    sub.add_argument("--tol", type=positive, default=DEFAULT_TOL, help="numerical tolerance")
     sub.add_argument("--strict", action="store_true", help="reject unknown file fields")
 
 
-def _int_in(lo: int, hi: int | None = None):
-    """An argparse type for integers in [lo, hi), so out-of-range values exit 2."""
+def _checked(kind, ok, expected: str):
+    """An argparse type for `kind` values that satisfy `ok`, so others exit 2."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < lo or (hi is not None and value >= hi):
-            bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
-            raise argparse.ArgumentTypeError(f"expected an integer {bounds}, got {value}")
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {value}")
         return value
 
     return parse
@@ -218,8 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     command("geometry", "polytope and rotation picture of the closure")
     p = command("mc", "Monte Carlo cross-check of the closed-form averaging", source=False)
     p.add_argument("--t", type=int, default=2)
-    p.add_argument("--samples", type=_int_in(2), default=100000)
-    p.add_argument("--seed", type=_int_in(0, 2**64), default=0)
+    samples = _checked(int, lambda v: v >= 2, "an integer >= 2")
+    seed = _checked(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
+    p.add_argument("--samples", type=samples, default=100000)
+    p.add_argument("--seed", type=seed, default=0)
     command("table", "print all 24 closure elements in every picture", source=False)
     return parser
 
@@ -280,8 +282,8 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 def cmd_construct(args) -> tuple[dict, int]:
     S, source = _resolve_source(args)
-    frame = designs.classify_min_1design(S, tol=max(args.tol, 1e-9))
-    design = designs.extend_to_2design(S)
+    frame = designs.classify_min_1design(S, tol=args.tol)
+    design = designs.extend_to_2design(S, frame)
     base = list(S.labels) if S.labels is not None else [f"U{k}" for k in range(len(S))]
     labeled = twirl.UnitarySet(
         list(design.elems), labels=base + [f"G{l}" for l in base] + [f"G*{l}" for l in base]
@@ -587,7 +589,7 @@ def render_text(report: dict) -> str:
 
 #: exit code per error kind; the first matching entry applies
 _EXIT_CODES = (
-    (FileNotFoundError, 2),
+    (OSError, 2),
     (FileFormatError, 2),
     (UnknownName, 2),
     (UnsupportedOrder, 3),
@@ -601,14 +603,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, code = _COMMANDS[args.command](args)
-    except (FileNotFoundError, UdesError) as exc:
+        rendered = emit_json(report) + "\n" if args.fmt == "json" else render_text(report)
+        # the file first, so that a path that cannot be written leaves stdout empty
+        if args.out and args.command != "construct":
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+    except (OSError, UdesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
-    rendered = emit_json(report) + "\n" if args.fmt == "json" else render_text(report)
     sys.stdout.write(rendered)
-    if getattr(args, "out", None) and args.command != "construct":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
     return code
 
 

@@ -185,21 +185,20 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
     return OneDesignFrame(V, Vp, tuple(phases.tolist()), sigma)
 
 
-def extend_to_2design(S) -> UnitarySet:
+def extend_to_2design(S, frame: OneDesignFrame | None = None) -> UnitarySet:
     """Complete a minimal 1-design to a 12-element 2-design.
 
     Adjoins the left translates of S by the conjugated axis-cycle generator
     and its inverse: S u GS u G^H S with G = V W V^H, W the order-6 cycle
-    and V the left unitary of the extracted frame.
+    and V the left unitary of `frame`, by default classify_min_1design(S).
     """
-    try:
-        frame = classify_min_1design(S)
-    except (NotOrthogonalBasis, NotUnitaryElements) as exc:
-        raise NotMinimal1Design(str(exc)) from exc
-    if not isinstance(S, UnitarySet):
-        S = UnitarySet(S)
+    if frame is None:
+        try:
+            frame = classify_min_1design(S)
+        except (NotOrthogonalBasis, NotUnitaryElements) as exc:
+            raise NotMinimal1Design(str(exc)) from exc
     G = frame.V @ AXIS_CYCLE @ frame.V.conj().T
-    elems = list(S.elems)
+    elems = list(S)
     elems += [G @ U for U in S]
     elems += [G.conj().T @ U for U in S]
     return UnitarySet(elems)  # DuplicateElements would flag a degenerate input

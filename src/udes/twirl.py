@@ -12,6 +12,9 @@ tensor powers flattened to X = M.reshape(N, D*D) it is the Gram matrix X^H X,
 permuted.  Design checks use Delta = Phi_S - Phi_Haar, whose largest column
 norm is the worst twirl error on a basis operator and whose squared norm is
 the frame-potential gap (Gross, Audenaert & Eisert, JMP 48, 052104 (2007)).
+
+The Monte Carlo check of the Haar oracle sums its moments over monomials of
+the Haar quaternion q instead of the entries of U^{(x)t}; see mc_oracle_check.
 """
 
 from __future__ import annotations
@@ -220,14 +223,17 @@ class HaarSampler:
         # Each quaternion consumes one 128-bit counter block (four doubles),
         # so jumping the block counter by `counter` replays the stream tail.
         bits = np.random.Philox(key=np.uint64(self.seed), counter=[self.counter, 0, 0, 0])
-        u = np.random.Generator(bits).random((n, 4))
+        u = np.ascontiguousarray(np.random.Generator(bits).random((n, 4)).T)
         self.counter += n
-        r1 = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-        r2 = np.sqrt(-2.0 * np.log1p(-u[:, 2]))
-        a1 = 2.0 * np.pi * u[:, 1]
-        a2 = 2.0 * np.pi * u[:, 3]
-        g = np.stack([r1 * np.cos(a1), r1 * np.sin(a1), r2 * np.cos(a2), r2 * np.sin(a2)], axis=1)
-        return g / np.linalg.norm(g, axis=1, keepdims=True)
+        # Box-Muller on contiguous rows: g = (r cos a, r sin a) for (r, a) from
+        # rows (0, 1) and (2, 3), normalized in np.linalg.norm's summation order
+        r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+        a = 2.0 * np.pi * u[1::2]
+        g = np.empty((4, n))
+        np.multiply(r, np.cos(a, out=g[0::2]), out=g[0::2])
+        np.multiply(r, np.sin(a, out=g[1::2]), out=g[1::2])
+        g /= np.sqrt(((g[0] * g[0] + g[1] * g[1]) + g[2] * g[2]) + g[3] * g[3])
+        return g.T
 
 
 def haar_sample(h: HaarSampler) -> np.ndarray:
@@ -250,36 +256,27 @@ def _superop_layout(G: np.ndarray, D: int) -> np.ndarray:
     return G.reshape((D,) * 4).swapaxes(1, 2).reshape(D * D, D * D)
 
 
-@dataclass(frozen=True)
-class MCTwirlEstimate:
-    """Monte-Carlo twirl of one operator: sample mean plus the empirical
-    standard error of that mean, aggregated over entries in the HS norm."""
-
-    t: int
-    n: int
-    mean: np.ndarray
-    std_error: float
+_SU2_BASIS = su2_batch(np.eye(4))  # U = sum_k q_k _SU2_BASIS[k]
+#: |U|^2 = [[A, 1 - A], [1 - A, A]] on SU(2), as the coefficients of 1 and A
+_ABS2_BASIS = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, -1.0], [-1.0, 1.0]]])
 
 
-def mc_haar_twirl(h: HaarSampler, t: int, A, n: int, chunk: int = 65536) -> MCTwirlEstimate:
-    """(1/n) sum over Haar samples of U^{(x)t} A (U^H)^{(x)t}."""
-    if t < 1 or n < 1:
-        raise ValueError("need t >= 1 and n >= 1")
-    D = 2**t
-    A = as_matrix(A, D)
-    total = np.zeros((D, D), dtype=complex)
-    total_sq = np.zeros((D, D))
-    left = n
-    while left > 0:
-        m = min(left, chunk)
-        M = _tensor_batch(su2_batch(h.quaternions(m)), t)
-        terms = (M @ A) @ M.conj().swapaxes(1, 2)
-        total += terms.sum(axis=0)
-        total_sq += (np.abs(terms) ** 2).sum(axis=0)
-        left -= m
-    mean = total / n
-    entry_var = np.maximum(total_sq / n - np.abs(mean) ** 2, 0.0)
-    return MCTwirlEstimate(t, n, mean, math.sqrt(float(entry_var.sum()) / n))
+def _monomials(W: np.ndarray, t: int) -> np.ndarray:
+    """Rows of the degree-t monomials of the columns of a (k, m) array:
+    W at t = 1, W_a W_b for a <= b in row-major order at t = 2."""
+    return W if t == 1 else np.concatenate([W[a] * W[a:] for a in range(len(W))])
+
+
+def _power_map(E: np.ndarray, t: int) -> np.ndarray:
+    """T with _tensor_batch(w . E, t).reshape(m, -1) = _monomials(w.T, t).T @ T
+    for a (k, d, d) stack E.  At t = 2, w_a w_b carries the bilinear form
+    (X(a + b) - X(a - b)) / 4 of the quadratic X at (e_a, e_b), doubled off
+    the diagonal; at these integer points it is exact."""
+    if t == 1:
+        return E.reshape(len(E), -1)
+    a, b = np.triu_indices(len(E))
+    X = _tensor_batch(np.concatenate([E[a] + E[b], E[a] - E[b]]), 2).reshape(2, len(a), -1)
+    return (X[0] - X[1]) * np.where(a == b, 0.25, 0.5)[:, None]
 
 
 @dataclass(frozen=True)
@@ -318,32 +315,34 @@ def mc_oracle_check(
 
     Estimates the twirl superoperator (whose column j*D+i is the vectorized
     twirl of E(i,j)) together with entrywise second moments, then scores
-    every basis element against the exact Haar oracle.  With the samples of
-    a chunk flattened row-major to X = M.reshape(m, D*D), the first moment
-    sum_n conj(M)[a,b] M[c,d] is the Gram matrix X^H X and the second moment
-    sum_n |M[a,b]|^2 |M[c,d]|^2 is P^T P with P = |X|^2, both indexed
-    [(a,b),(c,d)]; the sums are permuted to the superoperator's
-    [(a,c),(b,d)] = kron(conj(M), M) layout once, after the last chunk.
+    every basis element against the exact Haar oracle.  For a chunk's tensor
+    powers flattened to X = Y C_t, with Y the (m, n_t) monomials of the
+    quaternions (n_t = 4 at t = 1, 10 at t = 2) and C_t read off su2_batch,
+    the first moment X^H X is C_t^H (Y^T Y) C_t.  The second, P^T P for
+    P = |X|^2 = Z B_t with Z = [1, A, ..., A^t] and A = |U_00|^2, is
+    B_t^T (Z^T Z) B_t: power sums of A up to A^(2t).  Both, indexed
+    [(a,b),(c,d)], are permuted to the superoperator's [(a,c),(b,d)] =
+    kron(conj(M), M) layout once, after the last chunk.
     """
     if t not in (1, 2):
         raise UnsupportedOrder(f"oracle check implements t in {{1, 2}}, got {t}")
     if n < 2:
         raise ValueError("need n >= 2 for a standard error")
     D = 2**t
-    first = np.zeros((D * D, D * D), dtype=complex)
-    second = np.zeros((D * D, D * D))
-    seed = h.seed
+    gram_y = gram_z = 0.0
     left = n
     while left > 0:
         m = min(left, chunk)
-        X = _tensor_batch(su2_batch(h.quaternions(m)), t).reshape(m, D * D)
-        first += X.conj().T @ X
-        P = X.real**2 + X.imag**2
-        second += P.T @ P
+        Q = h.quaternions(m).T  # (4, m)
+        Y = _monomials(Q, t)
+        gram_y = gram_y + Y @ Y.T
+        Z = _monomials(np.stack([np.ones(m), np.abs(_SU2_BASIS[:, 0, 0] @ Q) ** 2]), t)  # A = |U_00|^2
+        gram_z = gram_z + Z @ Z.T
         left -= m
-    mean = _superop_layout(first, D) / n
-    second = _superop_layout(second, D)
+    C, B = _power_map(_SU2_BASIS, t), _power_map(_ABS2_BASIS, t)
+    mean = _superop_layout(C.conj().T @ gram_y @ C, D) / n
+    second = _superop_layout(B.T @ gram_z @ B, D)
     entry_var = np.maximum(second / n - np.abs(mean) ** 2, 0.0)
     deviations = np.linalg.norm(mean - superop_of_twirl(HAAR, t).matrix, axis=0)
     std_errors = np.sqrt(entry_var.sum(axis=0) / n)
-    return McOracleReport(t, n, seed, deviations, std_errors, nsigma)
+    return McOracleReport(t, n, h.seed, deviations, std_errors, nsigma)

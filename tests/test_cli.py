@@ -184,6 +184,38 @@ def test_verify_missing_file(capsys):
     assert code == 2
 
 
+def test_unreadable_input_exits_2_with_one_error_line(tmp_path, capsys):
+    code, out, err = run(capsys, "verify", "--file", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd", ["verify", "frame-potential", "group", "geometry", "table", "mc"])
+def test_unwritable_out_exits_2_before_stdout(tmp_path, capsys, cmd):
+    argv = [cmd] if cmd in ("table", "mc") else [cmd, "--builtin", "D"]
+    argv += ["--samples", "100"] if cmd == "mc" else []
+    for out in (tmp_path / "missing" / "x", tmp_path):
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_construct_unwritable_out_exits_2(tmp_path, capsys):
+    code, stdout, err = run(capsys, "construct", "--from", "pauli", "--out", str(tmp_path / "no" / "x"))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd", ["verify", "construct", "frame-potential", "group", "geometry"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "0", "x"])
+def test_tol_must_be_finite_and_positive(capsys, cmd, tol):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--builtin", "D", f"--tol={tol}"])
+    assert exc.value.code == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
+    assert len(errors) == 1 and errors[0].startswith(f"udes {cmd}: error: argument --tol")
+
+
 # ---- construct ----------------------------------------------------------------
 
 
@@ -219,6 +251,18 @@ def test_construct_rejects_non_frame(tmp_path, capsys):
     code, _, err = run(capsys, "construct", "--from", "file", str(src))
     assert code == 4
     assert err.startswith("error:")
+
+
+def test_construct_classifies_at_the_tolerance_it_reports(tmp_path, capsys):
+    # Z exp(-i 1e-10 X) overlaps Y by 2 sin(1e-10)
+    tilted = pauli(3) @ (math.cos(1e-10) * np.eye(2) - 1j * math.sin(1e-10) * pauli(1))
+    src = tmp_path / "tilted.json"
+    save_unitary_set(UnitarySet([pauli(0), pauli(1), pauli(2), tilted]), str(src))
+    code, out, err = run(capsys, "construct", "--from", "file", str(src), "--tol", "1e-12")
+    assert code == 4 and out == ""
+    assert err.startswith("error: elements 2 and 3 have HS inner product")
+    code, doc = run_json(capsys, "construct", "--from", "file", str(src), "--tol", "1e-9")
+    assert code == 0 and doc["tolerance"] == 1e-9
 
 
 def test_construct_requires_path_with_from_file(capsys):

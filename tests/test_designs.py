@@ -26,7 +26,7 @@ from udes.errors import (
 from udes.linalg import hs_dist, hs_inner, hs_norm, kron_power
 from udes.qubit import pauli, singlet_triplet
 from udes.su2 import canonical_su2, normalize_to_su2, quaternion_of, su2_from_rotation
-from udes.twirl import HaarSampler, UnitarySet, haar_sample
+from udes.twirl import HaarSampler, UnitarySet, frame_potential, haar_sample
 
 W = AXIS_CYCLE
 SQ2 = 1 / np.sqrt(2)
@@ -273,6 +273,29 @@ def test_extension_always_verifies(seed):
     assert len(S) == 12
     rep = verify_design(S, 2, tol=1e-10)
     assert rep.is_design
+
+
+@given(st.sampled_from(["D", "D0", "B"]), st.integers(min_value=0, max_value=2**64 - 1))
+def test_verdict_and_frame_potentials_survive_phases_and_translations(name, seed):
+    # S -> {e^{i phi_a} V U_a W} fixes every |tr(U_a^H U_b)|, hence the frame
+    # potentials and the design property
+    S = named_design(name).set
+    h = HaarSampler(seed)
+    V, Wr = haar_sample(h), haar_sample(h)
+    phases = np.exp(2j * np.pi * h.quaternions(len(S))[:, 0])
+    T = UnitarySet([p * V @ U @ Wr for p, U in zip(phases, S)])
+    for t in (1, 2):
+        for method in ("twirl", "frame", "both"):
+            assert verify_design(T, t, method=method).is_design == (name != "B" or t == 1)
+        assert abs(frame_potential(T, t).value - frame_potential(S, t).value) < 1e-12
+
+
+def test_extension_completes_from_a_given_frame(monkeypatch):
+    S = named_design("B").set
+    frame = classify_min_1design(S)
+    monkeypatch.setattr(designs, "classify_min_1design", lambda *a, **k: pytest.fail("classified twice"))
+    ext = extend_to_2design(S, frame)
+    assert all(np.array_equal(a, b) for a, b in zip(ext, named_design("D").set))
 
 
 def test_extension_of_pauli_basis_is_the_named_completion():

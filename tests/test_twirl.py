@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,16 +13,18 @@ from udes.errors import (
 from udes.linalg import hs_norm, kron, kron_power
 from udes.qubit import bell_diagonal_part, pauli, singlet_triplet
 from udes.twirl import (
+    _ABS2_BASIS,
+    _SU2_BASIS,
+    _monomials,
+    _power_map,
     _tensor_batch,
     HaarSampler,
-    MCTwirlEstimate,
     UnitarySet,
     choi,
     choi_rank,
     frame_potential,
     haar_sample,
     haar_twirl,
-    mc_haar_twirl,
     mc_oracle_check,
     su2_batch,
     superop_of_twirl,
@@ -362,13 +366,36 @@ def test_different_seeds_differ():
     )
 
 
-def test_mc_haar_twirl_approaches_oracle():
-    h = HaarSampler(55)
-    A = random_op(2)
-    est = mc_haar_twirl(h, 1, A, 20000)
-    assert isinstance(est, MCTwirlEstimate)
-    assert est.n == 20000
-    assert hs_norm(est.mean - haar_twirl(1, A)) < 6 * max(est.std_error, 1e-6)
+# sha256 of the C-ordered (n, 4) draws: replays by (seed, counter) depend on them
+HAAR_STREAM_SHA256 = {
+    (0, 0, 1): "c8784d6685d29c54b417ebe7afe2a1e5078b29e61cf7ee0d10d579bb0510c18a",
+    (12345, 0, 65536): "2d919726957ab8b92b7a65af06e4407cf0075c21954ca7a4ecc4f851b0715dce",
+    (2**64 - 1, 7, 100003): "93cf0def9809f1f9dac59449e4b2ed03f93ce9a27979d3ee1fbd5a0121689f1e",
+    (42, 123456789, 131073): "87ce7b188a082685a8c221d9de6a3fa8c3d6aede02a3cbf6e678bf83acbe1f77",
+    (7, 1, 70000): "1915ead3d017900c3c8365e157d282874c0455eed25c6f05e448fd8ef544b001",
+}
+
+
+@pytest.mark.parametrize("seed,counter,n", sorted(HAAR_STREAM_SHA256))
+def test_sampler_stream_is_pinned(seed, counter, n):
+    h = HaarSampler(seed, counter)
+    q = np.ascontiguousarray(h.quaternions(n))
+    assert q.shape == (n, 4) and h.counter == counter + n
+    assert hashlib.sha256(q.tobytes()).hexdigest() == HAAR_STREAM_SHA256[seed, counter, n]
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_moment_maps_reproduce_the_tensor_power(t):
+    q = rng.normal(size=(500, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    X = _tensor_batch(su2_batch(q), t).reshape(500, 4**t)
+    Y = _monomials(q.T, t).T
+    assert Y.shape == (500, (4, 10)[t - 1])
+    assert np.max(np.abs(Y @ _power_map(_SU2_BASIS, t) - X)) < 1e-12
+    A = np.abs(su2_batch(q)[:, 0, 0]) ** 2
+    Z = _monomials(np.stack([np.ones(500), A]), t).T
+    assert np.array_equal(Z, np.vander(A, t + 1, increasing=True))
+    assert np.max(np.abs(Z @ _power_map(_ABS2_BASIS, t) - np.abs(X) ** 2)) < 1e-12
 
 
 @pytest.mark.parametrize("t", [1, 2])
