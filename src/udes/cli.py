@@ -33,11 +33,11 @@ from .errors import (
     UnknownName,
     UnsupportedOrder,
 )
-from .linalg import hs_norm
+from .linalg import EQ_TOL
 
-DEFAULT_TOL = 1e-10
+DEFAULT_TOL = EQ_TOL
 
-BUILTIN_NAMES = ("pauli", "B", "B0", "D", "D0", "D1", "D2")
+BUILTIN_NAMES = ("pauli", *designs.NAMED_DESIGNS)
 
 
 class FileFormatError(UdesError):
@@ -260,9 +260,8 @@ def _verification_payload(S, t, tol, method) -> dict:
         "methods_agree": rep.method_agreement,
     }
     if method in ("frame", "both"):
-        fp = twirl.frame_potential(S, t)
-        out["frame_potential"] = fp.value
-        out["haar_value"] = fp.haar_value
+        out["frame_potential"] = rep.frame_potential
+        out["haar_value"] = rep.haar_value
     return out
 
 
@@ -308,6 +307,9 @@ def cmd_construct(args) -> tuple[dict, int]:
 
 def cmd_frame_potential(args) -> tuple[dict, int]:
     S, source = _resolve_source(args)
+    # is_design needs the Haar reference; refuse before the sum can overflow
+    if args.t not in twirl.FRAME_POTENTIAL_HAAR:
+        raise UnsupportedOrder(f"no Haar reference for t={args.t}; one exists for U(2), t <= 2")
     fp = twirl.frame_potential(S, args.t)
     report = {
         "command": "frame-potential",
@@ -460,17 +462,15 @@ def _render_verification(result: dict) -> list[str]:
 
 _EXACT_STRINGS = {0.0: "0", 0.5: "1/2", -0.5: "-1/2", 1.0: "1", -1.0: "-1"}
 
-_ROT_MAGNITUDE = 2.0 * math.pi / (3.0 * math.sqrt(3.0))
-
 
 def _sym(v: float) -> str:
     if v in _EXACT_STRINGS:
         return _EXACT_STRINGS[v]
     if v == math.pi:
         return "pi"
-    if v == _ROT_MAGNITUDE:
+    if v == groups.ROTATION_C:
         return "c"
-    if v == -_ROT_MAGNITUDE:
+    if v == -groups.ROTATION_C:
         return "-c"
     return format_number(v)
 
@@ -579,7 +579,7 @@ def render_text(report: dict) -> str:
             q = " ".join(f"{_sym(v):>5s}" for v in row["quaternion"])
             r = " ".join(f"{_sym(v):>3s}" for v in row["rotation"])
             lines.append(f"{row['label']:6s} {_pauli_string(coeff):22s} ({q})   ({r})")
-        lines.append("with c = 2*pi/(3*sqrt(3)) = " + format_number(_ROT_MAGNITUDE))
+        lines.append("with c = 2*pi/(3*sqrt(3)) = " + format_number(groups.ROTATION_C))
     return "\n".join(lines) + "\n"
 
 

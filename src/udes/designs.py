@@ -8,6 +8,11 @@ frame, and `extend_to_2design` upgrades the set to a 12-element 2-design by
 adjoining its left translates under the conjugated axis-cycle generator
 V W V^H, where W is the order-6 special unitary whose covering rotation
 cyclically permutes the coordinate axes.
+
+The built-ins are one exact listing: their elements are the quaternion
+products {1, W, W*} x {1, I, J, K}, with all coordinates in {0, +-1/2, +-1},
+computed once at import; each built-in is a tuple of labels that names its
+elements by sign, factor and unit.  No rounding step is needed anywhere.
 """
 
 from __future__ import annotations
@@ -27,10 +32,12 @@ from .errors import (
     UnknownName,
     UnsupportedOrder,
 )
-from .linalg import first_pair, hs_norm
+from .linalg import EQ_TOL, first_pair, hs_norm
 from .qubit import pauli
 from .su2 import (
+    W_QUATERNION,
     canonical_signs,
+    hamilton,
     normalize_batch,
     quaternion_batch,
     so3_rep,
@@ -39,12 +46,9 @@ from .su2 import (
 )
 from .twirl import HAAR, UnitarySet, frame_potential, superop_of_twirl
 
-#: the quaternion units 1, I, J, K as special unitaries 1, -iX, -iY, -iZ
-_EYE2, UNIT_I, UNIT_J, UNIT_K = su2_batch(np.eye(4))
-
 #: order-6 special unitary whose covering rotation is the cyclic axis shift
 #: x -> y -> z -> x; all four entries are exact dyadic rationals
-AXIS_CYCLE = np.array([[0.5 - 0.5j, -0.5 - 0.5j], [0.5 - 0.5j, 0.5 + 0.5j]])
+AXIS_CYCLE = su2_batch(W_QUATERNION)
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,8 @@ class DesignReport:
     frame_gap: float
     max_twirl_deviation: float
     method_agreement: bool
+    frame_potential: float
+    haar_value: float
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,7 @@ class NamedDesign:
     set: UnitarySet
 
 
-def verify_design(S: UnitarySet, t: int, tol: float = 1e-10, method: str = "both") -> DesignReport:
+def verify_design(S: UnitarySet, t: int, tol: float = EQ_TOL, method: str = "both") -> DesignReport:
     """Check whether S is a t-design, by two independent criteria.
 
     With Delta = Phi_S - Phi_Haar, the twirl criterion is the largest column
@@ -117,10 +123,11 @@ def verify_design(S: UnitarySet, t: int, tol: float = 1e-10, method: str = "both
                 f"frame gap {gap} and ||Delta||^2 {dist_sq} differ by more than {bound:.3e}"
             )
     verdict = (gap if method == "frame" else max_dev) <= tol
-    return DesignReport(t, verdict, gap, max_dev, (max_dev <= tol) == (gap <= tol))
+    agree = (max_dev <= tol) == (gap <= tol)
+    return DesignReport(t, verdict, gap, max_dev, agree, fp.value, fp.haar_value)
 
 
-def verify_rotation_sum(S: UnitarySet, tol: float = 1e-10) -> bool:
+def verify_rotation_sum(S: UnitarySet, tol: float = EQ_TOL) -> bool:
     """True iff the covering rotations of the elements sum to zero.
 
     This is the phase-blind 1-design criterion: it holds for S exactly when
@@ -204,60 +211,28 @@ def extend_to_2design(S, frame: OneDesignFrame | None = None) -> UnitarySet:
     return UnitarySet(elems)  # DuplicateElements would flag a degenerate input
 
 
-_NAMED_BUILDERS = {}
+#: each built-in as its labels: an optional sign "-", an optional factor W or
+#: W* (the axis cycle or its inverse) and a unit 1, I, J, K, or X, Y, Z for
+#: the Pauli matrices iI, iJ, iK
+BUILTIN_LABELS = {
+    "B": ("1", "X", "Y", "Z"),
+    "B0": ("1", "I", "J", "K"),
+    "D": ("1", "X", "Y", "Z", "W", "WX", "WY", "WZ", "W*", "W*X", "W*Y", "W*Z"),
+    "D0": ("1", "I", "J", "K", "W", "WI", "WJ", "WK", "W*", "W*I", "W*J", "W*K"),
+    "D1": ("1", "I", "J", "K", "W", "-WI", "-WJ", "-WK", "W*", "W*I", "W*J", "W*K"),
+    "D2": ("1", "-I", "-J", "-K", "-W", "-WI", "-WJ", "-WK", "W*", "-W*I", "-W*J", "-W*K"),
+}
+NAMED_DESIGNS = tuple(BUILTIN_LABELS)
 
+#: the quaternions of D0's labels, in order: {1, W, W*} x {1, I, J, K}
+D0_QUATERNIONS = hamilton(
+    np.stack([np.eye(4)[0], W_QUATERNION, W_QUATERNION * (1.0, -1.0, -1.0, -1.0)])[:, None],
+    np.eye(4),
+).reshape(12, 4)
+D0_QUATERNIONS.flags.writeable = False
 
-def _register(name, labels, builder):
-    _NAMED_BUILDERS[name] = (labels, builder)
-
-
-def _pauli_elems():
-    return [pauli(mu) for mu in range(4)]
-
-
-def _unit_elems():
-    return [_EYE2.copy(), UNIT_I.copy(), UNIT_J.copy(), UNIT_K.copy()]
-
-
-def _cycle_extended(base, middle_signs, outer_signs):
-    """base u (signed) G base u (signed) G^H base with G the axis cycle."""
-    G, Gh = AXIS_CYCLE, AXIS_CYCLE.conj().T
-    out = [b.copy() for b in base]
-    out += [s * (G @ b) for s, b in zip(middle_signs, base)]
-    out += [s * (Gh @ b) for s, b in zip(outer_signs, base)]
-    return out
-
-
-_register("B", ("1", "X", "Y", "Z"), _pauli_elems)
-_register("B0", ("1", "I", "J", "K"), _unit_elems)
-_register(
-    "D",
-    ("1", "X", "Y", "Z", "W", "WX", "WY", "WZ", "W*", "W*X", "W*Y", "W*Z"),
-    lambda: _cycle_extended(_pauli_elems(), (1, 1, 1, 1), (1, 1, 1, 1)),
-)
-_register(
-    "D0",
-    ("1", "I", "J", "K", "W", "WI", "WJ", "WK", "W*", "W*I", "W*J", "W*K"),
-    lambda: _cycle_extended(_unit_elems(), (1, 1, 1, 1), (1, 1, 1, 1)),
-)
-_register(
-    "D1",
-    ("1", "I", "J", "K", "W", "-WI", "-WJ", "-WK", "W*", "W*I", "W*J", "W*K"),
-    lambda: _cycle_extended(_unit_elems(), (1, -1, -1, -1), (1, 1, 1, 1)),
-)
-_register(
-    "D2",
-    ("1", "-I", "-J", "-K", "-W", "-WI", "-WJ", "-WK", "W*", "-W*I", "-W*J", "-W*K"),
-    lambda: [
-        s * b
-        for s, b in zip(
-            (1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, -1),
-            _cycle_extended(_unit_elems(), (1, 1, 1, 1), (1, 1, 1, 1)),
-        )
-    ],
-)
-
-NAMED_DESIGNS = tuple(_NAMED_BUILDERS)
+_D0_INDEX = {label: k for k, label in enumerate(BUILTIN_LABELS["D0"])}
+_PAULI_TO_UNIT = str.maketrans("XYZ", "IJK")
 
 
 def named_design(name: str) -> NamedDesign:
@@ -265,10 +240,15 @@ def named_design(name: str) -> NamedDesign:
     normalization B0, the 12-element 2-design D, and D's normalizations
     D0, D1, D2 — each as the exact constant listing."""
     key = "B" if name == "pauli" else name
-    if key not in _NAMED_BUILDERS:
+    if key not in BUILTIN_LABELS:
         raise UnknownName(f"no built-in design named {name!r}; try one of {NAMED_DESIGNS}")
-    labels, builder = _NAMED_BUILDERS[key]
-    return NamedDesign(key, UnitarySet(builder(), labels=labels))
+    labels = BUILTIN_LABELS[key]
+    signs = np.array([-1.0 if label[0] == "-" else 1.0 for label in labels])
+    units = [label.lstrip("-") for label in labels]
+    rows = [_D0_INDEX[u.translate(_PAULI_TO_UNIT)] for u in units]
+    U = su2_batch(signs[:, None] * D0_QUATERNIONS[rows])
+    U[[u[-1] in "XYZ" for u in units]] *= 1j
+    return NamedDesign(key, UnitarySet(U, labels=labels))
 
 
 def clifford_bound(d: int) -> int:

@@ -7,6 +7,10 @@ of a set.  For the Pauli basis this yields the quaternion group Q8 (a
 16-cell on the 3-sphere), and for its 12-element 2-design completion the
 binary tetrahedral group (a 24-cell).  Everything here works on that
 (2n, 4) quaternion array, with Hamilton products in place of matmuls.
+
+The closure table reads the exact +-D0 quaternions of the built-in listing,
+whose coordinates lie in {0, +-1/2, +-1}, and derives the Pauli coefficients
+and rotation vectors from them in closed form, with no rounding step.
 """
 
 from __future__ import annotations
@@ -17,9 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .designs import BUILTIN_LABELS, D0_QUATERNIONS
 from .errors import DimensionMismatch, NonUnitPoint, NotHalfInteger, ProportionalElements
 from .linalg import first_pair
-from .su2 import AxisAngle, axis_angle_batch, normalize_batch, quaternion_batch
+from .su2 import (
+    AxisAngle,
+    axis_angle_batch,
+    canonical_signs,
+    hamilton,
+    normalize_batch,
+    quaternion_batch,
+)
 from .twirl import UnitarySet
 
 _MEMBER_TOL = 1e-9  # products of lattice-exact elements leave huge margin
@@ -27,20 +39,9 @@ _MEMBER_TOL = 1e-9  # products of lattice-exact elements leave huge margin
 _ORDER_CAP = 48  # largest element order we ever probe for
 
 
-def _hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Hamilton products of broadcast quaternion arrays (..., 4); the map
-    q -> s 1 - i (x,y,z).sigma turns them into matrix products."""
-    a, b, c, d = np.moveaxis(p, -1, 0)
-    e, f, g, h = np.moveaxis(q, -1, 0)
-    return np.stack(
-        [
-            a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e,
-        ],
-        axis=-1,
-    )
+def _signed(A: np.ndarray) -> np.ndarray:
+    """The rows of A interleaved with their negatives: A[0], -A[0], A[1], ..."""
+    return np.stack([A, -A], axis=1).reshape(-1, *A.shape[1:])
 
 
 def _hs_distance(d: np.ndarray) -> np.ndarray:
@@ -103,8 +104,8 @@ def su2_closure(S: UnitarySet, tol: float = _MEMBER_TOL) -> Su2Closure:
         raise ProportionalElements(
             f"elements {pair[0]} and {pair[1]} are proportional and share normalizations"
         )
-    stack = np.stack([V, -V], axis=1).reshape(-1, 2, 2)
-    Q = np.stack([P, -P], axis=1).reshape(-1, 4)
+    stack = _signed(V)
+    Q = _signed(P)
     Q.flags.writeable = False
     return Su2Closure(S, tuple(stack), tuple(k ^ 1 for k in range(len(stack))), Q)
 
@@ -143,7 +144,7 @@ def _orders(Q: np.ndarray, tol: float) -> np.ndarray:
     """
     powers = Q[None]
     while len(powers) < _ORDER_CAP:
-        powers = np.concatenate([powers, _hamilton(powers[-1], powers)])
+        powers = np.concatenate([powers, hamilton(powers[-1], powers)])
     hit = _hs_distance(powers[:_ORDER_CAP] - (1.0, 0.0, 0.0, 0.0)) <= tol
     return np.where(hit.any(axis=0), hit.argmax(axis=0) + 1, 0)
 
@@ -157,7 +158,7 @@ _CANDIDATE_SUBGROUPS = (
 )
 
 #: the signed quaternion units, in the order of Q8 above
-_UNITS = np.array([sign * e for e in np.eye(4) for sign in (1.0, -1.0)])
+_UNITS = _signed(np.eye(4))
 
 
 def group_profile(C: Su2Closure, tol: float = _MEMBER_TOL) -> GroupProfile:
@@ -168,7 +169,7 @@ def group_profile(C: Su2Closure, tol: float = _MEMBER_TOL) -> GroupProfile:
     one table of Hamilton products looked up within tol."""
     Q = C.points()
     n = len(C)
-    P = _hamilton(Q[:, None, :], Q[None, :, :])
+    P = hamilton(Q[:, None, :], Q[None, :, :])
     prod = _lookup(P, Q, tol)
     is_group = bool((prod >= 0).all())
     histogram = dict(Counter(_orders(Q, tol).tolist()))
@@ -236,7 +237,7 @@ def _expand(template) -> np.ndarray:
     return np.array(sorted(vals))
 
 
-def polytope_identify(points, tol: float = 1e-9) -> PolytopeId:
+def polytope_identify(points, tol: float = _MEMBER_TOL) -> PolytopeId:
     """Recognize a point set on the unit 3-sphere by its chord spectrum.
 
     Each stored template is the sorted multiset of distances seen from any
@@ -274,7 +275,7 @@ def _spectrum_of(row: np.ndarray, tol: float) -> tuple:
     return tuple(out)
 
 
-def demitesseract_class(q, tol: float = 1e-9) -> str:
+def demitesseract_class(q, tol: float = _MEMBER_TOL) -> str:
     """Which translate-coset a half-integer quaternion belongs to.
 
     The sixteen points with all coordinates +-1/2 split into the translates
@@ -296,23 +297,13 @@ def so3_image_table(C: Su2Closure) -> list[AxisAngle]:
     return [AxisAngle(tuple(n), a) for n, a in zip(axes.tolist(), angles.tolist())]
 
 
-def snap(x: float, candidates, tol: float = 1e-12):
-    """Replace x by the unique candidate within tol, if any."""
-    for c in candidates:
-        if abs(x - c) <= tol:
-            return c
-    return x
+#: the rotation-vector coordinate +-c of the half-integer closure elements:
+#: angle 2pi/3 about an axis (+-1, +-1, +-1)/sqrt(3)
+ROTATION_C = 2.0 * math.pi / (3.0 * math.sqrt(3.0))
 
-
-# the values that actually occur in the closure table, exact
-_QUATERNION_VALUES = (0.0, 0.5, -0.5, 1.0, -1.0)
-_ROTATION_VALUES = (
-    0.0,
-    math.pi,
-    2.0 * math.pi / (3.0 * math.sqrt(3.0)),
-    -2.0 * math.pi / (3.0 * math.sqrt(3.0)),
-)
-_PAULI_COEFF_VALUES = (0.0, 1.0, -1.0, 2.0, -2.0)
+#: theta / sin(theta/2), theta = 2 arccos(s), at the canonical s of the
+#: closure elements; the vector part vanishes at s = 1
+_ROTATION_SCALE = {1.0: 0.0, 0.0: math.pi, 0.5: 2.0 * ROTATION_C}
 
 
 @dataclass(frozen=True)
@@ -327,22 +318,17 @@ class ClosureTableRow:
 
 def axis_cycle_closure_table() -> list[ClosureTableRow]:
     """All 24 elements of the closed quaternion-unit completion, row per
-    signed element, with coordinates snapped to their exact values.  The
-    Pauli coefficients of s 1 - i (x,y,z).sigma are (2s, -2ix, -2iy, -2iz)."""
-    from .designs import named_design
-
-    base = named_design("D0").set
-    Q = quaternion_batch(base.stack)
-    Q = np.stack([Q, -Q], axis=1).reshape(-1, 4)
-    axes, angles = axis_angle_batch(Q)
-    labels = [tag + name for name in base.labels for tag in "+-"]
-    rows = []
-    for label, q, r in zip(labels, Q.tolist(), (angles[:, None] * axes).tolist()):
-        coeff = tuple(
-            complex(snap(c.real, _PAULI_COEFF_VALUES), snap(c.imag, _PAULI_COEFF_VALUES))
-            for c in (2.0 * q[0], -2j * q[1], -2j * q[2], -2j * q[3])
+    signed element, exact.  The Pauli coefficients of s 1 - i (x,y,z).sigma
+    are (2s, -2ix, -2iy, -2iz), and the rotation vector is theta n =
+    (x, y, z) theta / sin(theta/2) at the canonical sign."""
+    Q = _signed(D0_QUATERNIONS) + 0.0  # no -0.0
+    R = Q * canonical_signs(Q)[:, None]
+    scale = np.array([_ROTATION_SCALE[s] for s in R[:, 0].tolist()])
+    coeffs = np.concatenate([2.0 * Q[:, :1], -2j * Q[:, 1:]], axis=1)
+    labels = [tag + name for name in BUILTIN_LABELS["D0"] for tag in "+-"]
+    return [
+        ClosureTableRow(label, tuple(c), tuple(q), tuple(r))
+        for label, c, q, r in zip(
+            labels, coeffs.tolist(), Q.tolist(), (R[:, 1:] * scale[:, None] + 0.0).tolist()
         )
-        quaternion = tuple(snap(v, _QUATERNION_VALUES) for v in q)
-        rotation = tuple(snap(v, _ROTATION_VALUES) for v in r)
-        rows.append(ClosureTableRow(label, coeff, quaternion, rotation))
-    return rows
+    ]

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InternalConsistencyError, NotSpecialUnitary
-from .linalg import as_matrix, assert_unitary, change_of_basis, kron
+from .linalg import EQ_TOL, as_matrix, assert_unitary, change_of_basis, kron
 from .su2 import _SIGMA, _euler_args, so3_rep
 
 _PAULI = (np.eye(2, dtype=complex), *_SIGMA)
@@ -178,7 +178,7 @@ def adapted_bell_matrix() -> np.ndarray:
     return np.column_stack(cols)
 
 
-def adapted_bell_block(U, tol: float = 1e-10) -> np.ndarray:
+def adapted_bell_block(U, tol: float = EQ_TOL) -> np.ndarray:
     """The 3x3 triplet block of U (x) U in the adapted Bell basis.
 
     For special unitary U this is exactly the covering rotation so3_rep(U):

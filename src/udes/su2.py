@@ -14,6 +14,8 @@ The canonical representative of an antipodal pair {U, -U} is the one whose
 quaternion has its first coordinate above 1e-9 in magnitude positive.
 Every module converts through the stack maps below, which take unvalidated
 (..., 2, 2) or (..., 4) arrays; the scalar functions validate and call them.
+The Hamilton product and the quaternion constants the other modules build
+from, the units 1, I, J, K and the axis-cycle generator W, live here too.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     NotRotation,
     NotSpecialUnitary,
 )
-from .linalg import as_matrix, assert_unitary, hs_norm
+from .linalg import EQ_TOL, as_matrix, assert_unitary, hs_norm
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -90,9 +92,35 @@ def su2_batch(q) -> np.ndarray:
     return U
 
 
-#: q = (real entries of U) @ this; the entries of su2_batch(e_k) are
-#: orthogonal, of squared norm 2, so this is half the transposed q -> U map
-_QUATERNION_OF_ENTRIES = 0.5 * su2_batch(np.eye(4)).view(float).reshape(4, 8).T
+def hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hamilton products of broadcast quaternion arrays (..., 4); su2_batch
+    turns them into matrix products."""
+    a, b, c, d = np.moveaxis(p, -1, 0)
+    e, f, g, h = np.moveaxis(q, -1, 0)
+    return np.stack(
+        [
+            a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e,
+        ],
+        axis=-1,
+    )
+
+
+#: the quaternion units 1, I, J, K as the special unitaries 1, -iX, -iY, -iZ;
+#: U = sum_k q_k UNIT_BASIS[k]
+UNIT_BASIS = su2_batch(np.eye(4))
+UNIT_BASIS.flags.writeable = False
+
+#: W = (1 + I + J + K)/2, the order-6 axis-cycle generator: its covering
+#: rotation, angle 2pi/3 about (1,1,1)/sqrt(3), permutes the axes x -> y -> z
+W_QUATERNION = np.full(4, 0.5)
+W_QUATERNION.flags.writeable = False
+
+#: q = (real entries of U) @ this; the entries of UNIT_BASIS are orthogonal,
+#: of squared norm 2, so this is half the transposed q -> U map
+_QUATERNION_OF_ENTRIES = 0.5 * UNIT_BASIS.view(float).reshape(4, 8).T
 
 
 def quaternion_batch(U) -> np.ndarray:
@@ -213,7 +241,7 @@ def rodrigues(axis, angle: float | None = None) -> np.ndarray:
     return c * np.eye(3) + (1 - c) * np.outer(n, n) + s * cross
 
 
-def assert_rotation(R, tol: float = 1e-10) -> np.ndarray:
+def assert_rotation(R, tol: float = EQ_TOL) -> np.ndarray:
     """Validate orthogonality and det = +1."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
@@ -225,7 +253,7 @@ def assert_rotation(R, tol: float = 1e-10) -> np.ndarray:
     return R
 
 
-def quaternion_of(U, tol: float = 1e-10) -> Quaternion:
+def quaternion_of(U, tol: float = EQ_TOL) -> Quaternion:
     """Coordinates (s, x, y, z) of a special unitary, U = s 1 - i (x,y,z).sigma."""
     U = assert_unitary(as_matrix(U, 2))
     det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
@@ -234,7 +262,7 @@ def quaternion_of(U, tol: float = 1e-10) -> Quaternion:
     return Quaternion(*quaternion_batch(U).tolist())
 
 
-def su2_of_quaternion(q, tol: float = 1e-10) -> np.ndarray:
+def su2_of_quaternion(q, tol: float = EQ_TOL) -> np.ndarray:
     """Inverse of quaternion_of; q must be a unit quaternion."""
     s, x, y, z = (float(v) for v in q)
     norm2 = s * s + x * x + y * y + z * z
@@ -250,7 +278,7 @@ def canonical_su2(U) -> np.ndarray:
     return -Ua if canonical_signs(quaternion_of(Ua)) < 0 else Ua
 
 
-def su2_from_rotation(R, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def su2_from_rotation(R, tol: float = EQ_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Both special unitaries covering a rotation, canonical one first.
 
     Quaternion extraction picks the largest of (trace, R00, R11, R22) as

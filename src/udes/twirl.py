@@ -27,11 +27,11 @@ import numpy as np
 from .errors import DimensionMismatch, DuplicateElements, NotUnitary, UnsupportedOrder
 from .linalg import EQ_TOL, RANK_TOL, as_matrix, first_pair, rank
 from .qubit import singlet_triplet
-from .su2 import su2_batch
+from .su2 import UNIT_BASIS, su2_batch
 
 HAAR = "haar"
 
-_FRAME_POTENTIAL_HAAR = {1: 1.0, 2: 2.0}  # Haar values for U(2)
+FRAME_POTENTIAL_HAAR = {1: 1.0, 2: 2.0}  # Haar values for U(2), by order t
 
 
 class UnitarySet:
@@ -106,7 +106,7 @@ class FramePotentialReport:
     haar_value: float | None  # None when no exact reference is implemented
     gap: float | None
 
-    def is_design(self, tol: float = 1e-10) -> bool:
+    def is_design(self, tol: float = EQ_TOL) -> bool:
         if self.gap is None:
             raise UnsupportedOrder(f"no Haar reference for t={self.t}; one exists for U(2), t <= 2")
         return self.gap <= tol
@@ -194,7 +194,7 @@ def frame_potential(S: UnitarySet, t: int) -> FramePotentialReport:
         raise UnsupportedOrder(f"frame potential order must be >= 1, got {t}")
     gram = np.einsum("aij,bij->ab", S.stack.conj(), S.stack)
     value = float(np.mean(np.abs(gram) ** (2 * t)))
-    haar_value = _FRAME_POTENTIAL_HAAR.get(t) if S.dim == 2 else None
+    haar_value = FRAME_POTENTIAL_HAAR.get(t) if S.dim == 2 else None
     gap = None if haar_value is None else value - haar_value
     return FramePotentialReport(t, value, haar_value, gap)
 
@@ -256,7 +256,6 @@ def _superop_layout(G: np.ndarray, D: int) -> np.ndarray:
     return G.reshape((D,) * 4).swapaxes(1, 2).reshape(D * D, D * D)
 
 
-_SU2_BASIS = su2_batch(np.eye(4))  # U = sum_k q_k _SU2_BASIS[k]
 #: |U|^2 = [[A, 1 - A], [1 - A, A]] on SU(2), as the coefficients of 1 and A
 _ABS2_BASIS = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, -1.0], [-1.0, 1.0]]])
 
@@ -336,10 +335,10 @@ def mc_oracle_check(
         Q = h.quaternions(m).T  # (4, m)
         Y = _monomials(Q, t)
         gram_y = gram_y + Y @ Y.T
-        Z = _monomials(np.stack([np.ones(m), np.abs(_SU2_BASIS[:, 0, 0] @ Q) ** 2]), t)  # A = |U_00|^2
+        Z = _monomials(np.stack([np.ones(m), np.abs(UNIT_BASIS[:, 0, 0] @ Q) ** 2]), t)  # A = |U_00|^2
         gram_z = gram_z + Z @ Z.T
         left -= m
-    C, B = _power_map(_SU2_BASIS, t), _power_map(_ABS2_BASIS, t)
+    C, B = _power_map(UNIT_BASIS, t), _power_map(_ABS2_BASIS, t)
     mean = _superop_layout(C.conj().T @ gram_y @ C, D) / n
     second = _superop_layout(B.T @ gram_z @ B, D)
     entry_var = np.maximum(second / n - np.abs(mean) ** 2, 0.0)

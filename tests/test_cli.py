@@ -281,6 +281,25 @@ def test_frame_potential_command(capsys):
     assert doc["result"]["is_design"] is False
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", ["600", "0", "-5"])
+def test_frame_potential_refuses_an_order_without_reference_in_one_line(capsys, t):
+    code, out, err = run(capsys, "frame-potential", "--builtin", "D", "--t", t)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["verify", "--builtin", "D"], ["construct", "--from", "pauli"]])
+def test_verification_reads_the_frame_potential_verify_design_computed(monkeypatch, capsys, argv):
+    from udes import twirl
+
+    monkeypatch.setattr(twirl, "frame_potential", lambda *a: pytest.fail("frame potential recomputed"))
+    code, doc = run_json(capsys, *argv)
+    result = doc.get("result") or doc["verification"]
+    assert code == 0
+    assert result["frame_potential"] == pytest.approx(2.0) and result["haar_value"] == 2.0
+
+
 def test_group_command_on_completion(capsys):
     code, doc = run_json(capsys, "group", "--builtin", "D")
     assert code == 0

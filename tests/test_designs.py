@@ -76,6 +76,30 @@ def test_d2_matches_its_closed_form_listing():
     assert all(hs_norm(x - y) < 1e-15 for x, y in zip(D2, listing))
 
 
+def test_builtins_equal_their_matrix_listings_exactly():
+    X, Y, Z = (pauli(k) for k in (1, 2, 3))
+    one, I, J, K = pauli(0), -1j * X, -1j * Y, -1j * Z
+    Wd = W.conj().T
+    listings = {
+        "B": [one, X, Y, Z],
+        "B0": [one, I, J, K],
+        "D": [one, X, Y, Z, W, W @ X, W @ Y, W @ Z, Wd, Wd @ X, Wd @ Y, Wd @ Z],
+        "D0": [one, I, J, K, W, W @ I, W @ J, W @ K, Wd, Wd @ I, Wd @ J, Wd @ K],
+        "D1": [one, I, J, K, W, -(W @ I), -(W @ J), -(W @ K), Wd, Wd @ I, Wd @ J, Wd @ K],
+        "D2": [
+            one, -I, -J, -K,
+            -W, -(W @ I), -(W @ J), -(W @ K),
+            Wd, -(Wd @ I), -(Wd @ J), -(Wd @ K),
+        ],
+    }
+    for name, listing in listings.items():
+        assert np.array_equal(named_design(name).set.stack, np.stack(listing)), name
+
+
+def test_axis_cycle_is_the_dyadic_matrix_of_w():
+    assert np.array_equal(AXIS_CYCLE, np.array([[0.5 - 0.5j, -0.5 - 0.5j], [0.5 - 0.5j, 0.5 + 0.5j]]))
+
+
 # ---- verification ------------------------------------------------------------
 
 

@@ -14,7 +14,6 @@ from udes.groups import (
     demitesseract_class,
     group_profile,
     polytope_identify,
-    snap,
     so3_image_table,
     su2_closure,
 )
@@ -143,12 +142,6 @@ def test_so3_image_of_pauli_closure():
         expect = np.zeros(3)
         expect[k] = 1.0
         assert np.allclose(aa.axis, expect)
-
-
-def test_snap_hits_only_close_candidates():
-    assert snap(0.4999999999999999, (0.5,)) == 0.5
-    assert snap(0.499, (0.5,)) == 0.499
-    assert snap(-0.0, (0.0,)) == 0.0
 
 
 def test_closure_table_is_exact():

@@ -11,7 +11,6 @@ from udes.errors import (
     NotSpecialUnitary,
 )
 from udes.linalg import hs_dist, hs_norm
-from udes.groups import _hamilton
 from udes.qubit import pauli
 from udes.su2 import (
     SHIFT_LEFT,
@@ -23,6 +22,7 @@ from udes.su2 import (
     axis_angle_of,
     canonical_signs,
     canonical_su2,
+    hamilton,
     normalize_batch,
     normalize_to_su2,
     quaternion_batch,
@@ -281,9 +281,9 @@ def test_stack_maps_round_trip_on_any_leading_shape(shape):
 def test_stack_map_of_a_hamilton_product_is_the_matrix_product():
     rng = np.random.default_rng(3)
     p, q = _unit_quaternions(rng, (6,)), _unit_quaternions(rng, (6,))
-    assert np.abs(su2_batch(_hamilton(p, q)) - su2_batch(p) @ su2_batch(q)).max() <= 1e-15
+    assert np.abs(su2_batch(hamilton(p, q)) - su2_batch(p) @ su2_batch(q)).max() <= 1e-15
     # broadcasting: all 36 products at once
-    table = su2_batch(_hamilton(p[:, None], q[None, :]))
+    table = su2_batch(hamilton(p[:, None], q[None, :]))
     assert np.abs(table - su2_batch(p)[:, None] @ su2_batch(q)[None, :]).max() <= 1e-15
 
 

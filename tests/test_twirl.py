@@ -12,9 +12,9 @@ from udes.errors import (
 )
 from udes.linalg import hs_norm, kron, kron_power
 from udes.qubit import bell_diagonal_part, pauli, singlet_triplet
+from udes.su2 import UNIT_BASIS
 from udes.twirl import (
     _ABS2_BASIS,
-    _SU2_BASIS,
     _monomials,
     _power_map,
     _tensor_batch,
@@ -391,7 +391,7 @@ def test_moment_maps_reproduce_the_tensor_power(t):
     X = _tensor_batch(su2_batch(q), t).reshape(500, 4**t)
     Y = _monomials(q.T, t).T
     assert Y.shape == (500, (4, 10)[t - 1])
-    assert np.max(np.abs(Y @ _power_map(_SU2_BASIS, t) - X)) < 1e-12
+    assert np.max(np.abs(Y @ _power_map(UNIT_BASIS, t) - X)) < 1e-12
     A = np.abs(su2_batch(q)[:, 0, 0]) ** 2
     Z = _monomials(np.stack([np.ones(500), A]), t).T
     assert np.array_equal(Z, np.vander(A, t + 1, increasing=True))
