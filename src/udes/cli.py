@@ -112,6 +112,8 @@ def _entry(value, where: str) -> complex:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
         raise FileFormatError(f"{where}: expected a [re, im] pair, got {value!r}")
+    if not all(abs(v) <= sys.float_info.max for v in value):  # nan, inf or an int too big
+        raise FileFormatError(f"{where}: expected finite real and imaginary parts")
     return complex(float(value[0]), float(value[1]))
 
 
@@ -159,7 +161,7 @@ def load_unitary_set(path: str, strict: bool = False) -> tuple[twirl.UnitarySet,
     digest = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too many digits, too deep
         raise FileFormatError(f"{path}: {exc}") from None
     return parse_unitary_set(doc, strict=strict), digest
 
@@ -227,23 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_source(args) -> tuple[twirl.UnitarySet, dict]:
-    builtin = getattr(args, "builtin", None)
-    path = getattr(args, "file", None)
-    if getattr(args, "source_kind", None) == "pauli":
-        builtin = builtin or "pauli"
-    elif getattr(args, "source_kind", None) == "file":
-        path = path or getattr(args, "path", None)
-        if path is None:
-            raise FileFormatError("--from file requires a path")
-    elif getattr(args, "path", None) and path is None and builtin is None:
-        path = args.path
-    if (builtin is None) == (path is None):
+    """The one input among --builtin, --from pauli, --file and construct's PATH."""
+    kind = getattr(args, "source_kind", None)
+    names = [n for n in (args.builtin, "pauli" if kind == "pauli" else None) if n is not None]
+    paths = [p for p in (args.file, getattr(args, "path", None)) if p is not None]
+    if kind == "file" and not paths:
+        raise FileFormatError("--from file requires a path")
+    if len(names) + len(paths) != 1:
         raise FileFormatError("choose exactly one input: --builtin NAME or --file PATH")
-    if builtin is not None:
-        S = designs.named_design(builtin).set
-        return S, {"kind": "builtin", "name": builtin}
-    S, digest = load_unitary_set(path, strict=args.strict)
-    return S, {"kind": "file", "path": path, "sha256": digest}
+    if names:
+        return designs.named_design(names[0]).set, {"kind": "builtin", "name": names[0]}
+    S, digest = load_unitary_set(paths[0], strict=args.strict)
+    return S, {"kind": "file", "path": paths[0], "sha256": digest}
 
 
 # --------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .su2 import (
     su2_batch,
     su2_from_rotation,
 )
-from .twirl import HAAR, UnitarySet, frame_potential, superop_of_twirl
+from .twirl import SUPEROP_HAAR, UnitarySet, frame_potential, superop_of_twirl
 
 #: order-6 special unitary whose covering rotation is the cyclic axis shift
 #: x -> y -> z -> x; all four entries are exact dyadic rationals
@@ -111,7 +111,7 @@ def verify_design(S: UnitarySet, t: int, tol: float = EQ_TOL, method: str = "bot
         raise ValueError(f"unknown method {method!r}")
     if S.dim != 2:
         raise DimensionMismatch(f"expected dimension 2, got {S.dim}")
-    delta = superop_of_twirl(S, t).matrix - superop_of_twirl(HAAR, t).matrix
+    delta = superop_of_twirl(S, t) - SUPEROP_HAAR[t]
     max_dev = float(np.linalg.norm(delta, axis=0).max())
     fp = frame_potential(S, t)
     gap = float(fp.gap)

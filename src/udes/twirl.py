@@ -6,12 +6,14 @@ Vectorization is column-stacking throughout: vec(A) = A.reshape(-1,
 order="F"), so vec(M A M^H) = kron(conj(M), M) vec(A) and the standard
 basis operator E(i, j) vectorizes to the unit vector at index j*D + i.
 
-Every finite twirl goes through one moment operator, the twirl superoperator
-Phi_S = (1/N) sum_a conj(M_a) (x) M_a with M_a = U_a^{(x)t}: for the stacked
-tensor powers flattened to X = M.reshape(N, D*D) it is the Gram matrix X^H X,
-permuted.  Design checks use Delta = Phi_S - Phi_Haar, whose largest column
-norm is the worst twirl error on a basis operator and whose squared norm is
-the frame-potential gap (Gross, Audenaert & Eisert, JMP 48, 052104 (2007)).
+Every twirl reads one moment operator.  For a finite set it is the twirl
+superoperator Phi_S = (1/N) sum_a conj(M_a) (x) M_a with M_a = U_a^{(x)t}:
+for the stacked tensor powers flattened to X = M.reshape(N, D*D) it is the
+Gram matrix X^H X, permuted.  The Haar twirls are the read-only constants
+SUPEROP_HAAR.  Twirls of operators and Choi matrices are read off Phi, and
+design checks use Delta = Phi_S - Phi_Haar, whose largest column norm is the
+worst twirl error on a basis operator and whose squared norm is the
+frame-potential gap (Gross, Audenaert & Eisert, JMP 48, 052104 (2007)).
 
 The Monte Carlo check of the Haar oracle sums its moments over monomials of
 the Haar quaternion q instead of the entries of U^{(x)t}; see mc_oracle_check.
@@ -51,8 +53,9 @@ class UnitarySet:
         # the first offending element decides the error, as in a single pass
         same = next((k for k, m in enumerate(mats) if m.shape[0] != d), len(mats))
         stack = np.stack(mats[:same])
-        defects = np.linalg.norm(stack.conj().swapaxes(1, 2) @ stack - np.eye(d), axis=(1, 2))
-        bad = np.flatnonzero(defects > tol)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf or nan, refused
+            defects = np.linalg.norm(stack.conj().swapaxes(1, 2) @ stack - np.eye(d), axis=(1, 2))
+        bad = np.flatnonzero(~(defects <= tol))
         if bad.size:
             k = bad[0]
             raise NotUnitary(
@@ -92,14 +95,6 @@ class UnitarySet:
 
 
 @dataclass(frozen=True)
-class SuperOp:
-    """A linear map on operators, as a matrix acting on column-stacked vecs."""
-
-    dim: int  # operator-space dimension, D*D for D x D operators
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class FramePotentialReport:
     t: int
     value: float
@@ -125,65 +120,67 @@ def unvec(v) -> np.ndarray:
     return v.reshape(D, D, order="F")
 
 
+_vs, _vt = (vec(P) for P in singlet_triplet())
+#: The exact Haar twirls on qubits by order t, built once and read-only: t = 1
+#: is the completely depolarizing channel A -> tr(A) 1/2; t = 2 projects onto
+#: the span of the singlet and triplet projectors, A -> <P_s, A> P_s + <P_t, A> P_t / 3.
+SUPEROP_HAAR = {
+    1: np.outer(vec(np.eye(2) / 2.0), vec(np.eye(2)).conj()),
+    2: np.outer(_vs, _vs.conj()) + np.outer(_vt, _vt.conj()) / 3.0,
+}
+for _Phi in SUPEROP_HAAR.values():
+    _Phi.flags.writeable = False
+
+
 def twirl_finite(S: UnitarySet, t: int, A) -> np.ndarray:
     """(1/N) sum_a U_a^{(x)t} A (U_a^H)^{(x)t} — the order-t twirl over S."""
     if t < 1:
         raise UnsupportedOrder(f"twirl order must be >= 1, got {t}")
     A = as_matrix(A, S.dim**t)
-    M = _tensor_batch(S.stack, t)
-    return ((M @ A) @ M.conj().swapaxes(1, 2)).sum(axis=0) / len(S)
+    return unvec(superop_of_twirl(S, t) @ vec(A))
 
 
 def haar_twirl(t: int, A) -> np.ndarray:
-    """The Haar-average twirl on qubits: the Haar superoperator applied to A.
-
-    t = 1 is the completely depolarizing channel A -> tr(A) 1/2; t = 2
-    projects onto the span of the singlet and triplet projectors,
-    A -> <P_s, A> P_s + <P_t, A> P_t / 3.
-    """
-    Phi = superop_of_twirl(HAAR, t).matrix
-    return unvec(Phi @ vec(as_matrix(A, 2**t)))
+    """The Haar-average twirl on qubits: SUPEROP_HAAR[t] applied to A."""
+    return unvec(superop_of_twirl(HAAR, t) @ vec(as_matrix(A, 2**t)))
 
 
-def superop_of_twirl(source, t: int) -> SuperOp:
-    """Matrix of the order-t twirl channel on vectorized operators.
+def superop_of_twirl(source, t: int) -> np.ndarray:
+    """The (D^2, D^2) matrix of the order-t twirl channel on vectorized operators.
 
     `source` is either a UnitarySet or the string "haar" for the exact
-    Haar-average channel (t in {1, 2} only in that case).
+    Haar-average channel (t in {1, 2} only in that case), which returns the
+    read-only SUPEROP_HAAR[t] itself.
     """
     if isinstance(source, str):
         if source != HAAR:
             raise ValueError(f"unknown twirl source {source!r}")
-        if t == 1:
-            half_eye = vec(np.eye(2, dtype=complex) / 2.0)
-            return SuperOp(4, np.outer(half_eye, vec(np.eye(2)).conj()))
-        if t == 2:
-            P_s, P_t = singlet_triplet()
-            vs, vt = vec(P_s), vec(P_t)
-            return SuperOp(16, np.outer(vs, vs.conj()) + np.outer(vt, vt.conj()) / 3.0)
-        raise UnsupportedOrder(f"haar superoperator implements t in {{1, 2}}, got {t}")
+        if t not in SUPEROP_HAAR:
+            raise UnsupportedOrder(f"haar superoperator implements t in {{1, 2}}, got {t}")
+        return SUPEROP_HAAR[t]
     if t < 1:
         raise UnsupportedOrder(f"twirl order must be >= 1, got {t}")
     D = source.dim**t
     X = _tensor_batch(source.stack, t).reshape(len(source), D * D)
-    return SuperOp(D * D, _superop_layout(X.conj().T @ X, D) / len(source))
+    return _superop_layout(X.conj().T @ X, D) / len(source)
 
 
-def choi(S: SuperOp) -> np.ndarray:
-    """Choi matrix sum_ij E(i,j) (x) channel(E(i,j))."""
-    D = math.isqrt(S.dim)
-    if D * D != S.dim:
-        raise DimensionMismatch(f"operator-space dimension {S.dim} is not a perfect square")
-    C = np.zeros((S.dim, S.dim), dtype=complex)
-    for i in range(D):
-        for j in range(D):
-            image = unvec(S.matrix[:, j * D + i])
-            C[i * D : (i + 1) * D, j * D : (j + 1) * D] = image
-    return C
+def choi(Phi) -> np.ndarray:
+    """Choi matrix sum_ij E(i,j) (x) channel(E(i,j)) of a superoperator matrix.
+
+    Its block (i, j) is unvec(Phi[:, j*D + i]), so entry [(i,k),(j,l)] is
+    Phi[l*D + k, j*D + i]: one axis permutation of Phi as a (D,)*4 array.
+    """
+    Phi = np.asarray(Phi, dtype=complex)
+    n = len(Phi)
+    D = math.isqrt(n)
+    if D * D != n or Phi.shape != (n, n):
+        raise DimensionMismatch(f"a {Phi.shape} array is not a superoperator on D x D operators")
+    return Phi.reshape((D,) * 4).transpose(3, 1, 2, 0).reshape(n, n)
 
 
-def choi_rank(S: SuperOp, tol: float = RANK_TOL) -> int:
-    return rank(choi(S), tol)
+def choi_rank(Phi, tol: float = RANK_TOL) -> int:
+    return rank(choi(Phi), tol)
 
 
 def frame_potential(S: UnitarySet, t: int) -> FramePotentialReport:
@@ -342,6 +339,6 @@ def mc_oracle_check(
     mean = _superop_layout(C.conj().T @ gram_y @ C, D) / n
     second = _superop_layout(B.T @ gram_z @ B, D)
     entry_var = np.maximum(second / n - np.abs(mean) ** 2, 0.0)
-    deviations = np.linalg.norm(mean - superop_of_twirl(HAAR, t).matrix, axis=0)
+    deviations = np.linalg.norm(mean - SUPEROP_HAAR[t], axis=0)
     std_errors = np.sqrt(entry_var.sum(axis=0) / n)
     return McOracleReport(t, n, h.seed, deviations, std_errors, nsigma)

@@ -90,6 +90,37 @@ def test_parse_diagnostics_name_the_offending_field(doc, fragment):
     assert fragment in str(err.value)
 
 
+BAD_NUMBER = '{"dim": 2, "unitaries": [[[%s, [0, 0]], [[0, 0], [1, 0]]]]}'
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        (BAD_NUMBER % "[NaN, 0]", "unitaries[0][0][0]: expected finite"),
+        (BAD_NUMBER % "[0, Infinity]", "unitaries[0][0][0]: expected finite"),
+        (BAD_NUMBER % "[1e999, 0]", "unitaries[0][0][0]: expected finite"),
+        (BAD_NUMBER % f"[{10**400}, 0]", "unitaries[0][0][0]: expected finite"),
+        (BAD_NUMBER % f"[{'9' * 5000}, 0]", "integer string conversion"),
+        ("[" * 100000, "recursion"),
+    ],
+    ids=["nan", "infinity", "1e999", "10**400", "5000-digits", "deep"],
+)
+def test_set_files_with_bad_numbers_exit_2_in_one_line(tmp_path, capsys, text, fragment):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    code, out, err = run(capsys, "verify", "--file", str(p))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and fragment in err
+
+
+def test_a_huge_finite_entry_is_not_unitary_in_one_line(tmp_path, capsys):
+    p = tmp_path / "huge.json"
+    p.write_text(BAD_NUMBER % "[1e308, 0]")
+    code, out, err = run(capsys, "verify", "--file", str(p))
+    assert code == 4 and out == ""
+    assert err.splitlines() == ["error: element 0: matrix is not unitary: ||U^H U - 1|| = nan > 1.0e-10"]
+
+
 def test_unknown_fields_warn_or_fail(tmp_path, capsys):
     p = tmp_path / "u.json"
     p.write_text('{"dim": 2, "unitaries": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "comment": "hi"}')
@@ -268,6 +299,28 @@ def test_construct_classifies_at_the_tolerance_it_reports(tmp_path, capsys):
 def test_construct_requires_path_with_from_file(capsys):
     code, _, err = run(capsys, "construct", "--from", "file")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--from", "pauli", "--builtin", "D"],
+        ["--builtin", "pauli", "frame.json"],
+        ["--from", "file", "--file", "a.json", "b.json"],
+    ],
+)
+def test_construct_refuses_conflicting_inputs(capsys, argv):
+    code, out, err = run(capsys, "construct", *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: choose exactly one input: --builtin NAME or --file PATH"]
+
+
+def test_construct_from_file_flag_and_bare_path(tmp_path, capsys):
+    src = tmp_path / "frame.json"
+    save_unitary_set(UnitarySet([pauli(m) for m in range(4)]), str(src))
+    reports = [run_json(capsys, "construct", *argv, str(src)) for argv in (["--from", "file", "--file"], [])]
+    assert [code for code, _ in reports] == [0, 0]
+    assert reports[0][1] == reports[1][1] and reports[0][1]["source"]["kind"] == "file"
 
 
 # ---- analysis commands ----------------------------------------------------------

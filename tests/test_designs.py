@@ -176,6 +176,15 @@ def test_both_takes_the_twirl_verdict_near_a_design(eps):
     assert verify_design(S, 2, method="frame").is_design
 
 
+def test_verification_reads_the_haar_operator_built_at_import(monkeypatch):
+    import udes.qubit as qubit
+    import udes.twirl as twirl
+
+    for module in (qubit, twirl):
+        monkeypatch.setattr(module, "singlet_triplet", lambda: pytest.fail("Haar operator rebuilt"))
+    assert verify_design(named_design("D").set, 2).is_design
+
+
 def test_both_raises_only_when_the_frame_identity_fails(monkeypatch):
     D = named_design("D").set
     real = designs.frame_potential

@@ -46,6 +46,18 @@ def test_as_matrix_rejects_oversized():
         as_matrix(np.eye(32))
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [complex(np.nan, 0.0), complex(0.0, np.inf), complex(-np.inf, 0.0)],
+    ids=["nan-re", "inf-im", "-inf"],
+)
+def test_as_matrix_rejects_non_finite_entries(entry):
+    m = np.eye(2, dtype=complex)
+    m[1, 0] = entry
+    with pytest.raises(DimensionMismatch, match="finite"):
+        as_matrix(m)
+
+
 def test_hs_inner_conjugates_first_argument():
     A = random_unitary()
     B = random_unitary()
@@ -106,6 +118,13 @@ def test_assert_unitary_passes_and_fails():
     with pytest.raises(NotUnitary):
         assert_unitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
     assert not is_unitary(2 * np.eye(2))
+
+
+@pytest.mark.parametrize("big", [1e200, 1e308])
+def test_assert_unitary_refuses_entries_whose_defect_overflows(big):
+    # U^H U overflows to inf or nan, which no tolerance may let through
+    with pytest.raises(NotUnitary):
+        assert_unitary(np.diag([big, 1.0]))
 
 
 def test_change_of_basis_is_conjugation():

@@ -70,6 +70,12 @@ def test_unitary_set_rejects_non_unitary():
         UnitarySet([np.eye(2), np.diag([1.0, 2.0])])
 
 
+@pytest.mark.parametrize("big", [1e200, 1e308])
+def test_unitary_set_refuses_entries_whose_defect_overflows(big):
+    with pytest.raises(NotUnitary, match="element 1: matrix is not unitary"):
+        UnitarySet([np.eye(2), np.diag([big, 1.0])])
+
+
 def test_unitary_set_rejects_duplicates():
     with pytest.raises(DuplicateElements):
         UnitarySet([pauli(1), pauli(1)])
@@ -246,7 +252,7 @@ def reference_twirl(S, t, A):
      (QUTRIT_SET, 1), (QUTRIT_SET, 2)],
 )
 def test_moment_operator_matches_per_element_kron_loops(S, t):
-    assert hs_norm(superop_of_twirl(S, t).matrix - reference_superop(S, t)) < 1e-13
+    assert hs_norm(superop_of_twirl(S, t) - reference_superop(S, t)) < 1e-13
     A = random_op(S.dim**t)
     assert hs_norm(twirl_finite(S, t, A) - reference_twirl(S, t, A)) < 1e-13 * hs_norm(A)
 
@@ -265,13 +271,13 @@ def test_tensor_batch_takes_the_element_dimension(t):
 def test_superop_applies_like_twirl():
     S = superop_of_twirl(PAULI_SET, 2)
     A = random_op(4)
-    assert np.allclose(unvec(S.matrix @ vec(A)), twirl_finite(PAULI_SET, 2, A))
+    assert np.allclose(unvec(S @ vec(A)), twirl_finite(PAULI_SET, 2, A))
 
 
 def test_haar_superop_is_idempotent():
     for t in (1, 2):
         S = superop_of_twirl("haar", t)
-        assert hs_norm(S.matrix @ S.matrix - S.matrix) < 1e-13
+        assert hs_norm(S @ S - S) < 1e-13
 
 
 def test_choi_ranks_of_the_three_reference_channels():
@@ -284,6 +290,35 @@ def test_choi_is_hermitian_and_positive():
     C = choi(superop_of_twirl("haar", 2))
     assert hs_norm(C - C.conj().T) < 1e-13
     assert np.linalg.eigvalsh(C).min() > -1e-12
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_choi_is_the_defining_sum_over_basis_operators(t):
+    # RANDOM_SET is not closed under inverse, so its channel is not symmetric
+    # and a swapped axis in the reshape would show
+    D = 2**t
+    expect = 0
+    for i in range(D):
+        for j in range(D):
+            E = np.zeros((D, D))
+            E[i, j] = 1
+            expect = expect + np.kron(E, reference_twirl(RANDOM_SET, t, E))
+    assert hs_norm(choi(superop_of_twirl(RANDOM_SET, t)) - expect) < 1e-13
+
+
+def test_choi_rejects_a_matrix_off_a_square_operator_space():
+    with pytest.raises(DimensionMismatch):
+        choi(np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        choi(np.zeros((4, 5)))
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_haar_superop_is_one_read_only_constant(t):
+    Phi = superop_of_twirl("haar", t)
+    assert superop_of_twirl("haar", t) is Phi
+    with pytest.raises(ValueError):
+        Phi[0, 0] = 0
 
 
 def test_choi_of_haar_second_order_closed_form():
@@ -415,7 +450,7 @@ def reference_oracle_check(seed, t, n):
         second = second + np.kron(np.abs(M) ** 2, np.abs(M) ** 2)
     mean = first / n
     entry_var = np.maximum(second / n - np.abs(mean) ** 2, 0.0)
-    deviations = np.linalg.norm(mean - superop_of_twirl("haar", t).matrix, axis=0)
+    deviations = np.linalg.norm(mean - superop_of_twirl("haar", t), axis=0)
     return deviations, np.sqrt(entry_var.sum(axis=0) / n)
 
 
