@@ -18,7 +18,7 @@ carry identical values.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import functools
 import json
 import math
 import sys
@@ -58,30 +58,40 @@ def format_number(x) -> str:
     return f"{float(x) + 0.0:.17g}"
 
 
-def _inline(value) -> str:
-    if isinstance(value, dict):
-        body = ", ".join(f"{json.dumps(k)}: {_inline(v)}" for k, v in value.items())
-        return "{" + body + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_inline(v) for v in value) + "]"
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return json.dumps(value)
-    return format_number(value)
-
-
 def emit_json(value, indent: int = 0) -> str:
-    """Serialize with %.17g floats; short collections stay on one line."""
-    flat = _inline(value)
-    if len(flat) <= 100 - 2 * indent or not isinstance(value, (dict, list, tuple)):
-        return flat
-    pad, inner = "  " * indent, "  " * (indent + 1)
+    """Serialize with %.17g floats.  A collection stays on one line when that
+    line fits in 100 - 2*indent columns, and is otherwise laid out one item
+    per line, each item nested at indent + 1 by the same rule.  Each node is
+    rendered once, bottom-up."""
+    return _layout(value, indent)[0]
+
+
+def _layout(value, indent: int) -> tuple[str, bool]:
+    """`value` rendered at `indent`, and whether that rendering is one line.
+
+    A child that needs several lines at indent + 1 is too wide for one line
+    at indent too, since the parent's one-line form would contain it."""
     if isinstance(value, dict):
-        lines = [f"{inner}{json.dumps(k)}: {emit_json(v, indent + 1)}" for k, v in value.items()]
-        return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
-    lines = [f"{inner}{emit_json(v, indent + 1)}" for v in value]
-    return "[\n" + ",\n".join(lines) + "\n" + pad + "]"
+        items = [_layout(v, indent + 1) for v in value.values()]
+        fields = [f"{json.dumps(k)}: {text}" for k, (text, _) in zip(value, items)]
+        opening, closing = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        items = [_layout(v, indent + 1) for v in value]
+        fields = [text for text, _ in items]
+        opening, closing = "[", "]"
+    elif value is None:
+        return "null", True
+    elif isinstance(value, str):
+        return json.dumps(value), True
+    else:
+        return format_number(value), True
+    if all(flat for _, flat in items):
+        line = opening + ", ".join(fields) + closing
+        if len(line) <= 100 - 2 * indent:
+            return line, True
+    pad = "  " * indent
+    lines = ",\n".join(f"{pad}  {field}" for field in fields)
+    return f"{opening}\n{lines}\n{pad}{closing}", False
 
 
 # --------------------------------------------------------------------------
@@ -156,6 +166,8 @@ def parse_unitary_set(doc, strict: bool = False) -> twirl.UnitarySet:
 
 
 def load_unitary_set(path: str, strict: bool = False) -> tuple[twirl.UnitarySet, str]:
+    import hashlib  # loads OpenSSL; only commands that read a file need it
+
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
@@ -596,8 +608,14 @@ _EXIT_CODES = (
 )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses: built on its first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report, code = _COMMANDS[args.command](args)
         rendered = emit_json(report) + "\n" if args.fmt == "json" else render_text(report)

@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from udes import cli
 from udes.cli import (
     BUILTIN_NAMES,
     emit_json,
@@ -49,6 +54,100 @@ def test_emit_json_round_trips_through_stdlib():
 
 def test_negative_zero_is_normalized():
     assert format_number(-0.0) == "0"
+
+
+def _inline_reference(value) -> str:
+    if isinstance(value, dict):
+        body = ", ".join(f"{json.dumps(k)}: {_inline_reference(v)}" for k, v in value.items())
+        return "{" + body + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_inline_reference(v) for v in value) + "]"
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return json.dumps(value)
+    return format_number(value)
+
+
+def emit_json_reference(value, indent: int = 0) -> str:
+    """The two-pass layout emit_json replaced: every level inlines its whole
+    subtree, then recurses.  Kept as the oracle for the single pass."""
+    flat = _inline_reference(value)
+    if len(flat) <= 100 - 2 * indent or not isinstance(value, (dict, list, tuple)):
+        return flat
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(value, dict):
+        lines = [f"{inner}{json.dumps(k)}: {emit_json_reference(v, indent + 1)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
+    lines = [f"{inner}{emit_json_reference(v, indent + 1)}" for v in value]
+    return "[\n" + ",\n".join(lines) + "\n" + pad + "]"
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_nan=False)
+    | st.just(-0.0)
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+    | st.text(max_size=30)
+)
+# up to 10 items of up to 30 characters: one-line forms from 2 to several
+# hundred columns, so nodes fall on both sides of the width limit
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=10)
+    | st.lists(inner, max_size=10).map(tuple)
+    | st.dictionaries(st.text(max_size=12), inner, max_size=8),
+    max_leaves=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_DOCUMENTS, indent=st.integers(min_value=0, max_value=3))
+def test_emit_json_matches_the_two_pass_layout(value, indent):
+    assert emit_json(value, indent) == emit_json_reference(value, indent)
+
+
+@pytest.mark.parametrize("indent", [0, 1, 2, 3])
+@pytest.mark.parametrize("spare", [-1, 0, 1])
+def test_emit_json_width_limit_is_100_minus_twice_the_indent(indent, spare):
+    # a list whose one-line form is `spare` columns inside the limit, alone
+    # and one level down, where the limit is 2 columns narrower
+    width = 100 - 2 * indent - spare
+    doc = ["x" * (width - 4)]
+    assert len(json.dumps(doc)) == width
+    assert (emit_json(doc, indent) == json.dumps(doc)) is (spare >= 0)
+    assert emit_json(doc, indent) == emit_json_reference(doc, indent)
+    nested = {"k": doc, "n": [1.5, -0.0, np.float64(2.0)]}
+    assert emit_json(nested, indent) == emit_json_reference(nested, indent)
+
+
+def _numeric_leaves(value) -> int:
+    if isinstance(value, dict):
+        return sum(_numeric_leaves(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return sum(_numeric_leaves(v) for v in value)
+    return int(value is not None and not isinstance(value, str))
+
+
+@pytest.mark.parametrize("argv", [["table"], ["geometry", "--builtin", "D"], ["construct", "--from", "pauli"]])
+def test_emit_json_formats_each_number_once(monkeypatch, argv):
+    args = cli.build_parser().parse_args(argv)
+    report, _ = cli._COMMANDS[args.command](args)
+    calls = []
+    real = cli.format_number
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(cli, "format_number", counted)
+    text = emit_json(report)
+    assert "\n" in text  # deep enough that the two-pass layout formats numbers repeatedly
+    assert len(calls) == _numeric_leaves(report)
 
 
 def test_save_load_round_trip_is_bit_identical(tmp_path):
@@ -551,3 +650,80 @@ def test_errors_are_udes_errors():
     from udes.cli import FileFormatError
 
     assert issubclass(FileFormatError, UdesError)
+
+
+# ---- one parser per process --------------------------------------------------
+
+
+@pytest.fixture
+def fresh_parser():
+    """Clear the parser main() caches, so the test sees a first call."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys, fresh_parser):
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv in (["table"], ["verify", "--builtin", "D"], ["group", "--builtin", "D", "--format", "json"]):
+        run(capsys, *argv)
+    assert len(built) == 1
+    assert cli.build_parser() is not cli.build_parser()  # the public builder still gives fresh parsers
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        [],
+        ["nope"],
+        ["verify", "--builtin", "X"],
+        ["verify", "--builtin", "D", "--t", "two"],
+        ["verify", "--builtin", "D", "--tol", "nan"],
+        ["group", "--builtin", "D", "--format", "yaml"],
+        ["mc", "--samples", "1"],
+        ["table", "--strict"],
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_refused_argv_does_not_poison_later_calls(capsys, fresh_parser, refused, fmt):
+    valid = ["verify", "--builtin", "D", "--format", fmt]
+    first = run(capsys, *valid)
+    with pytest.raises(SystemExit) as exc:
+        main(refused)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert run(capsys, *valid) == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table"],
+        ["verify", "--builtin", "pauli"],
+        ["construct", "--from", "pauli"],
+        ["geometry", "--builtin", "D0"],
+        ["mc", "--t", "1", "--samples", "100", "--seed", "5"],
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_the_same_argv_twice_prints_the_same_bytes(capsys, argv, fmt):
+    first = run(capsys, *argv, "--format", fmt)
+    assert first[1] and first[2] == ""
+    assert run(capsys, *argv, "--format", fmt) == first
+
+
+def test_import_builds_no_parser_and_loads_no_hashlib():
+    # a fresh interpreter: `import udes.cli` is what every command pays
+    # first, and commands that read no file never need OpenSSL
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    code = "import sys, udes.cli; print('hashlib' in sys.modules, udes.cli._parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "0"]
