@@ -17,6 +17,7 @@ elements by sign, factor and unit.  No rounding step is needed anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,29 +27,34 @@ from .errors import (
     InternalConsistencyError,
     NotMinimal1Design,
     NotOrthogonalBasis,
+    NotRotation,
     NotUnitary,
     NotUnitaryElements,
     DuplicateElements,
     UnknownName,
     UnsupportedOrder,
 )
-from .linalg import EQ_TOL, first_pair, hs_norm
+from .linalg import EQ_TOL, UNITARITY_TOL, first_pair, hs_norm
 from .qubit import pauli
 from .su2 import (
+    PAULI_BASIS,
     W_QUATERNION,
     canonical_signs,
     hamilton,
     normalize_batch,
     quaternion_batch,
+    rotation_quaternion_batch,
     so3_rep,
     su2_batch,
-    su2_from_rotation,
 )
 from .twirl import SUPEROP_HAAR, UnitarySet, frame_potential, superop_of_twirl
 
 #: order-6 special unitary whose covering rotation is the cyclic axis shift
 #: x -> y -> z -> x; all four entries are exact dyadic rationals
 AXIS_CYCLE = su2_batch(W_QUATERNION)
+
+#: the fixed tolerance of classify_min_1design's checks after its overlap scan
+_FRAME_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -147,7 +153,16 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
     three, relative to it, are then traceless special unitaries -i n.X whose
     unit vectors n form an orthonormal triple.  Reordered to a positively
     oriented triple (lexicographically smallest such reordering), they
-    assemble a rotation that lifts back to SU(2) and splits off V and V'.
+    assemble a rotation R, which su2's pivot map rotation_quaternion_batch
+    lifts back to SU(2), splitting off V and V'.
+
+    A set that is not four 2x2 unitaries pairwise HS-orthogonal within `tol`
+    raises NotOrthogonalBasis.  The checks after that scan (traceless
+    relative elements, R a rotation, its lift special unitary, unit phases)
+    work at the fixed _FRAME_TOL.  A looser `tol` can pass a set that is no
+    frame, which a failed check then refuses as NotOrthogonalBasis, naming
+    the condition; within it a failed check is a bug, and raises
+    InternalConsistencyError, NotRotation or NotUnitary as before.
     """
     if not isinstance(S, UnitarySet):
         try:
@@ -168,27 +183,72 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
             f"elements {a} and {b} have HS inner product {X[a].conj() @ X[b]:.3e}"
         )
 
+    def fail(condition: str, internal: Exception):
+        # a scan at tol <= _FRAME_TOL passes only sets within ~tol of a
+        # frame, which meet the checks below
+        if tol > _FRAME_TOL:
+            raise NotOrthogonalBasis(
+                f"no two elements overlap by more than {tol:g}, "
+                f"but they are not a phased Pauli frame: {condition}"
+            )
+        raise internal
+
     V = normalize_batch(S.stack)
     # relative to the anchor V[0] each element is T = -i n.X, with quaternion (0, n)
     Q = quaternion_batch(V[0].conj().T @ V[1:])
     Q *= canonical_signs(Q)[:, None]
-    if (np.abs(Q[:, 0]) > 1e-8).any():
-        raise InternalConsistencyError("relative element is not traceless")
+    if (np.abs(Q[:, 0]) > _FRAME_TOL).any():
+        fail(
+            "a relative element is not traceless",
+            InternalConsistencyError("relative element is not traceless"),
+        )
     ns = Q[:, 1:] / np.linalg.norm(Q[:, 1:], axis=1, keepdims=True)
-    perm = (1, 2, 3) if np.dot(ns[0], np.cross(ns[1], ns[2])) > 0 else (1, 3, 2)
-    VR = su2_from_rotation(ns[[p - 1 for p in perm]].T, tol=1e-8)[0]
+    a, b, c = ns.tolist()
+    triple = (  # det of the axes as columns, a . (b x c)
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        + a[1] * (b[2] * c[0] - b[0] * c[2])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+    perm = (1, 2, 3) if triple > 0 else (1, 3, 2)
+    R = ns[[p - 1 for p in perm]].T  # positively oriented, so det R = |triple|
+    if np.linalg.norm(R.T @ R - np.eye(3)) > _FRAME_TOL:
+        fail(
+            "the relative axes are not orthonormal",
+            NotRotation("matrix is not orthogonal within tolerance"),
+        )
+    if abs(abs(triple) - 1.0) > _FRAME_TOL:
+        fail(
+            f"the relative axes span volume {abs(triple)}",
+            NotRotation(f"determinant {abs(triple)} != 1"),
+        )
+    q = rotation_quaternion_batch(R)
+    # VR = su2_batch(q) has VR^H VR = det(VR) 1 = |q|^2 1: assert_unitary's
+    # check, which also holds det(VR) to within EQ_TOL of 1
+    defect = math.sqrt(2.0) * abs(q @ q - 1.0)
+    if not defect <= UNITARITY_TOL:
+        message = f"||U^H U - 1|| = {defect:.3e} > {UNITARITY_TOL:.1e}"
+        fail("the lifted rotation is not special unitary", NotUnitary(f"matrix is not unitary: {message}"))
+    VR = su2_batch(q)
+    if canonical_signs(q) < 0:
+        VR = -VR
     V = V[0] @ VR
     Vp = VR.conj().T
     # perm maps Pauli slot k -> input position perm[k-1]; both candidates are
     # their own inverse, so position mu plays slot sigma[mu]
     sigma = (0, *perm)
-    P = V @ np.stack([pauli(k) for k in sigma]) @ Vp
+    P = V @ PAULI_BASIS[list(sigma)] @ Vp
     phases = np.einsum("aij,aij->a", P.conj(), S.stack) / 2.0
-    if (np.abs(np.abs(phases) - 1.0) > 1e-8).any():
-        raise InternalConsistencyError("extracted phase is not a unit complex")
+    if (np.abs(np.abs(phases) - 1.0) > _FRAME_TOL).any():
+        fail(
+            "an extracted phase is not a unit complex",
+            InternalConsistencyError("extracted phase is not a unit complex"),
+        )
     worst = np.linalg.norm(phases[:, None, None] * P - S.stack, axis=(1, 2)).max()
     if worst > max(tol, 1e-9):
-        raise InternalConsistencyError(f"frame reconstruction misses by {worst:.3e}")
+        fail(
+            f"the frame reconstruction misses by {worst:.3e}",
+            InternalConsistencyError(f"frame reconstruction misses by {worst:.3e}"),
+        )
     return OneDesignFrame(V, Vp, tuple(phases.tolist()), sigma)
 
 
@@ -205,10 +265,10 @@ def extend_to_2design(S, frame: OneDesignFrame | None = None) -> UnitarySet:
         except (NotOrthogonalBasis, NotUnitaryElements) as exc:
             raise NotMinimal1Design(str(exc)) from exc
     G = frame.V @ AXIS_CYCLE @ frame.V.conj().T
-    elems = list(S)
-    elems += [G @ U for U in S]
-    elems += [G.conj().T @ U for U in S]
-    return UnitarySet(elems)  # DuplicateElements would flag a degenerate input
+    X = S.stack if isinstance(S, UnitarySet) else np.array(list(S), dtype=complex)
+    GX = np.stack([G, G.conj().T])[:, None] @ X
+    # DuplicateElements would flag a degenerate input
+    return UnitarySet(np.concatenate([X, GX.reshape(-1, *X.shape[1:])]))
 
 
 #: each built-in as its labels: an optional sign "-", an optional factor W or

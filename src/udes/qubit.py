@@ -11,15 +11,14 @@ special unitary U, with R the covering rotation.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InternalConsistencyError, NotSpecialUnitary
 from .linalg import EQ_TOL, as_matrix, assert_unitary, change_of_basis, kron
-from .su2 import _SIGMA, _euler_args, so3_rep
-
-_PAULI = (np.eye(2, dtype=complex), *_SIGMA)
+from .su2 import PAULI_BASIS, _euler_args, so3_rep
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
 
@@ -56,7 +55,7 @@ def pauli(mu) -> np.ndarray:
             raise ValueError(f"unknown Pauli label {mu!r}") from None
     if mu not in (0, 1, 2, 3):
         raise ValueError(f"Pauli index must be in 0..3, got {mu!r}")
-    return _PAULI[mu].copy()
+    return PAULI_BASIS[operator.index(mu)].copy()
 
 
 class BlochForm(NamedTuple):
@@ -66,15 +65,15 @@ class BlochForm(NamedTuple):
     a: np.ndarray
 
     def matrix(self) -> np.ndarray:
-        out = self.a0 * _PAULI[0]
+        out = self.a0 * PAULI_BASIS[0]
         for k in range(3):
-            out = out + self.a[k] * _PAULI[k + 1]
+            out = out + self.a[k] * PAULI_BASIS[k + 1]
         return 0.5 * out
 
 
 def bloch_decompose(A) -> BlochForm:
     A = as_matrix(A, 2)
-    coeffs = [np.trace(_PAULI[mu] @ A) for mu in range(4)]
+    coeffs = [np.trace(PAULI_BASIS[mu] @ A) for mu in range(4)]
     return BlochForm(complex(coeffs[0]), np.array(coeffs[1:], dtype=complex))
 
 
@@ -111,7 +110,7 @@ def swap2() -> np.ndarray:
     """The two-qubit swap; equals half the sum of X_mu (x) X_mu."""
     S = np.zeros((4, 4), dtype=complex)
     for mu in range(4):
-        S += kron(_PAULI[mu], _PAULI[mu])
+        S += kron(PAULI_BASIS[mu], PAULI_BASIS[mu])
     return 0.5 * S
 
 
@@ -126,9 +125,9 @@ def singlet_triplet() -> SingletTriplet:
 def total_spin_squared() -> np.ndarray:
     """J^2 for two spin-1/2, with J_i = (X_i (x) 1 + 1 (x) X_i)/2; equals 2 P_t."""
     J2 = np.zeros((4, 4), dtype=complex)
-    eye = _PAULI[0]
+    eye = PAULI_BASIS[0]
     for i in (1, 2, 3):
-        Ji = 0.5 * (kron(_PAULI[i], eye) + kron(eye, _PAULI[i]))
+        Ji = 0.5 * (kron(PAULI_BASIS[i], eye) + kron(eye, PAULI_BASIS[i]))
         J2 += Ji @ Ji
     return J2
 

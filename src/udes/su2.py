@@ -14,8 +14,9 @@ The canonical representative of an antipodal pair {U, -U} is the one whose
 quaternion has its first coordinate above 1e-9 in magnitude positive.
 Every module converts through the stack maps below, which take unvalidated
 (..., 2, 2) or (..., 4) arrays; the scalar functions validate and call them.
-The Hamilton product and the quaternion constants the other modules build
-from, the units 1, I, J, K and the axis-cycle generator W, live here too.
+The Hamilton product and the constants the other modules build from, the
+Pauli basis, the quaternion units 1, I, J, K and the axis-cycle generator W,
+live here too.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _SIGMA = (_X, _Y, _Z)
+#: the Pauli basis 1, X, Y, Z as one read-only (4, 2, 2) stack
+PAULI_BASIS = np.stack([np.eye(2, dtype=complex), *_SIGMA])
+PAULI_BASIS.flags.writeable = False
 
 #: cyclic coordinate shift e_i -> e_{i+1 mod 3}; the rotation image of the
 #: completion generator (axis (1,1,1)/sqrt(3), angle 2pi/3)
@@ -128,6 +132,41 @@ def quaternion_batch(U) -> np.ndarray:
     special unitaries."""
     U = np.ascontiguousarray(U, dtype=complex)
     return U.view(float).reshape(U.shape[:-2] + (8,)) @ _QUATERNION_OF_ENTRIES
+
+
+def rotation_quaternion_batch(R) -> np.ndarray:
+    """Unit quaternions (..., 4) covering an unvalidated (..., 3, 3) stack of
+    rotations, each with its pivot coordinate positive.
+
+    The entries of R give 4 q q^T: its diagonal from the trace and diagonal
+    of R, the rest from the (anti)symmetric parts.  Quaternion extraction
+    reads the row of the largest of (trace, R00, R11, R22) as pivot, so the
+    pi-rotations, where the naive trace formula degenerates, stay
+    well-conditioned.
+    """
+    R = np.asarray(R, dtype=float)
+    n = R.ndim - 2
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R.transpose(n, n + 1, *range(n))
+    t = r00 + r11 + r22
+    sx, sy, sz = r21 - r12, r02 - r20, r10 - r01
+    xy, xz, yz = r01 + r10, r02 + r20, r12 + r21
+    K = np.array(
+        [
+            [1.0 + t, sx, sy, sz],
+            [sx, 1.0 + r00 - r11 - r22, xy, xz],
+            [sy, xy, 1.0 - r00 + r11 - r22, yz],
+            [sz, xz, yz, 1.0 - r00 - r11 + r22],
+        ]
+    ).reshape(4, 4, -1)
+    pivot = np.argmax(np.array([t, r00, r11, r22]).reshape(4, -1), axis=0)
+    rows = np.arange(pivot.size)
+    q = K[pivot, :, rows]  # (N, 4): row `pivot` of 4 q q^T
+    r = np.sqrt(q[rows, pivot])
+    q /= 2 * r[:, None]
+    q[rows, pivot] = 0.5 * r
+    s, x, y, z = q.T
+    q /= np.sqrt(s * s + x * x + y * y + z * z)[:, None]
+    return q.reshape(R.shape[:-2] + (4,))
 
 
 def canonical_signs(Q) -> np.ndarray:
@@ -279,42 +318,9 @@ def canonical_su2(U) -> np.ndarray:
 
 
 def su2_from_rotation(R, tol: float = EQ_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Both special unitaries covering a rotation, canonical one first.
-
-    Quaternion extraction picks the largest of (trace, R00, R11, R22) as
-    pivot, so the pi-rotations — where the naive trace formula degenerates —
-    stay well-conditioned.
-    """
-    R = assert_rotation(R, tol)
-    t = float(np.trace(R))
-    d = np.diag(R)
-    choice = int(np.argmax([t, d[0], d[1], d[2]]))
-    if choice == 0:
-        r = math.sqrt(1.0 + t)
-        s = 0.5 * r
-        x = (R[2, 1] - R[1, 2]) / (2 * r)
-        y = (R[0, 2] - R[2, 0]) / (2 * r)
-        z = (R[1, 0] - R[0, 1]) / (2 * r)
-    elif choice == 1:
-        r = math.sqrt(1.0 + d[0] - d[1] - d[2])
-        x = 0.5 * r
-        s = (R[2, 1] - R[1, 2]) / (2 * r)
-        y = (R[0, 1] + R[1, 0]) / (2 * r)
-        z = (R[0, 2] + R[2, 0]) / (2 * r)
-    elif choice == 2:
-        r = math.sqrt(1.0 - d[0] + d[1] - d[2])
-        y = 0.5 * r
-        s = (R[0, 2] - R[2, 0]) / (2 * r)
-        x = (R[0, 1] + R[1, 0]) / (2 * r)
-        z = (R[1, 2] + R[2, 1]) / (2 * r)
-    else:
-        r = math.sqrt(1.0 - d[0] - d[1] + d[2])
-        z = 0.5 * r
-        s = (R[1, 0] - R[0, 1]) / (2 * r)
-        x = (R[0, 2] + R[2, 0]) / (2 * r)
-        y = (R[1, 2] + R[2, 1]) / (2 * r)
-    norm = math.sqrt(s * s + x * x + y * y + z * z)
-    U = canonical_su2(su2_of_quaternion((s / norm, x / norm, y / norm, z / norm)))
+    """Both special unitaries covering a rotation, canonical one first,
+    through the pivot map rotation_quaternion_batch."""
+    U = canonical_su2(su2_of_quaternion(rotation_quaternion_batch(assert_rotation(R, tol))))
     return U, -U
 
 

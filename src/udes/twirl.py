@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DuplicateElements, NotUnitary, UnsupportedOrder
-from .linalg import EQ_TOL, RANK_TOL, as_matrix, first_pair, rank
+from .linalg import EQ_TOL, MAX_DIM, RANK_TOL, as_matrix, first_pair, rank
 from .qubit import singlet_triplet
 from .su2 import UNIT_BASIS, su2_batch
 
@@ -43,16 +43,19 @@ class UnitarySet:
     `tol`, and no two may coincide in Hilbert-Schmidt distance.  Proportional
     elements (equal up to phase) are allowed here; operations that need
     phase-distinctness check for it themselves.
+
+    The elements are copied into one (N, d, d) complex stack, which never
+    aliases the caller's arrays.  When they all have one square shape of at
+    most MAX_DIM with finite entries, that copy is made and validated in one
+    pass; otherwise each element goes through as_matrix in order.  Either
+    way the first offending element decides the error, checked in this
+    order: shape and finiteness, unitarity (of the elements before the first
+    one of another dimension), dimension, then duplicates.
     """
 
     def __init__(self, elems, labels=None, tol: float = EQ_TOL):
-        mats = [as_matrix(m) for m in elems]
-        if not mats:
-            raise ValueError("a unitary set must be nonempty")
-        d = mats[0].shape[0]
-        # the first offending element decides the error, as in a single pass
-        same = next((k for k, m in enumerate(mats) if m.shape[0] != d), len(mats))
-        stack = np.stack(mats[:same])
+        stack, mismatch = _square_stack(elems)
+        n, d, _ = stack.shape
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf or nan, refused
             defects = np.linalg.norm(stack.conj().swapaxes(1, 2) @ stack - np.eye(d), axis=(1, 2))
         bad = np.flatnonzero(~(defects <= tol))
@@ -61,10 +64,8 @@ class UnitarySet:
             raise NotUnitary(
                 f"element {k}: matrix is not unitary: ||U^H U - 1|| = {defects[k]:.3e} > {tol:.1e}"
             )
-        if same < len(mats):
-            m = mats[same].shape[0]
-            raise DimensionMismatch(f"element {same} is {m}x{m}, expected {d}x{d}")
-        n = len(mats)
+        if mismatch is not None:
+            raise DimensionMismatch(mismatch)
         pair = first_pair(
             stack.reshape(n, d * d),
             lambda A, X: np.nonzero(np.linalg.norm(A[:, None] - X, axis=2) <= tol),
@@ -92,6 +93,38 @@ class UnitarySet:
 
     def __repr__(self) -> str:
         return f"UnitarySet(dim={self.dim}, n={len(self.elems)})"
+
+
+def _square_stack(elems) -> tuple[np.ndarray, str | None]:
+    """The elements of a would-be UnitarySet as one (N, d, d) complex copy.
+
+    Elements of one square shape with finite entries are copied in one pass.
+    Any others go through as_matrix one by one, which raises for the first
+    element it refuses; the copy then stops before the first element of
+    another dimension, and the DimensionMismatch message for it, owed once
+    the elements before it pass their unitarity check, comes back too.
+    """
+    try:
+        stack = np.array(elems, dtype=complex)
+    except (TypeError, ValueError, OverflowError):  # ragged, or entries that are no numbers
+        stack = None
+    if (
+        stack is not None
+        and stack.ndim == 3
+        and 0 < len(stack)
+        and stack.shape[1] == stack.shape[2] <= MAX_DIM
+        and np.isfinite(stack).all()
+    ):
+        return stack, None
+    mats = [as_matrix(m) for m in elems]
+    if not mats:
+        raise ValueError("a unitary set must be nonempty")
+    d = mats[0].shape[0]
+    same = next((k for k, m in enumerate(mats) if m.shape[0] != d), len(mats))
+    if same == len(mats):
+        return np.stack(mats), None
+    m = mats[same].shape[0]
+    return np.stack(mats[:same]), f"element {same} is {m}x{m}, expected {d}x{d}"
 
 
 @dataclass(frozen=True)

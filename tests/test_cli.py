@@ -395,6 +395,35 @@ def test_construct_classifies_at_the_tolerance_it_reports(tmp_path, capsys):
     assert code == 0 and doc["tolerance"] == 1e-9
 
 
+@pytest.mark.parametrize(
+    "elems, tol, condition",
+    [
+        # exp(-0.05 i X) X overlaps 1 by 2 sin(0.05) < 0.1, and is not traceless
+        # relative to it
+        (
+            [pauli(0), (math.cos(0.05) * np.eye(2) - 1j * math.sin(0.05) * pauli(1)) @ pauli(1), pauli(2), pauli(3)],
+            "0.1",
+            "a relative element is not traceless",
+        ),
+        # X and iX overlap by 2 < 3 and share one axis
+        ([pauli(0), pauli(1), 1j * pauli(1), pauli(3)], "3", "the relative axes are not orthonormal"),
+    ],
+)
+def test_construct_refuses_a_non_frame_a_loose_tol_lets_past_the_scan(tmp_path, capsys, elems, tol, condition):
+    src = tmp_path / "loose.json"
+    save_unitary_set(UnitarySet(elems), str(src))
+    code, out, err = run(capsys, "construct", "--from", "file", str(src), "--tol", tol)
+    assert code == 4 and out == ""
+    assert err.splitlines() == [
+        f"error: no two elements overlap by more than {tol}, "
+        f"but they are not a phased Pauli frame: {condition}"
+    ]
+    # at the default tol the overlap scan refuses the set first
+    code, out, err = run(capsys, "construct", "--from", "file", str(src))
+    assert code == 4 and out == ""
+    assert err.startswith("error: elements ") and "have HS inner product" in err
+
+
 def test_construct_requires_path_with_from_file(capsys):
     code, _, err = run(capsys, "construct", "--from", "file")
     assert code == 2

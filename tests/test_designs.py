@@ -25,7 +25,14 @@ from udes.errors import (
 )
 from udes.linalg import hs_dist, hs_inner, hs_norm, kron_power
 from udes.qubit import pauli, singlet_triplet
-from udes.su2 import canonical_su2, normalize_to_su2, quaternion_of, su2_from_rotation
+from udes.su2 import (
+    canonical_su2,
+    normalize_to_su2,
+    quaternion_of,
+    so3_rep,
+    su2_batch,
+    su2_from_rotation,
+)
 from udes.twirl import HaarSampler, UnitarySet, frame_potential, haar_sample
 
 W = AXIS_CYCLE
@@ -277,6 +284,34 @@ def test_classify_matches_the_elementwise_reference():
         assert np.abs(np.subtract(frame.phases, phases)).max() <= 1e-14
 
 
+@pytest.mark.parametrize("pivot", range(4))
+def test_classify_matches_the_reference_on_every_pivot(pivot):
+    # frames {1, -i n_k.X} whose axes n_k are the columns of a rotation that
+    # takes each pivot of the quaternion extraction (trace, R00, R11, R22),
+    # each column with its first nonzero entry positive as classify's axes
+    # have; rephased and translated on the left, which leaves the axes be
+    R = [
+        np.eye(3),
+        np.array([[1, 2, 2], [2, -2, 1], [2, 1, -2]]) / 3,
+        np.array([[1, 12, 12], [12, 8, -9], [-12, 9, -8]]) / 17,
+        np.array([[1, 12, 12], [-12, -8, 9], [12, -9, 8]]) / 17,
+    ][pivot]
+    assert np.argmax([np.trace(R), *np.diag(R)]) == pivot
+    h = HaarSampler(pivot)
+    L = haar_sample(h)
+    phases = np.exp(2j * np.pi * h.quaternions(1)[0])
+    axes = su2_batch(np.vstack([np.eye(4)[0], np.c_[np.zeros(3), R.T]]))
+    S = [p * L @ U for p, U in zip(phases, axes)]
+    frame = classify_min_1design(S)
+    V, Vp, ref_phases, sigma = _reference_frame(S)
+    assert frame.permutation == sigma == (0, 1, 2, 3)
+    assert np.abs(frame.V - V).max() <= 1e-14
+    assert np.abs(frame.Vp - Vp).max() <= 1e-14
+    assert np.abs(np.subtract(frame.phases, ref_phases)).max() <= 1e-14
+    # Vp is the lift of R itself
+    assert np.allclose(so3_rep(Vp.conj().T), R, atol=1e-12)
+
+
 def test_classify_pauli_basis_is_trivial():
     frame = classify_min_1design(named_design("B").set)
     assert np.allclose(frame.V, np.eye(2))
@@ -335,6 +370,13 @@ def test_extension_of_pauli_basis_is_the_named_completion():
     D = named_design("D").set
     ext = extend_to_2design(named_design("B").set)
     assert all(np.array_equal(a, b) for a, b in zip(ext, D))
+
+
+def test_extension_shares_no_memory_with_its_input():
+    S = UnitarySet(random_frame(5))
+    ext = extend_to_2design(S)
+    assert not np.shares_memory(ext.stack, S.stack)
+    assert np.array_equal(ext.stack[:4], S.stack)
 
 
 def test_classify_rejects_non_orthogonal_sets():

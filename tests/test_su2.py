@@ -12,6 +12,7 @@ from udes.errors import (
 )
 from udes.linalg import hs_dist, hs_norm
 from udes.qubit import pauli
+from udes.twirl import HaarSampler
 from udes.su2 import (
     SHIFT_LEFT,
     SHIFT_RIGHT,
@@ -28,6 +29,7 @@ from udes.su2 import (
     quaternion_batch,
     quaternion_of,
     rodrigues,
+    rotation_quaternion_batch,
     shift_euler_solutions,
     so3_rep,
     su2_batch,
@@ -227,6 +229,56 @@ def test_su2_from_rotation_handles_pi_rotations():
         R[k, k] = 1.0
         plus, _ = su2_from_rotation(R)
         assert np.allclose(so3_rep(plus), R, atol=1e-12)
+
+
+#: rotations that take each pivot of the quaternion extraction: the trace,
+#: R00, R11 and R22; the second set has columns whose first nonzero entry is
+#: positive, as classify_min_1design's relative axes have
+PIVOT_ROTATIONS = {
+    "trace": np.eye(3),
+    "pi_x": np.diag([1.0, -1.0, -1.0]),
+    "pi_y": np.diag([-1.0, 1.0, -1.0]),
+    "pi_z": np.diag([-1.0, -1.0, 1.0]),
+    "R00": np.array([[1, 2, 2], [2, -2, 1], [2, 1, -2]]) / 3,
+    "R11": np.array([[1, 12, 12], [12, 8, -9], [-12, 9, -8]]) / 17,
+    "R22": np.array([[1, 12, 12], [-12, -8, 9], [12, -9, 8]]) / 17,
+}
+#: the pivot each rotation takes, and the quaternion of the canonical special
+#: unitary su2_from_rotation returned for it before the pivot formula became
+#: rotation_quaternion_batch
+PIVOT_OUTPUTS = {
+    "trace": (0, (1.0, 0.0, 0.0, 0.0)),
+    "pi_x": (1, (0.0, 1.0, 0.0, 0.0)),
+    "pi_y": (2, (0.0, 0.0, 1.0, 0.0)),
+    "pi_z": (3, (0.0, 0.0, 0.0, 1.0)),
+    "R00": (1, (0.0, 0.8164965809277261, 0.4082482904638631, 0.4082482904638631)),
+    "R11": (2, (0.5144957554275266, 0.5144957554275266, 0.6859943405700354, 0.0)),
+    "R22": (3, (0.5144957554275266, -0.5144957554275266, 0.0, -0.6859943405700354)),
+}
+
+
+@pytest.mark.parametrize("name", PIVOT_ROTATIONS)
+def test_su2_from_rotation_keeps_its_outputs_on_every_pivot(name):
+    R = PIVOT_ROTATIONS[name]
+    pivot, q = PIVOT_OUTPUTS[name]
+    assert np.argmax([np.trace(R), *np.diag(R)]) == pivot
+    plus, minus = su2_from_rotation(R)
+    assert tuple(quaternion_of(plus)) == q
+    assert np.array_equal(minus, -plus)
+    assert np.allclose(so3_rep(plus), R, atol=1e-12)
+
+
+def test_rotation_quaternion_batch_maps_a_stack_as_its_matrices():
+    random = su2_batch(HaarSampler(8).quaternions(40))
+    R = np.stack([*PIVOT_ROTATIONS.values(), *(so3_rep(U) for U in random)])
+    one_by_one = np.stack([rotation_quaternion_batch(M) for M in R])
+    stacked = rotation_quaternion_batch(R.reshape(1, -1, 3, 3))
+    assert stacked.shape == (1, len(R), 4)
+    assert np.array_equal(stacked[0], one_by_one)
+    # each covers its rotation, with its pivot coordinate positive
+    pivots = np.argmax([np.trace(R, axis1=1, axis2=2), *np.diagonal(R, axis1=1, axis2=2).T], axis=0)
+    assert (one_by_one[np.arange(len(R)), pivots] > 0).all()
+    assert np.allclose(np.stack([so3_rep(U) for U in su2_batch(one_by_one)]), R, atol=1e-12)
 
 
 @given(quaternions, st.floats(min_value=0, max_value=2 * math.pi))

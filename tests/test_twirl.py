@@ -10,7 +10,7 @@ from udes.errors import (
     NotUnitary,
     UnsupportedOrder,
 )
-from udes.linalg import hs_norm, kron, kron_power
+from udes.linalg import EQ_TOL, as_matrix, hs_norm, kron, kron_power
 from udes.qubit import bell_diagonal_part, pauli, singlet_triplet
 from udes.su2 import UNIT_BASIS
 from udes.twirl import (
@@ -134,6 +134,92 @@ def test_unitary_set_rejects_bad_label_count():
 def test_unitary_set_rejects_empty():
     with pytest.raises(ValueError):
         UnitarySet([])
+
+
+def _reference_unitary_set(elems, tol=EQ_TOL):
+    """UnitarySet's validation as it was written element by element; the
+    reference for its stacked path.  Returns (stack, unitarity_defect)."""
+    mats = [as_matrix(m) for m in elems]
+    if not mats:
+        raise ValueError("a unitary set must be nonempty")
+    d = mats[0].shape[0]
+    same = next((k for k, m in enumerate(mats) if m.shape[0] != d), len(mats))
+    stack = np.stack(mats[:same])
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = np.linalg.norm(stack.conj().swapaxes(1, 2) @ stack - np.eye(d), axis=(1, 2))
+    bad = np.flatnonzero(~(defects <= tol))
+    if bad.size:
+        k = bad[0]
+        raise NotUnitary(
+            f"element {k}: matrix is not unitary: ||U^H U - 1|| = {defects[k]:.3e} > {tol:.1e}"
+        )
+    if same < len(mats):
+        m = mats[same].shape[0]
+        raise DimensionMismatch(f"element {same} is {m}x{m}, expected {d}x{d}")
+    n = len(mats)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if np.linalg.norm(stack[a].ravel() - stack[b].ravel()) <= tol:
+                raise DuplicateElements(f"elements {a} and {b} coincide within {tol}")
+    return stack, float(defects.max())
+
+
+def _entry(kind: str, seed: int) -> np.ndarray:
+    g = np.random.default_rng(seed)
+    if kind == "u2":
+        return np.exp(2j * np.pi * g.random()) * haar_sample(HaarSampler(seed))
+    if kind == "pauli":  # drawn twice, a duplicate
+        return pauli(seed % 4)
+    if kind in ("u3", "u17"):
+        d = 3 if kind == "u3" else 17
+        return np.linalg.qr(g.normal(size=(d, d)) + 1j * g.normal(size=(d, d)))[0]
+    if kind == "rect":
+        return g.normal(size=(2, 3))
+    if kind == "vector":
+        return np.ones(2)
+    if kind == "scaled":
+        return (1 + 10.0 ** -g.integers(6, 12)) * pauli(seed % 4)
+    U = haar_sample(HaarSampler(seed))  # a non-finite entry at any position
+    U[divmod(seed % 4, 2)] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[kind]
+    return U
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["u2", "u2", "u2", "pauli", "u3", "u17", "rect", "vector", "scaled", "nan", "inf", "-inf"]
+            ),
+            st.integers(0, 7),
+        ),
+        max_size=7,
+    ),
+    st.booleans(),
+)
+def test_unitary_set_paths_agree_with_the_elementwise_reference(spec, as_array):
+    elems = [_entry(kind, seed) for kind, seed in spec]
+    if as_array and len({e.shape for e in elems}) == 1:
+        elems = np.array(elems)
+    try:
+        want = _reference_unitary_set(elems)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as err:
+            UnitarySet(elems)
+        assert str(err.value) == str(exc)
+        return
+    S = UnitarySet(elems)
+    assert S.stack.tobytes() == want[0].tobytes() and S.stack.shape == want[0].shape
+    assert S.unitarity_defect == want[1]
+
+
+def test_unitary_set_copies_the_callers_array():
+    A = su2_batch(HaarSampler(4).quaternions(5))
+    S = UnitarySet(A)
+    before = S.stack.copy()
+    A[...] = 0.0
+    assert np.array_equal(S.stack, before)
+    assert not np.shares_memory(S.stack, A)
 
 
 # ---- vec / unvec ------------------------------------------------------------
