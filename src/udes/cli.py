@@ -49,12 +49,14 @@ class FileFormatError(UdesError):
 
 
 def format_number(x) -> str:
+    # adding +0.0 rewrites -0.0 as 0.0, keeping emitted files re-loadable
+    # bit for bit ("-0" would parse back as the integer 0)
+    if type(x) is float:
+        return f"{x + 0.0:.17g}"
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    # adding +0.0 rewrites -0.0 as 0.0, keeping emitted files re-loadable
-    # bit for bit ("-0" would parse back as the integer 0)
     return f"{float(x) + 0.0:.17g}"
 
 
@@ -76,8 +78,13 @@ def _layout(value, indent: int) -> tuple[str, bool]:
         fields = [f"{json.dumps(k)}: {text}" for k, (text, _) in zip(value, items)]
         opening, closing = "{", "}"
     elif isinstance(value, (list, tuple)):
-        items = [_layout(v, indent + 1) for v in value]
-        fields = [text for text, _ in items]
+        if all(type(v) is float or type(v) is int for v in value):
+            # a list of numbers, each formatted once: one line if it fits
+            fields = list(map(format_number, value))
+            items = ()
+        else:
+            items = [_layout(v, indent + 1) for v in value]
+            fields = [text for text, _ in items]
         opening, closing = "[", "]"
     elif value is None:
         return "null", True
@@ -99,8 +106,8 @@ def _layout(value, indent: int) -> tuple[str, bool]:
 
 
 def matrix_payload(M: np.ndarray) -> list:
-    A = np.asarray(M, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in A]
+    A = np.ascontiguousarray(M, dtype=complex)
+    return A.view(float).reshape(*A.shape, 2).tolist()
 
 
 def set_payload(S: twirl.UnitarySet) -> dict:

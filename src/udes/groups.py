@@ -23,7 +23,7 @@ import numpy as np
 
 from .designs import BUILTIN_LABELS, D0_QUATERNIONS
 from .errors import DimensionMismatch, NonUnitPoint, NotHalfInteger, ProportionalElements
-from .linalg import first_pair
+from .linalg import first_pair, near_pairs
 from .su2 import (
     AxisAngle,
     axis_angle_batch,
@@ -82,21 +82,18 @@ def su2_closure(S: UnitarySet, tol: float = _MEMBER_TOL) -> Su2Closure:
     Proportional elements share their normalizations, which would collapse
     the closure; the first pair in row order with sqrt(2) min(|p - q|,
     |p + q|) <= tol for its normalized quaternions p and q is rejected.  The
-    Gram product gives half that gap squared as |p|^2 + |q|^2 - 2 |p.q|,
-    which cancels below 1e-8; the pairs where it is within 1e-12 of tol^2 / 2
-    are measured as differences.
+    Gram screen of linalg.near_pairs, on |p|^2 + |q|^2 - 2 |p.q|, passes on
+    the pairs that may be that close, and their differences decide.
     """
     if S.dim != 2:
         raise DimensionMismatch(f"expected dimension 2, got {S.dim}")
     V = normalize_batch(S.stack)
     P = quaternion_batch(V)
 
-    def close(A, P):
-        G = A @ P.T
-        rough = (A * A).sum(axis=1)[:, None] + (P * P).sum(axis=1) - 2.0 * np.abs(G)
-        i, j = np.nonzero(rough <= 0.5 * tol * tol + 1e-12)
+    def close(G, lo):
+        i, j = near_pairs(P, np.abs(G), lo, tol / math.sqrt(2.0))
         # the sign of p.q picks the nearer of q and -q
-        hit = _hs_distance(A[i] - np.sign(G[i, j])[:, None] * P[j]) <= tol
+        hit = _hs_distance(P[lo + i] - np.sign(G[i, j])[:, None] * P[j]) <= tol
         return i[hit], j[hit]
 
     pair = first_pair(P, close)

@@ -21,6 +21,8 @@ EQ_TOL = 1e-10
 
 MAX_DIM = 16
 
+_EPS = float(np.finfo(float).eps)
+
 
 def as_matrix(a, dim: int | None = None) -> np.ndarray:
     """Coerce input to a square complex matrix and validate it.
@@ -79,18 +81,47 @@ def hs_dist(A, B) -> float:
     return hs_norm(np.asarray(A, dtype=complex) - np.asarray(B, dtype=complex))
 
 
-def first_pair(X: np.ndarray, find) -> tuple[int, int] | None:
+#: the most entries of a Gram matrix first_pair forms at once (256 kB complex)
+GRAM_BLOCK = 2**14
+
+
+def first_pair(X: np.ndarray, find, gram: np.ndarray | None = None) -> tuple[int, int] | None:
     """The first pair of rows (a, b), a < b, in double-loop order, among the
-    pairs ``find(A, X)`` returns as row-major index arrays (i, j) from a block
-    A of rows of X to all of X; blocks hold at most 2^16 entries of X."""
-    rows = max(1, 2**16 // X.size)
+    pairs ``find(G, lo)`` returns as row-major index arrays (i, j) into G,
+    the rows lo, lo + 1, ... of the Gram matrix conj(X) X^T.  The blocks G
+    hold at most GRAM_BLOCK entries, and are cut from `gram`, the whole Gram
+    matrix, when it is given."""
+    rows = max(1, GRAM_BLOCK // len(X))
     for lo in range(0, len(X), rows):
-        i, j = find(X[lo : lo + rows], X)
-        later = np.flatnonzero(j > lo + i)
-        if later.size:
-            k = later[0]
-            return lo + int(i[k]), int(j[k])
+        G = X[lo : lo + rows].conj() @ X.T if gram is None else gram[lo : lo + rows]
+        i, j = find(G, lo)
+        if i.size:
+            later = np.flatnonzero(j > lo + i)
+            if later.size:
+                k = later[0]
+                return lo + int(i[k]), int(j[k])
     return None
+
+
+def near_pairs(X: np.ndarray, overlap: np.ndarray, lo: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), j > lo + i, of the pairs of rows (lo + i, j) of a
+    C-contiguous X that may lie within `radius`, for an exact distance to
+    decide.
+
+    `overlap` is a block of Gram rows as first_pair passes it, reduced to
+    its real part (for the distance ||x_a - x_b||) or its modulus (for the
+    distance to the nearer of +-x_b, X real).  The Gram form
+    s = ||x_a||^2 + ||x_b||^2 - 2 overlap of the squared distance is off by
+    less than (k + 2) eps (||x_a||^2 + ||x_b||^2) for rows of k real
+    coordinates, so the pairs with s - (k + 4) eps (||x_a||^2 + ||x_b||^2)
+    within radius^2 include every pair within `radius`; radius^2 alone lies
+    below the rounding floor near 0 and would miss pairs.
+    """
+    x = X.view(float)
+    sq = np.einsum("ij,ij->i", x, x) * (1.0 - (x.shape[1] + 4) * _EPS)
+    i, j = np.nonzero(sq[lo : lo + len(overlap), None] + sq - 2.0 * overlap <= radius * radius)
+    later = j > lo + i
+    return i[later], j[later]
 
 
 def rank(A, tol: float = RANK_TOL) -> int:

@@ -14,6 +14,8 @@ The canonical representative of an antipodal pair {U, -U} is the one whose
 quaternion has its first coordinate above 1e-9 in magnitude positive.
 Every module converts through the stack maps below, which take unvalidated
 (..., 2, 2) or (..., 4) arrays; the scalar functions validate and call them.
+The pivot map from rotations to quaternions and the canonical sign of one
+quaternion work on Python floats, for the frame classifier in designs.
 The Hamilton product and the constants the other modules build from, the
 Pauli basis, the quaternion units 1, I, J, K and the axis-cycle generator W,
 live here too.
@@ -134,9 +136,9 @@ def quaternion_batch(U) -> np.ndarray:
     return U.view(float).reshape(U.shape[:-2] + (8,)) @ _QUATERNION_OF_ENTRIES
 
 
-def rotation_quaternion_batch(R) -> np.ndarray:
-    """Unit quaternions (..., 4) covering an unvalidated (..., 3, 3) stack of
-    rotations, each with its pivot coordinate positive.
+def rotation_quaternion(R) -> tuple[float, float, float, float]:
+    """The unit quaternion covering an unvalidated rotation, given as three
+    rows of floats, with its pivot coordinate positive.
 
     The entries of R give 4 q q^T: its diagonal from the trace and diagonal
     of R, the rest from the (anti)symmetric parts.  Quaternion extraction
@@ -144,29 +146,24 @@ def rotation_quaternion_batch(R) -> np.ndarray:
     pi-rotations, where the naive trace formula degenerates, stay
     well-conditioned.
     """
-    R = np.asarray(R, dtype=float)
-    n = R.ndim - 2
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R.transpose(n, n + 1, *range(n))
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
     t = r00 + r11 + r22
     sx, sy, sz = r21 - r12, r02 - r20, r10 - r01
     xy, xz, yz = r01 + r10, r02 + r20, r12 + r21
-    K = np.array(
-        [
-            [1.0 + t, sx, sy, sz],
-            [sx, 1.0 + r00 - r11 - r22, xy, xz],
-            [sy, xy, 1.0 - r00 + r11 - r22, yz],
-            [sz, xz, yz, 1.0 - r00 - r11 + r22],
-        ]
-    ).reshape(4, 4, -1)
-    pivot = np.argmax(np.array([t, r00, r11, r22]).reshape(4, -1), axis=0)
-    rows = np.arange(pivot.size)
-    q = K[pivot, :, rows]  # (N, 4): row `pivot` of 4 q q^T
-    r = np.sqrt(q[rows, pivot])
-    q /= 2 * r[:, None]
-    q[rows, pivot] = 0.5 * r
-    s, x, y, z = q.T
-    q /= np.sqrt(s * s + x * x + y * y + z * z)[:, None]
-    return q.reshape(R.shape[:-2] + (4,))
+    K = (
+        (1.0 + t, sx, sy, sz),
+        (sx, 1.0 + r00 - r11 - r22, xy, xz),
+        (sy, xy, 1.0 - r00 + r11 - r22, yz),
+        (sz, xz, yz, 1.0 - r00 - r11 + r22),
+    )
+    diagonal = (t, r00, r11, r22)
+    pivot = max(range(4), key=diagonal.__getitem__)  # the first largest
+    r = math.sqrt(K[pivot][pivot])
+    q = [c / (2 * r) for c in K[pivot]]
+    q[pivot] = 0.5 * r
+    s, x, y, z = q
+    norm = math.sqrt(s * s + x * x + y * y + z * z)
+    return (s / norm, x / norm, y / norm, z / norm)
 
 
 def canonical_signs(Q) -> np.ndarray:
@@ -176,6 +173,14 @@ def canonical_signs(Q) -> np.ndarray:
     Q = np.asarray(Q, dtype=float)
     lead = np.where(np.abs(Q) > _ZTOL, np.sign(Q), 0.0) @ _LEAD_WEIGHTS
     return np.where(lead < 0, -1.0, 1.0)
+
+
+def canonical_sign(q) -> float:
+    """canonical_signs of one quaternion given as four floats."""
+    for c in q:
+        if abs(c) > _ZTOL:
+            return 1.0 if c > 0 else -1.0
+    return 1.0
 
 
 def normalize_batch(U) -> np.ndarray:
@@ -319,8 +324,8 @@ def canonical_su2(U) -> np.ndarray:
 
 def su2_from_rotation(R, tol: float = EQ_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Both special unitaries covering a rotation, canonical one first,
-    through the pivot map rotation_quaternion_batch."""
-    U = canonical_su2(su2_of_quaternion(rotation_quaternion_batch(assert_rotation(R, tol))))
+    through the pivot map rotation_quaternion."""
+    U = canonical_su2(su2_of_quaternion(rotation_quaternion(assert_rotation(R, tol).tolist())))
     return U, -U
 
 

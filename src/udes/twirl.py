@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DuplicateElements, NotUnitary, UnsupportedOrder
-from .linalg import EQ_TOL, MAX_DIM, RANK_TOL, as_matrix, first_pair, rank
+from .linalg import EQ_TOL, GRAM_BLOCK, MAX_DIM, RANK_TOL, as_matrix, first_pair, near_pairs, rank
 from .qubit import singlet_triplet
 from .su2 import UNIT_BASIS, su2_batch
 
@@ -44,13 +44,19 @@ class UnitarySet:
     elements (equal up to phase) are allowed here; operations that need
     phase-distinctness check for it themselves.
 
-    The elements are copied into one (N, d, d) complex stack, which never
-    aliases the caller's arrays.  When they all have one square shape of at
-    most MAX_DIM with finite entries, that copy is made and validated in one
-    pass; otherwise each element goes through as_matrix in order.  Either
-    way the first offending element decides the error, checked in this
-    order: shape and finiteness, unitarity (of the elements before the first
-    one of another dimension), dimension, then duplicates.
+    The elements are copied into one read-only (N, d, d) complex stack,
+    which never aliases the caller's arrays.  When they all have one square
+    shape of at most MAX_DIM with finite entries, that copy is made and
+    validated in one pass; otherwise each element goes through as_matrix in
+    order.  Either way the first offending element decides the error,
+    checked in this order: shape and finiteness, unitarity (of the elements
+    before the first one of another dimension), dimension, then duplicates.
+    The duplicate scan screens pairs by the Gram matrix and measures the
+    few it passes on as differences, in row-major order.
+
+    `gram`, the Gram matrix G[a, b] = tr(U_a^H U_b), is one GEMM, read-only
+    and computed once: by the duplicate scan when it fits in one of
+    first_pair's blocks, else on first use.
     """
 
     def __init__(self, elems, labels=None, tol: float = EQ_TOL):
@@ -66,10 +72,17 @@ class UnitarySet:
             )
         if mismatch is not None:
             raise DimensionMismatch(mismatch)
-        pair = first_pair(
-            stack.reshape(n, d * d),
-            lambda A, X: np.nonzero(np.linalg.norm(A[:, None] - X, axis=2) <= tol),
-        )
+        X = stack.reshape(n, d * d)
+
+        def coincide(G, lo):
+            i, j = near_pairs(X, G.real, lo, tol)
+            if i.size:
+                hit = np.linalg.norm(X[lo + i] - X[j], axis=1) <= tol
+                i, j = i[hit], j[hit]
+            return i, j
+
+        self._gram = _read_only(X.conj() @ X.T) if n * n <= GRAM_BLOCK else None
+        pair = first_pair(X, coincide, self._gram)
         if pair:
             raise DuplicateElements(f"elements {pair[0]} and {pair[1]} coincide within {tol}")
         if labels is not None:
@@ -77,10 +90,17 @@ class UnitarySet:
             if len(labels) != n:
                 raise ValueError(f"{len(labels)} labels for {n} elements")
         self.dim = d
-        self.stack = stack  # (N, d, d); the elements are views into it
+        self.stack = _read_only(stack)  # (N, d, d); the elements are views into it
         self.unitarity_defect = float(defects.max())  # max ||U^H U - 1||_HS
         self.elems = tuple(stack)
         self.labels = labels
+
+    @property
+    def gram(self) -> np.ndarray:
+        if self._gram is None:
+            X = self.stack.reshape(len(self), -1)
+            self._gram = _read_only(X.conj() @ X.T)
+        return self._gram
 
     def __len__(self) -> int:
         return len(self.elems)
@@ -93,6 +113,11 @@ class UnitarySet:
 
     def __repr__(self) -> str:
         return f"UnitarySet(dim={self.dim}, n={len(self.elems)})"
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _square_stack(elems) -> tuple[np.ndarray, str | None]:
@@ -217,13 +242,13 @@ def choi_rank(Phi, tol: float = RANK_TOL) -> int:
 
 
 def frame_potential(S: UnitarySet, t: int) -> FramePotentialReport:
-    """(1/N^2) sum_{a,b} |tr(U_a^H U_b)|^(2t), with the U(2) Haar reference
-    for t in {1, 2}; the reference (and the gap) is None for other orders
-    and for sets of dimension other than 2."""
+    """(1/N^2) sum_{a,b} |tr(U_a^H U_b)|^(2t), read off the set's cached
+    Gram matrix, with the U(2) Haar reference for t in {1, 2}; the reference
+    (and the gap) is None for other orders and for sets of dimension other
+    than 2."""
     if t < 1:
         raise UnsupportedOrder(f"frame potential order must be >= 1, got {t}")
-    gram = np.einsum("aij,bij->ab", S.stack.conj(), S.stack)
-    value = float(np.mean(np.abs(gram) ** (2 * t)))
+    value = float(np.mean(np.abs(S.gram) ** (2 * t)))
     haar_value = FRAME_POTENTIAL_HAAR.get(t) if S.dim == 2 else None
     gap = None if haar_value is None else value - haar_value
     return FramePotentialReport(t, value, haar_value, gap)

@@ -424,6 +424,22 @@ def test_construct_refuses_a_non_frame_a_loose_tol_lets_past_the_scan(tmp_path, 
     assert err.startswith("error: elements ") and "have HS inner product" in err
 
 
+@pytest.mark.parametrize(
+    "tol, code", [("1e-10", 4), ("5e-10", 4), ("9e-10", 4), ("1e-9", 0), ("2e-9", 0), ("5e-9", 0), ("1e-8", 0)]
+)
+def test_construct_completes_a_near_frame_that_passes_the_scan(capsys, tol, code):
+    # its largest overlap is 9.2e-10 and its frame reconstruction misses by
+    # 1.02e-9: a scan at tol below the overlap refuses it, one above passes
+    # it to checks that leave room for that slack
+    src = str(DATA / "near_frame.json")
+    got, out, err = run(capsys, "construct", "--from", "file", src, "--tol", tol)
+    assert got == code
+    if code == 4:
+        assert out == "" and err.startswith("error: elements ") and "have HS inner product" in err
+    else:
+        assert err == "" and "is design: true" in out
+
+
 def test_construct_requires_path_with_from_file(capsys):
     code, _, err = run(capsys, "construct", "--from", "file")
     assert code == 2

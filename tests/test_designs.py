@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from udes.errors import (
     InternalConsistencyError,
     NotMinimal1Design,
     NotOrthogonalBasis,
+    NotRotation,
+    NotUnitary,
     NotUnitaryElements,
     UnknownName,
     UnsupportedOrder,
@@ -26,9 +29,15 @@ from udes.errors import (
 from udes.linalg import hs_dist, hs_inner, hs_norm, kron_power
 from udes.qubit import pauli, singlet_triplet
 from udes.su2 import (
+    PAULI_BASIS,
+    UNIT_BASIS,
+    canonical_signs,
     canonical_su2,
+    normalize_batch,
     normalize_to_su2,
+    quaternion_batch,
     quaternion_of,
+    rotation_quaternion,
     so3_rep,
     su2_batch,
     su2_from_rotation,
@@ -270,6 +279,145 @@ def _reference_frame(S):
     return V, Vp, phases, tuple(sigma)
 
 
+def _numpy_classify(S, tol=1e-9):
+    """classify_min_1design's body as it was written in numpy, at the
+    thresholds the module holds now; the reference for its float version.
+    su2.rotation_quaternion stands in for the stacked pivot map it called,
+    whose bits test_su2 pins it to."""
+    S = S if isinstance(S, UnitarySet) else UnitarySet(S)
+    X = S.stack.reshape(4, 4)
+    i, j = np.nonzero(np.triu(np.abs(X.conj() @ X.T) > tol, 1))
+    if i.size:
+        a, b = i[0], j[0]
+        raise NotOrthogonalBasis(
+            f"elements {a} and {b} have HS inner product {X[a].conj() @ X[b]:.3e}"
+        )
+
+    def fail(condition: str, internal: Exception):
+        if tol > designs._FRAME_TOL:
+            raise NotOrthogonalBasis(
+                f"no two elements overlap by more than {tol:g}, "
+                f"but they are not a phased Pauli frame: {condition}"
+            )
+        raise internal
+
+    V = normalize_batch(S.stack)
+    Q = quaternion_batch(V[0].conj().T @ V[1:])
+    Q *= canonical_signs(Q)[:, None]
+    if (np.abs(Q[:, 0]) > designs._FIRST_ORDER_TOL).any():
+        fail(
+            "a relative element is not traceless",
+            InternalConsistencyError("relative element is not traceless"),
+        )
+    ns = Q[:, 1:] / np.linalg.norm(Q[:, 1:], axis=1, keepdims=True)
+    a, b, c = ns.tolist()
+    triple = (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        + a[1] * (b[2] * c[0] - b[0] * c[2])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+    perm = (1, 2, 3) if triple > 0 else (1, 3, 2)
+    R = ns[[p - 1 for p in perm]].T
+    if np.linalg.norm(R.T @ R - np.eye(3)) > designs._FIRST_ORDER_TOL:
+        fail(
+            "the relative axes are not orthonormal",
+            NotRotation("matrix is not orthogonal within tolerance"),
+        )
+    if abs(abs(triple) - 1.0) > designs._FRAME_TOL:
+        fail(
+            f"the relative axes span volume {abs(triple)}",
+            NotRotation(f"determinant {abs(triple)} != 1"),
+        )
+    q = np.array(rotation_quaternion(R.tolist()))
+    defect = math.sqrt(2.0) * abs(q @ q - 1.0)
+    if not defect <= designs.UNITARITY_TOL:
+        message = f"||U^H U - 1|| = {defect:.3e} > {designs.UNITARITY_TOL:.1e}"
+        fail("the lifted rotation is not special unitary", NotUnitary(f"matrix is not unitary: {message}"))
+    VR = su2_batch(q)
+    if canonical_signs(q) < 0:
+        VR = -VR
+    V = V[0] @ VR
+    Vp = VR.conj().T
+    sigma = (0, *perm)
+    P = V @ PAULI_BASIS[list(sigma)] @ Vp
+    phases = np.einsum("aij,aij->a", P.conj(), S.stack) / 2.0
+    if (np.abs(np.abs(phases) - 1.0) > designs._FRAME_TOL).any():
+        fail(
+            "an extracted phase is not a unit complex",
+            InternalConsistencyError("extracted phase is not a unit complex"),
+        )
+    worst = np.linalg.norm(phases[:, None, None] * P - S.stack, axis=(1, 2)).max()
+    if worst > designs._FIRST_ORDER_TOL:
+        fail(
+            f"the frame reconstruction misses by {worst:.3e}",
+            InternalConsistencyError(f"frame reconstruction misses by {worst:.3e}"),
+        )
+    return V, Vp, phases.tolist(), sigma
+
+
+def _builtin_frames():
+    """B and B0, rephased by 1, i, -1, -i and in reverse order."""
+    sets = [[1j**k * U for k, U in enumerate(named_design(n).set)] for n in ("B", "B0")]
+    return sets + [list(named_design(n).set)[::-1] for n in ("B", "B0")]
+
+
+def test_classify_matches_the_numpy_reference():
+    for seed in range(300):
+        S = random_frame(seed)
+        frame = classify_min_1design(S)
+        V, Vp, phases, sigma = _numpy_classify(S)
+        assert frame.permutation == sigma
+        assert np.abs(frame.V - V).max() <= 1e-14
+        assert np.abs(frame.Vp - Vp).max() <= 1e-14
+        assert np.abs(np.subtract(frame.phases, phases)).max() <= 1e-14
+    # the built-ins, whose coordinates are dyadic, exactly; a zero may carry
+    # the other sign, which format_number writes as 0 either way
+    for S in _builtin_frames():
+        frame = classify_min_1design(S)
+        V, Vp, phases, sigma = _numpy_classify(S)
+        assert frame.permutation == sigma
+        assert np.array_equal(frame.V, V) and np.array_equal(frame.Vp, Vp)
+        assert list(frame.phases) == phases
+
+
+def _tilted(d):
+    """1, I, cos(d) J + sin(d) I, K: relative elements exactly traceless,
+    axes d off orthogonal, I and the tilted J overlapping by 2 sin(d)."""
+    one, i, j, k = UNIT_BASIS
+    return [one, i, math.cos(d) * j + math.sin(d) * i, k]
+
+
+#: the Pauli basis with its first element scaled by 1 + 1e-11, unitary within
+#: 1e-10: its phase has modulus (1 + 1e-11)^3 and it misses its rebuilt
+#: element by ~sqrt(2) 4e-11, while every other quantity stays exact
+_SCALED = [(1 + 1e-11) * pauli(0), pauli(1), pauli(2), pauli(3)]
+
+
+@pytest.mark.parametrize(
+    "elems, patch, error",
+    [
+        ([pauli(0), pauli(1), (pauli(1) + pauli(2)) * SQ2, pauli(3)], {}, NotOrthogonalBasis),
+        (random_frame(3), {"_FIRST_ORDER_TOL": -1.0}, InternalConsistencyError),
+        (_tilted(1e-10), {"_FIRST_ORDER_TOL": 0.0}, NotRotation),
+        ([pauli(m) for m in range(4)], {"_FRAME_TOL": -1.0}, NotOrthogonalBasis),
+        ([pauli(m) for m in range(4)], {"UNITARITY_TOL": -1.0}, NotUnitary),
+        (_SCALED, {"_FRAME_TOL": 0.0}, NotOrthogonalBasis),
+        (_SCALED, {"_FIRST_ORDER_TOL": 0.0}, InternalConsistencyError),
+    ],
+    ids=["overlap", "traceless", "orthonormal", "volume", "lift", "phase", "reconstruction"],
+)
+def test_classify_fails_as_the_numpy_reference_on_every_branch(monkeypatch, elems, patch, error):
+    # each threshold patched so that the branch trips at the default tol;
+    # below _FRAME_TOL the internal exception, above it NotOrthogonalBasis
+    for name, value in patch.items():
+        monkeypatch.setattr(designs, name, value)
+    with pytest.raises(error) as want:
+        _numpy_classify(elems)
+    with pytest.raises(error) as got:
+        classify_min_1design(elems)
+    assert str(got.value) == str(want.value)
+
+
 def test_classify_matches_the_elementwise_reference():
     # 200 generic frames plus the rephased and reordered built-in bases
     sets = [random_frame(seed) for seed in range(200)]
@@ -308,6 +456,10 @@ def test_classify_matches_the_reference_on_every_pivot(pivot):
     assert np.abs(frame.V - V).max() <= 1e-14
     assert np.abs(frame.Vp - Vp).max() <= 1e-14
     assert np.abs(np.subtract(frame.phases, ref_phases)).max() <= 1e-14
+    V, Vp, ref_phases, _ = _numpy_classify(S)
+    assert np.abs(frame.V - V).max() <= 1e-14
+    assert np.abs(frame.Vp - Vp).max() <= 1e-14
+    assert np.abs(np.subtract(frame.phases, ref_phases)).max() <= 1e-14
     # Vp is the lift of R itself
     assert np.allclose(so3_rep(Vp.conj().T), R, atol=1e-12)
 
@@ -332,6 +484,43 @@ def test_classify_reconstructs_arbitrary_frames(seed):
     # V and Vp are special unitaries
     for M in (frame.V, frame.Vp):
         assert abs(np.linalg.det(M) - 1.0) < 1e-9
+
+
+def _rotated_frame(seed, tol):
+    """random_frame(seed) with each element rotated by exp(-i eps n.X), the
+    rotations scaled until the largest overlap |tr(U_a^H U_b)| is just
+    under tol."""
+    g = np.random.default_rng(seed)
+    F = np.array(random_frame(seed))
+    kicks = g.normal(size=(4, 3)) * g.random((4, 1))
+
+    def rotated(scale):
+        eps = np.linalg.norm(kicks, axis=1, keepdims=True) * scale
+        q = np.hstack([np.cos(eps), np.sin(eps) * kicks / np.linalg.norm(kicks, axis=1, keepdims=True)])
+        return su2_batch(q) @ F
+
+    def overlap(S):
+        X = S.reshape(4, 4)
+        return np.abs(X.conj() @ X.T)[np.triu_indices(4, 1)].max()
+
+    scale = 1e-9
+    for _ in range(3):
+        scale *= tol / overlap(rotated(scale))
+    while overlap(rotated(scale)) > tol:
+        scale *= 1 - 1e-5
+    return rotated(scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1e-10, 1e-9, 5e-9, 1e-8]))
+def test_near_frames_that_pass_the_scan_complete(seed, tol):
+    # every check after the scan leaves room for the first-order slack a
+    # scan at tol <= _FRAME_TOL lets through, so such a set completes as
+    # `udes construct` does it, with no internal error
+    S = UnitarySet(_rotated_frame(seed, tol))
+    frame = classify_min_1design(S, tol=tol)
+    assert max(hs_norm(a - b) for a, b in zip(frame.reconstruct(), S)) <= designs._FIRST_ORDER_TOL
+    verify_design(extend_to_2design(S, frame), 2, tol=tol)
 
 
 @settings(max_examples=15, deadline=None)

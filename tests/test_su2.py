@@ -21,6 +21,7 @@ from udes.su2 import (
     Quaternion,
     axis_angle_batch,
     axis_angle_of,
+    canonical_sign,
     canonical_signs,
     canonical_su2,
     hamilton,
@@ -29,7 +30,7 @@ from udes.su2 import (
     quaternion_batch,
     quaternion_of,
     rodrigues,
-    rotation_quaternion_batch,
+    rotation_quaternion,
     shift_euler_solutions,
     so3_rep,
     su2_batch,
@@ -244,8 +245,8 @@ PIVOT_ROTATIONS = {
     "R22": np.array([[1, 12, 12], [-12, -8, 9], [12, -9, 8]]) / 17,
 }
 #: the pivot each rotation takes, and the quaternion of the canonical special
-#: unitary su2_from_rotation returned for it before the pivot formula became
-#: rotation_quaternion_batch
+#: unitary su2_from_rotation returns for it, pinned from before the pivot
+#: formula had a map of its own
 PIVOT_OUTPUTS = {
     "trace": (0, (1.0, 0.0, 0.0, 0.0)),
     "pi_x": (1, (0.0, 1.0, 0.0, 0.0)),
@@ -268,17 +269,43 @@ def test_su2_from_rotation_keeps_its_outputs_on_every_pivot(name):
     assert np.allclose(so3_rep(plus), R, atol=1e-12)
 
 
-def test_rotation_quaternion_batch_maps_a_stack_as_its_matrices():
+def _reference_rotation_quaternion_batch(R) -> np.ndarray:
+    """The pivot map as it was written for (..., 3, 3) stacks in numpy; the
+    reference for the scalar rotation_quaternion."""
+    R = np.asarray(R, dtype=float)
+    n = R.ndim - 2
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R.transpose(n, n + 1, *range(n))
+    t = r00 + r11 + r22
+    sx, sy, sz = r21 - r12, r02 - r20, r10 - r01
+    xy, xz, yz = r01 + r10, r02 + r20, r12 + r21
+    K = np.array(
+        [
+            [1.0 + t, sx, sy, sz],
+            [sx, 1.0 + r00 - r11 - r22, xy, xz],
+            [sy, xy, 1.0 - r00 + r11 - r22, yz],
+            [sz, xz, yz, 1.0 - r00 - r11 + r22],
+        ]
+    ).reshape(4, 4, -1)
+    pivot = np.argmax(np.array([t, r00, r11, r22]).reshape(4, -1), axis=0)
+    rows = np.arange(pivot.size)
+    q = K[pivot, :, rows]  # (N, 4): row `pivot` of 4 q q^T
+    r = np.sqrt(q[rows, pivot])
+    q /= 2 * r[:, None]
+    q[rows, pivot] = 0.5 * r
+    s, x, y, z = q.T
+    q /= np.sqrt(s * s + x * x + y * y + z * z)[:, None]
+    return q.reshape(R.shape[:-2] + (4,))
+
+
+def test_rotation_quaternion_gives_the_bits_of_the_stacked_reference():
     random = su2_batch(HaarSampler(8).quaternions(40))
     R = np.stack([*PIVOT_ROTATIONS.values(), *(so3_rep(U) for U in random)])
-    one_by_one = np.stack([rotation_quaternion_batch(M) for M in R])
-    stacked = rotation_quaternion_batch(R.reshape(1, -1, 3, 3))
-    assert stacked.shape == (1, len(R), 4)
-    assert np.array_equal(stacked[0], one_by_one)
+    scalar = np.array([rotation_quaternion(M.tolist()) for M in R])
+    assert scalar.tobytes() == _reference_rotation_quaternion_batch(R).tobytes()
     # each covers its rotation, with its pivot coordinate positive
     pivots = np.argmax([np.trace(R, axis1=1, axis2=2), *np.diagonal(R, axis1=1, axis2=2).T], axis=0)
-    assert (one_by_one[np.arange(len(R)), pivots] > 0).all()
-    assert np.allclose(np.stack([so3_rep(U) for U in su2_batch(one_by_one)]), R, atol=1e-12)
+    assert (scalar[np.arange(len(R)), pivots] > 0).all()
+    assert np.allclose(np.stack([so3_rep(U) for U in su2_batch(scalar)]), R, atol=1e-12)
 
 
 @given(quaternions, st.floats(min_value=0, max_value=2 * math.pi))
@@ -356,8 +383,9 @@ def test_canonical_sign_per_row_equals_canonical_su2():
     for sign, V in zip(signs, U):
         assert np.array_equal(sign * V, canonical_su2(V))
         assert np.array_equal(sign * V, canonical_su2(-V))
-    # the same signs on a (3, 5) reshaping of the rows
+    # the same signs on a (3, 5) reshaping of the rows, and one row at a time
     assert np.array_equal(canonical_signs(Q.reshape(3, 5, 4)), signs.reshape(3, 5))
+    assert [canonical_sign(q) for q in Q.tolist()] == signs.tolist()
 
 
 def test_normalize_batch_gives_canonical_det_one_multiples():

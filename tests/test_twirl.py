@@ -126,6 +126,88 @@ def test_unitary_set_finds_the_first_duplicate_pair_across_row_blocks():
         UnitarySet(elems)
 
 
+def _reference_first_duplicate(X, tol=EQ_TOL):
+    """UnitarySet's duplicate scan as it was, exact distances of every pair
+    of flattened elements in row blocks of at most 2^16 entries of X; the
+    reference for the Gram screen."""
+    rows = max(1, 2**16 // X.size)
+    for lo in range(0, len(X), rows):
+        i, j = np.nonzero(np.linalg.norm(X[lo : lo + rows, None] - X, axis=2) <= tol)
+        later = np.flatnonzero(j > lo + i)
+        if later.size:
+            return lo + int(i[later[0]]), int(j[later[0]])
+    return None
+
+
+def _random_unitaries(g, n, d):
+    q, r = np.linalg.qr(g.normal(size=(n, d, d)) + 1j * g.normal(size=(n, d, d)))
+    return q * (np.diagonal(r, axis1=1, axis2=2) / np.abs(np.diagonal(r, axis1=1, axis2=2)))[:, None]
+
+
+def _planted(seed, n, d, plants):
+    """n random unitaries of dimension d, of which `plants` copies of
+    earlier ones are moved by exp(i H) to a distance from 1e-13 to 1e-9,
+    around tol = 1e-10."""
+    g = np.random.default_rng(seed)
+    U = _random_unitaries(g, n, d)
+    for _ in range(plants):
+        a, b = sorted(g.choice(n, 2, replace=False))
+        if g.random() < 0.5:
+            a, b = b, a
+        H = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
+        H = (H + H.conj().T) / 2
+        w, v = np.linalg.eigh(H)
+        step = np.exp(1j * w)  # exp(i H) moves U by ||(exp(i H) - 1) U|| = ||exp(i w) - 1||
+        scale = 10.0 ** g.uniform(-13, -9) / np.linalg.norm(step - 1)
+        U[b] = (v * np.exp(1j * scale * w)) @ v.conj().T @ U[a]
+    return U
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 16]), st.integers(2, 12), st.integers(1, 3))
+def test_gram_screen_finds_the_first_pair_of_the_exact_scan(seed, d, n, plants):
+    U = _planted(seed, n, d, plants)
+    want = _reference_first_duplicate(U.reshape(n, d * d))
+    if want is None:
+        assert len(UnitarySet(U)) == n
+    else:
+        with pytest.raises(DuplicateElements) as exc:
+            UnitarySet(U)
+        assert str(exc.value) == f"elements {want[0]} and {want[1]} coincide within {EQ_TOL}"
+
+
+@pytest.mark.parametrize("d", [2, 16])
+@pytest.mark.parametrize("seed", range(3))
+def test_gram_screen_finds_the_first_pair_across_row_blocks(d, seed):
+    # 200 elements make three Gram blocks of 81 rows; the near pairs sit in
+    # the later blocks, around tol
+    U = _planted(seed, 200, d, 0)
+    g = np.random.default_rng(seed)
+    for a, b, dist in [(150, 190, 2e-10), (100, 199, 5e-11), (120, 170, 1e-13)][seed:]:
+        U[b] = U[a] * np.exp(1j * dist / np.sqrt(d))  # ||U_b - U_a|| = |e^(i x) - 1| sqrt(d) ~ dist
+    want = _reference_first_duplicate(U.reshape(200, d * d))
+    with pytest.raises(DuplicateElements) as exc:
+        UnitarySet(U)
+    assert str(exc.value) == f"elements {want[0]} and {want[1]} coincide within {EQ_TOL}"
+
+
+def test_unitary_set_stack_is_read_only():
+    S = UnitarySet([pauli(m) for m in range(4)])
+    for a in (S.stack, S[0], S.gram):
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n", [4, 12, 48, 200])
+def test_cached_gram_and_frame_potential_match_the_einsum_reference(n):
+    S = UnitarySet(_random_unitaries(np.random.default_rng(n), n, 2))
+    gram = np.einsum("aij,bij->ab", S.stack.conj(), S.stack)
+    assert S.gram is S.gram
+    assert np.abs(S.gram - gram).max() <= 1e-15
+    for t in (1, 2):
+        assert abs(frame_potential(S, t).value - np.mean(np.abs(gram) ** (2 * t))) <= 1e-15
+
+
 def test_unitary_set_rejects_bad_label_count():
     with pytest.raises(ValueError):
         UnitarySet([np.eye(2)], labels=["a", "b"])
