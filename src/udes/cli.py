@@ -22,6 +22,7 @@ import functools
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -68,6 +69,23 @@ def emit_json(value, indent: int = 0) -> str:
     return _layout(value, indent)[0]
 
 
+#: the types a list of numbers is made of, in reports and in set files
+_NUMBER_TYPES = frozenset((float, int))
+
+
+def _number_fields(value, indent: int) -> list[str] | None:
+    """The one-line items of a list at `indent`, each number formatted once,
+    when they are all numbers, or all lists of numbers whose one-line forms
+    fit at indent + 1; None otherwise, for the recursion to lay out."""
+    kinds = {*map(type, value)}
+    if kinds <= _NUMBER_TYPES:
+        return list(map(format_number, value))
+    if kinds != {list} or not {*map(type, chain.from_iterable(value))} <= _NUMBER_TYPES:
+        return None
+    rows = ["[" + ", ".join(map(format_number, v)) + "]" for v in value]
+    return rows if max(map(len, rows)) <= 100 - 2 * (indent + 1) else None
+
+
 def _layout(value, indent: int) -> tuple[str, bool]:
     """`value` rendered at `indent`, and whether that rendering is one line.
 
@@ -78,11 +96,8 @@ def _layout(value, indent: int) -> tuple[str, bool]:
         fields = [f"{json.dumps(k)}: {text}" for k, (text, _) in zip(value, items)]
         opening, closing = "{", "}"
     elif isinstance(value, (list, tuple)):
-        if all(type(v) is float or type(v) is int for v in value):
-            # a list of numbers, each formatted once: one line if it fits
-            fields = list(map(format_number, value))
-            items = ()
-        else:
+        fields, items = _number_fields(value, indent), ()
+        if fields is None:
             items = [_layout(v, indent + 1) for v in value]
             fields = [text for text, _ in items]
         opening, closing = "[", "]"
@@ -134,6 +149,44 @@ def _entry(value, where: str) -> complex:
     return complex(float(value[0]), float(value[1]))
 
 
+def _matrix(value, where: str) -> np.ndarray:
+    if not isinstance(value, list) or len(value) != 2:
+        raise FileFormatError(f"{where}: expected 2 rows")
+    out = np.empty((2, 2), dtype=complex)
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or len(row) != 2:
+            raise FileFormatError(f"{where}[{i}]: expected 2 entries")
+        for j, entry in enumerate(row):
+            out[i, j] = _entry(entry, f"{where}[{i}][{j}]")
+    return out
+
+
+def _stack_of(raw: list) -> np.ndarray | None:
+    """The (n, 2, 2) complex stack of a well-formed `unitaries` list in one
+    array, or None if any entry needs the per-entry checks to decide it.
+
+    Level by level, every matrix and row must be a list and every entry a
+    list or tuple, each of 2 items, and every number an int or a float:
+    np.array alone would take bools, numeric strings and None.  One
+    comparison then refuses NaN, inf and, with the float maximum itself,
+    any int that rounds to it from beyond; an int past the float range
+    does not convert at all."""
+    level = raw
+    for kinds in ({list}, {list}, {list, tuple}):
+        if not ({*map(type, level)} <= kinds and {*map(len, level)} == {2}):
+            return None
+        level = list(chain.from_iterable(level))
+    if not {*map(type, level)} <= _NUMBER_TYPES:
+        return None
+    try:
+        values = np.array(level, dtype=float)
+    except OverflowError:
+        return None
+    if not (np.abs(values) < sys.float_info.max).all():
+        return None
+    return values.view(complex).reshape(-1, 2, 2)
+
+
 def parse_unitary_set(doc, strict: bool = False) -> twirl.UnitarySet:
     if not isinstance(doc, dict):
         raise FileFormatError("top-level value must be an object")
@@ -150,17 +203,9 @@ def parse_unitary_set(doc, strict: bool = False) -> twirl.UnitarySet:
     raw = doc["unitaries"]
     if not isinstance(raw, list) or not raw:
         raise FileFormatError("unitaries: expected a nonempty list of matrices")
-    mats = []
-    for k, mat in enumerate(raw):
-        if not isinstance(mat, list) or len(mat) != dim:
-            raise FileFormatError(f"unitaries[{k}]: expected {dim} rows")
-        out = np.empty((dim, dim), dtype=complex)
-        for i, row in enumerate(mat):
-            if not isinstance(row, list) or len(row) != dim:
-                raise FileFormatError(f"unitaries[{k}][{i}]: expected {dim} entries")
-            for j, entry in enumerate(row):
-                out[i, j] = _entry(entry, f"unitaries[{k}][{i}][{j}]")
-        mats.append(out)
+    mats = _stack_of(raw)
+    if mats is None:  # the first bad entry names itself
+        mats = [_matrix(mat, f"unitaries[{k}]") for k, mat in enumerate(raw)]
     labels = doc.get("labels")
     if labels is not None:
         if (
@@ -380,14 +425,14 @@ def cmd_geometry(args) -> tuple[dict, int]:
     C = groups.su2_closure(S, args.tol)
     pid = groups.polytope_identify(C.points(), args.tol)
     rotations = [
-        {"axis": list(aa.axis), "angle": aa.angle, "vector": list(aa.vector())}
+        {"axis": list(aa.axis), "angle": aa.angle, "vector": aa.vector().tolist()}
         for aa in groups.so3_image_table(C)
     ]
     result = {
         "closure_size": len(C),
         "polytope": pid.kind,
         "chord_spectrum": [[d, m] for d, m in pid.distance_spectrum],
-        "quaternions": [list(q) for q in C.points()],
+        "quaternions": C.points().tolist(),
         "rotations": rotations,
     }
     report = {

@@ -116,34 +116,54 @@ class GroupProfile:
     semidirect_check: bool
 
 
-def _lookup(P: np.ndarray, Q: np.ndarray, tol: float) -> np.ndarray:
-    """Index of the row of Q nearest each quaternion of P, or -1 where it is
-    farther than tol in Hilbert-Schmidt distance ||U - V|| = sqrt(2) |p - q|.
+#: row j holds the (i, k) entries (e_i e_j)_k of the unit basis products, so
+#: that (q @ _RIGHT).reshape(4, 4) is the right-multiplication matrix of q:
+#: p q = p @ (q @ _RIGHT).reshape(4, 4), with hamilton's sign convention
+_RIGHT = hamilton(np.eye(4)[None], np.eye(4)[:, None]).reshape(4, 16)
 
-    The largest dot product picks the candidate, in row blocks of at most
-    2^15 dot products (256 kB); the distance is then taken directly, because
-    2 - 2 p.q loses the 1e-9 scale to cancellation.
+
+def _lookup(P: np.ndarray, Q: np.ndarray, tol: float) -> np.ndarray:
+    """Index of the row of the signed closure Q nearest each quaternion of P,
+    or -1 where it is farther than tol in Hilbert-Schmidt distance
+    ||U - V|| = sqrt(2) |p - q|.
+
+    The largest |p.r| over the representatives r = Q[0::2] picks the
+    candidate, in row blocks of at most 2^15 dot products (256 kB), and the
+    sign of p.r picks r or -r; the distance is then taken directly, because
+    2 - 2 |p.r| loses the 1e-9 scale to cancellation.
     """
     flat = P.reshape(-1, 4)
+    R = Q[0::2]
     out = np.empty(len(flat), dtype=int)
-    step = max(1, 2**15 // len(Q))
+    step = max(1, 2**15 // len(R))
     for lo in range(0, len(flat), step):
-        out[lo : lo + step] = np.argmax(flat[lo : lo + step] @ Q.T, axis=1)
+        dots = flat[lo : lo + step] @ R.T
+        c = np.argmax(np.abs(dots), axis=1)
+        out[lo : lo + step] = 2 * c + (dots[np.arange(len(c)), c] < 0)
     out[_hs_distance(flat - Q[out]) > tol] = -1
     return out.reshape(P.shape[:-1])
+
+
+#: k / 2 for the probed powers k = 1, ..., _ORDER_CAP
+_HALF_POWERS = np.arange(1, _ORDER_CAP + 1) / 2.0
 
 
 def _orders(Q: np.ndarray, tol: float) -> np.ndarray:
     """Smallest k <= _ORDER_CAP with ||U^k - 1|| <= tol per element, 0 if none.
 
-    The powers come in doublings, q^(m+1..2m) = q^m q^(1..m), one batched
-    product each; ||U^k - 1|| = sqrt(2) |q^k - 1| is taken as a difference.
+    A unit quaternion (cos a, sin a n) has the powers (cos ka, sin ka n), so
+    ||U^k - 1|| = sqrt(2) |q^k - 1| = 2 sqrt(2) |sin(ka / 2)|, with
+    a = atan2(|v|, s).  In units of pi, k a / 2 is reduced exactly to its
+    distance r <= 1/2 from the nearest integer, and |sin(pi r)| grows with
+    r there: the test is r <= arcsin(tol / (2 sqrt(2))) / pi.  The rounding
+    of k a / 2 never enters, and the built-in lattice elements, whose r is
+    exactly 0 at their orders, keep those orders however small tol is.
     """
-    powers = Q[None]
-    while len(powers) < _ORDER_CAP:
-        powers = np.concatenate([powers, hamilton(powers[-1], powers)])
-    hit = _hs_distance(powers[:_ORDER_CAP] - (1.0, 0.0, 0.0, 0.0)) <= tol
-    return np.where(hit.any(axis=0), hit.argmax(axis=0) + 1, 0)
+    turns = np.arctan2(np.linalg.norm(Q[:, 1:], axis=1), Q[:, 0]) / math.pi
+    x = np.multiply.outer(turns, _HALF_POWERS)
+    reach = math.asin(min(tol / (2.0 * math.sqrt(2.0)), 1.0)) / math.pi
+    hit = np.abs(x - np.round(x)) <= reach
+    return np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, 0)
 
 
 _CANDIDATE_SUBGROUPS = (
@@ -158,6 +178,31 @@ _CANDIDATE_SUBGROUPS = (
 _UNITS = _signed(np.eye(4))
 
 
+#: s ^ t on the (a, s, b, t) axes of the signed product table
+_SIGN_FLIPS = np.array([[0, 1], [1, 0]])[:, None, :]
+
+
+def _product_table(Q: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, n) index table of the products of the signed closure Q, -1
+    where a product lies farther than tol from every element, and which
+    representatives Q[0::2] commute with all of them within tol.
+
+    Negation is exact, so Q[2a+s] Q[2b+t] = (-1)^(s+t) R_a R_b bit for bit
+    with R = Q[0::2]: only the (n/2)^2 representative products are formed,
+    in one GEMM against their right-multiplication matrices, and the index
+    of a signed product is that of R_a R_b with its low bit flipped by s ^ t.
+    """
+    R = Q[0::2]
+    m = len(R)
+    right = (R @ _RIGHT).reshape(m, 4, 4)
+    T = (R @ right.transpose(1, 0, 2).reshape(4, 4 * m)).reshape(m, m, 4)  # T[a, b] = R_a R_b
+    rep = _lookup(T, Q, tol)
+    prod = (rep[:, None, :, None] ^ _SIGN_FLIPS).reshape(2 * m, 2 * m)
+    prod[prod < 0] = -1  # -1 ^ 1 is -2
+    commutes = (_hs_distance(T - T.swapaxes(0, 1)) <= tol).all(axis=1)
+    return prod, commutes
+
+
 def group_profile(C: Su2Closure, tol: float = _MEMBER_TOL) -> GroupProfile:
     """Multiplicative structure of a closure: closure-under-product verdict,
     element orders, center size, coset split by the largest proper normal
@@ -166,12 +211,11 @@ def group_profile(C: Su2Closure, tol: float = _MEMBER_TOL) -> GroupProfile:
     one table of Hamilton products looked up within tol."""
     Q = C.points()
     n = len(C)
-    P = hamilton(Q[:, None, :], Q[None, :, :])
-    prod = _lookup(P, Q, tol)
+    prod, commutes = _product_table(Q, tol)
     is_group = bool((prod >= 0).all())
     histogram = dict(Counter(_orders(Q, tol).tolist()))
-    commutes = _hs_distance(P - P.swapaxes(0, 1)) <= tol
-    center = int(np.count_nonzero(commutes.all(axis=1)))
+    # g commutes with everything exactly when -g does
+    center = 2 * int(np.count_nonzero(commutes))
 
     cosets, semidirect = None, False
     if is_group:
@@ -182,8 +226,10 @@ def group_profile(C: Su2Closure, tol: float = _MEMBER_TOL) -> GroupProfile:
             idx = np.array([units[nm] for nm in names])
             if (idx < 0).any() or len(idx) >= n:
                 continue
+            member = np.zeros(n, dtype=bool)
+            member[idx] = True
             # normal: g h g^-1 stays in the subgroup for every g
-            if np.isin(prod[prod[:, idx], inverse[:, None]], idx).all():
+            if member[prod[prod[:, idx], inverse[:, None]]].all():
                 # row r starts a new left coset rH exactly when r is its smallest member
                 left = prod[:, idx]
                 starts = np.flatnonzero(left.min(axis=1) == np.arange(n))
@@ -246,9 +292,9 @@ def polytope_identify(points, tol: float = _MEMBER_TOL) -> PolytopeId:
     if P.ndim != 2 or P.shape[1] != 4:
         raise NonUnitPoint(f"expected an (n, 4) array of quaternions, got {P.shape}")
     norms = np.linalg.norm(P, axis=1)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > tol)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= tol))  # NaN fails too
     if bad.size:
-        raise NonUnitPoint(f"point {bad[0]} has norm {norms[bad[0]]!r}")
+        raise NonUnitPoint(f"point {bad[0]} has norm {float(norms[bad[0]])!r}")
     n = P.shape[0]
     dists = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)
     rows = np.sort(dists, axis=1)[:, 1:]  # drop each vertex's zero self-distance

@@ -290,9 +290,10 @@ def assert_rotation(R, tol: float = EQ_TOL) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise NotRotation(f"expected 3x3, got {R.shape}")
-    if hs_norm(R.T @ R - np.eye(3)) > tol:
+    # written as not <= so that NaN entries fail
+    if not hs_norm(R.T @ R - np.eye(3)) <= tol:
         raise NotRotation("matrix is not orthogonal within tolerance")
-    if abs(np.linalg.det(R) - 1.0) > tol:
+    if not abs(np.linalg.det(R) - 1.0) <= tol:
         raise NotRotation(f"determinant {np.linalg.det(R)} != 1")
     return R
 

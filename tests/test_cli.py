@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from udes import cli
 from udes.cli import (
     BUILTIN_NAMES,
+    FileFormatError,
     emit_json,
     format_number,
     load_unitary_set,
@@ -125,6 +126,36 @@ def test_emit_json_width_limit_is_100_minus_twice_the_indent(indent, spare):
     assert emit_json(nested, indent) == emit_json_reference(nested, indent)
 
 
+@st.composite
+def _rows_near_the_width(draw):
+    """(rows, indent): a list at `indent` of rows of numbers whose one-line
+    forms lie within 3 columns of the width limit one level down, 100 -
+    2 (indent + 1): some floats, filled up to the drawn width with ints."""
+    indent = draw(st.integers(min_value=0, max_value=3))
+    limit = 100 - 2 * (indent + 1)
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        target = limit + draw(st.integers(min_value=-3, max_value=3))
+        row = draw(st.lists(st.floats(allow_nan=False) | st.just(-0.0), max_size=4))
+        # each further int takes ", " and at least one digit
+        while row and (rest := target - len(_inline_reference(row))) != 0 and rest < 3:
+            row.pop()
+        while (rest := target - len(_inline_reference(row))) > 0:
+            room = rest - (2 if row else 0)
+            digits = room if room <= 15 else (15 if room - 15 >= 3 else 12)
+            row.append(draw(st.integers(min_value=10 ** (digits - 1), max_value=10**digits - 1)))
+        assert len(_inline_reference(row)) == target
+        rows.append(row)
+    return rows, indent
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows_near_the_width())
+def test_emit_json_lays_out_rows_of_numbers_at_the_width_limit(case):
+    rows, indent = case
+    assert emit_json(rows, indent) == emit_json_reference(rows, indent)
+
+
 def _numeric_leaves(value) -> int:
     if isinstance(value, dict):
         return sum(_numeric_leaves(v) for v in value.values())
@@ -187,6 +218,130 @@ def test_parse_diagnostics_name_the_offending_field(doc, fragment):
     with pytest.raises(FileFormatError) as err:
         parse_unitary_set(doc)
     assert fragment in str(err.value)
+
+
+def _reference_parse(raw) -> np.ndarray:
+    """The (n, 2, 2) stack of `unitaries` entry by entry, as every file was
+    parsed before the one-array path; kept as the oracle for it."""
+    mats = []
+    for k, mat in enumerate(raw):
+        if not isinstance(mat, list) or len(mat) != 2:
+            raise FileFormatError(f"unitaries[{k}]: expected 2 rows")
+        out = np.empty((2, 2), dtype=complex)
+        for i, row in enumerate(mat):
+            if not isinstance(row, list) or len(row) != 2:
+                raise FileFormatError(f"unitaries[{k}][{i}]: expected 2 entries")
+            for j, value in enumerate(row):
+                where = f"unitaries[{k}][{i}][{j}]"
+                if (
+                    not isinstance(value, (list, tuple))
+                    or len(value) != 2
+                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+                ):
+                    raise FileFormatError(f"{where}: expected a [re, im] pair, got {value!r}")
+                if not all(abs(v) <= sys.float_info.max for v in value):
+                    raise FileFormatError(f"{where}: expected finite real and imaginary parts")
+                out[i, j] = complex(float(value[0]), float(value[1]))
+        mats.append(out)
+    return np.stack(mats)
+
+
+def _good_unitaries(n: int, seed: int) -> list:
+    h = HaarSampler(seed)
+    return [cli.matrix_payload(haar_sample(h)) for _ in range(n)]
+
+
+#: one bad number, entry, row or matrix in place of a good one
+_DEFECTS = {
+    "bool": lambda m, i, j, p: _set_number(m, i, j, p, True),
+    "numeric string": lambda m, i, j, p: _set_number(m, i, j, p, "1.5"),
+    "null": lambda m, i, j, p: _set_number(m, i, j, p, None),
+    "nan": lambda m, i, j, p: _set_number(m, i, j, p, math.nan),
+    "1e999": lambda m, i, j, p: _set_number(m, i, j, p, float("1e999")),
+    "10**400": lambda m, i, j, p: _set_number(m, i, j, p, 10**400),
+    "nested number": lambda m, i, j, p: _set_number(m, i, j, p, [0.5]),
+    "3-item entry": lambda m, i, j, p: _set_entry(m, i, j, [0.5, 0.5, 0.5]),
+    "1-item entry": lambda m, i, j, p: _set_entry(m, i, j, [0.5]),
+    "dict entry": lambda m, i, j, p: _set_entry(m, i, j, {"re": 1, "im": 0}),
+    "nested entry": lambda m, i, j, p: _set_entry(m, i, j, [m[i][j]]),
+    "ragged row": lambda m, i, j, p: m[i].append([0, 0]) if p else m[i].pop(),
+    "nested matrix": lambda m, i, j, p: m.__setitem__(slice(None), [list(m)]),
+}
+
+
+def _set_number(m, i, j, p, value):
+    m[i][j][p] = value
+
+
+def _set_entry(m, i, j, value):
+    m[i][j] = value
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(_DEFECTS)),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=7),
+)
+def test_bulk_parse_names_the_entry_the_per_entry_path_names(defect, n, seed, where):
+    raw = _good_unitaries(n, seed)
+    k = seed % n
+    _DEFECTS[defect](raw[k], where >> 2, (where >> 1) & 1, where & 1)
+    with pytest.raises(FileFormatError) as want:
+        _reference_parse(raw)
+    with pytest.raises(FileFormatError) as got:
+        parse_unitary_set({"dim": 2, "unitaries": raw})
+    assert str(got.value) == str(want.value)
+    assert str(want.value).startswith(f"unitaries[{k}]")
+
+
+_FLOAT_MAX = sys.float_info.max
+
+#: the float maximum itself takes the per-entry path; see the test after next
+_GOOD_NUMBERS = (
+    st.floats(min_value=-_FLOAT_MAX, max_value=_FLOAT_MAX, exclude_min=True, exclude_max=True)
+    | st.just(-0.0)
+    | st.sampled_from([5e-324, -2.2250738585072014e-308, 1e-310, _FLOAT_MAX * (1 - 2**-52)])
+    | st.integers(min_value=-(10**300), max_value=10**300)
+    | st.integers(min_value=-3, max_value=3)
+)
+
+
+def _pairs(inner):
+    return st.lists(inner, min_size=2, max_size=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_pairs(_pairs(_pairs(_GOOD_NUMBERS))), min_size=1, max_size=8))
+def test_bulk_parse_matches_the_per_entry_stack_bit_for_bit(raw):
+    got = cli._stack_of(raw)
+    assert got is not None  # a well-formed list takes the one-array path
+    assert got.tobytes() == _reference_parse(raw).tobytes()
+
+
+@pytest.mark.parametrize(
+    "value", [_FLOAT_MAX, int(_FLOAT_MAX) + 1, int(_FLOAT_MAX) + 2**970 - 1], ids=["max", "max+1", "rounds-to-max"]
+)
+def test_numbers_at_the_float_maximum_take_the_per_entry_path(value):
+    # an int beyond the float maximum that rounds to it is refused, the maximum itself is not
+    raw = [[[[value, 0], [0, 0]], [[0, 0], [1, 0]]]]
+    assert float(value) == _FLOAT_MAX and cli._stack_of(raw) is None
+    if type(value) is float:
+        assert cli._matrix(raw[0], "unitaries[0]").tobytes() == _reference_parse(raw)[0].tobytes()
+        return
+    with pytest.raises(FileFormatError) as want:
+        _reference_parse(raw)
+    with pytest.raises(FileFormatError) as got:
+        parse_unitary_set({"dim": 2, "unitaries": raw})
+    assert str(got.value) == str(want.value) == "unitaries[0][0][0]: expected finite real and imaginary parts"
+
+
+def test_bulk_parse_keeps_ints_negative_zero_and_labels_of_a_unitary_file():
+    raw = [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[0, 0], [1, 0]], [[1, -0.0], [0, 0]]]]
+    S = parse_unitary_set({"dim": 2, "unitaries": raw, "labels": ["1", "X"]})
+    assert S.stack.tobytes() == _reference_parse(raw).tobytes()
+    assert S.labels == ("1", "X")
 
 
 BAD_NUMBER = '{"dim": 2, "unitaries": [[[%s, [0, 0]], [[0, 0], [1, 0]]]]}'

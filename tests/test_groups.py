@@ -10,6 +10,8 @@ from udes.designs import AXIS_CYCLE, named_design
 from udes.errors import DimensionMismatch, NonUnitPoint, NotHalfInteger, ProportionalElements
 from udes.groups import (
     GroupProfile,
+    _orders,
+    _product_table,
     axis_cycle_closure_table,
     demitesseract_class,
     group_profile,
@@ -19,7 +21,7 @@ from udes.groups import (
 )
 from udes.qubit import pauli
 from udes.linalg import hs_norm
-from udes.su2 import quaternion_of, rodrigues, so3_rep, su2_batch
+from udes.su2 import hamilton, quaternion_of, rodrigues, so3_rep, su2_batch
 from udes.twirl import HaarSampler, UnitarySet
 
 B = named_design("B").set
@@ -106,6 +108,13 @@ def test_polytope_other_and_validation():
         polytope_identify(np.array([[1.0, 1.0, 0.0, 0.0]]))
     with pytest.raises(NonUnitPoint):
         polytope_identify(np.zeros((3, 5)))
+
+
+@pytest.mark.parametrize("shape", [(8, 4), (1, 4)])
+def test_polytope_refuses_nan_points(shape):
+    # NaN fails every comparison, so a norm test written as > tol would let it through
+    with pytest.raises(NonUnitPoint, match="^point 0 has norm nan"):
+        polytope_identify(np.full(shape, np.nan))
 
 
 def test_polytope_recognition_is_rotation_invariant():
@@ -408,3 +417,106 @@ def test_closure_finds_the_first_proportional_pair_across_row_blocks():
     elems[199] = -elems[100]
     with pytest.raises(ProportionalElements, match="^elements 100 and 199 "):
         su2_closure(UnitarySet(elems))
+
+
+# ---- the representative table and the closed-form orders against the code they replaced ----
+
+
+def _hs_distance(d):
+    return math.sqrt(2.0) * np.sqrt(np.einsum("...i,...i->...", d, d))
+
+
+def _reference_table(Q, tol):
+    """group_profile's product table and center as they were: all n^2
+    Hamilton products of the signed closure, each looked up by its largest
+    dot product over all n rows, and the commutators of every pair."""
+    P = hamilton(Q[:, None, :], Q[None, :, :])
+    prod = np.argmax(P @ Q.T, axis=2)
+    prod[_hs_distance(P - Q[prod]) > tol] = -1
+    commutes = _hs_distance(P - P.swapaxes(0, 1)) <= tol
+    return prod, int(np.count_nonzero(commutes.all(axis=1)))
+
+
+def _doubling_distances(Q):
+    """||U^k - 1|| for k = 1, ..., 48 (rows) per element, with the powers in
+    doublings q^(m+1..2m) = q^m q^(1..m), one batched Hamilton product each."""
+    powers = Q[None]
+    while len(powers) < 48:
+        powers = np.concatenate([powers, hamilton(powers[-1], powers)])
+    return _hs_distance(powers[:48] - (1.0, 0.0, 0.0, 0.0))
+
+
+def _doubling_orders(Q, tol):
+    """_orders as it was: the smallest k with ||U^k - 1|| <= tol, 0 if none."""
+    hit = _doubling_distances(Q) <= tol
+    return np.where(hit.any(axis=0), hit.argmax(axis=0) + 1, 0)
+
+
+def _check_table(Q, tol):
+    prod, commutes = _product_table(Q, tol)
+    want, center = _reference_table(Q, tol)
+    assert np.array_equal(prod, want)
+    assert 2 * int(np.count_nonzero(commutes)) == center
+    # the signed products follow from the representatives' by s ^ t
+    rep = prod[0::2, 0::2]
+    for s, t in itertools.product((0, 1), repeat=2):
+        found = rep >= 0
+        assert np.array_equal(prod[s::2, t::2][found], rep[found] ^ (s ^ t))
+        assert (prod[s::2, t::2][~found] == -1).all()
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-9, 1e-8])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_representative_table_and_closed_form_orders_on_builtins(name, tol):
+    Q = su2_closure(named_design(name).set).points()
+    _check_table(Q, tol)
+    assert np.array_equal(_orders(Q, tol), _doubling_orders(Q, tol))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_orders_hold_below_the_rounding_of_the_angle(name):
+    # the lattice powers are exact in Hamilton products; the exact reduction
+    # of k a / 2 keeps them exact in the closed form too
+    Q = su2_closure(named_design(name).set).points()
+    assert np.array_equal(_orders(Q, 1e-20), _doubling_orders(Q, 1e-20))
+    assert 0 not in _orders(Q, 1e-20)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["pauli", "design", "lattice", "union"]),
+    st.integers(min_value=0, max_value=10**9),
+    st.sampled_from([1e-10, 1e-9, 1e-8]),
+)
+def test_representative_table_and_closed_form_orders_on_generated_sets(kind, seed, tol):
+    Q = su2_closure(_generated(kind, seed)).points()
+    _check_table(Q, tol)
+    assert np.array_equal(_orders(Q, tol), _doubling_orders(Q, tol))
+
+
+#: how far from tol the two ways of taking ||U^k - 1|| may disagree: each
+#: rounds to ~1e-14 for k <= 48 (4.6e-14 at most, measured near the roots
+#: of unity), far above 1e-13 * tol
+_ORDER_BAND = 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.sampled_from([1e-10, 1e-9, 1e-8]))
+def test_closed_form_orders_at_the_tolerance_boundary(seed, tol):
+    # for each k, elements at quaternion angle 2 pi / k + delta, where
+    # ||U^k - 1|| = 2 sqrt(2) |sin(k delta / 2)| is planted just inside and
+    # just outside tol; their order is k inside and 0 outside
+    rng = np.random.default_rng(seed)
+    k = np.repeat(np.arange(1, 49), 8)
+    offsets = np.array([-1e-2 * tol, -3e-11, -3e-12, -2e-13, 2e-13, 3e-12, 3e-11, 1e-2 * tol])
+    target = tol + np.tile(offsets, 48)
+    delta = 2.0 / k * np.arcsin(target / (2.0 * math.sqrt(2.0))) * rng.choice([-1.0, 1.0], len(k))
+    angle = 2.0 * math.pi / k + delta
+    axis = rng.standard_normal((len(k), 3))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    Q = np.concatenate([np.cos(angle)[:, None], np.sin(angle)[:, None] * axis], axis=1)
+    got, want = _orders(Q, tol), _doubling_orders(Q, tol)
+    clear = (np.abs(_doubling_distances(Q) - tol) > _ORDER_BAND).all(axis=0)
+    assert clear.mean() > 0.9
+    assert np.array_equal(got[clear], want[clear])
+    assert np.array_equal(got[clear], np.where(target <= tol, k, 0)[clear])

@@ -19,6 +19,7 @@ from udes.su2 import (
     AxisAngle,
     EulerAngles,
     Quaternion,
+    assert_rotation,
     axis_angle_batch,
     axis_angle_of,
     canonical_sign,
@@ -221,6 +222,15 @@ def test_su2_from_rotation_inverts_covering_map(q):
 def test_su2_from_rotation_rejects_non_rotation():
     with pytest.raises(NotRotation):
         su2_from_rotation(np.diag([1.0, 1.0, -1.0]))  # determinant -1
+
+
+@pytest.mark.parametrize("R", [np.full((3, 3), np.nan), np.diag([1.0, 1.0, np.nan])])
+def test_assert_rotation_refuses_nan(R):
+    # NaN fails every comparison, so a test written as > tol would let it through
+    with pytest.raises(NotRotation):
+        assert_rotation(R)
+    with pytest.raises(NotRotation):
+        su2_from_rotation(R)
 
 
 def test_su2_from_rotation_handles_pi_rotations():
