@@ -345,9 +345,7 @@ def cmd_construct(args) -> tuple[dict, int]:
     frame = designs.classify_min_1design(S, tol=args.tol)
     design = designs.extend_to_2design(S, frame)
     base = list(S.labels) if S.labels is not None else [f"U{k}" for k in range(len(S))]
-    labeled = twirl.UnitarySet(
-        list(design.elems), labels=base + [f"G{l}" for l in base] + [f"G*{l}" for l in base]
-    )
+    labeled = design.relabeled(base + [f"G{l}" for l in base] + [f"G*{l}" for l in base])
     result = _verification_payload(labeled, 2, args.tol, "both")
     report = {
         "command": "construct",

@@ -22,6 +22,8 @@ the Haar quaternion q instead of the entries of U^{(x)t}; see mc_oracle_check.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,15 +87,18 @@ class UnitarySet:
         pair = first_pair(X, coincide, self._gram)
         if pair:
             raise DuplicateElements(f"elements {pair[0]} and {pair[1]} coincide within {tol}")
-        if labels is not None:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != n:
-                raise ValueError(f"{len(labels)} labels for {n} elements")
+        self.labels = _labels(labels, n)
         self.dim = d
         self.stack = _read_only(stack)  # (N, d, d); the elements are views into it
         self.unitarity_defect = float(defects.max())  # max ||U^H U - 1||_HS
         self.elems = tuple(stack)
-        self.labels = labels
+
+    def relabeled(self, labels) -> UnitarySet:
+        """The same elements under `labels` (one per element, or None),
+        sharing this set's stack and Gram matrix: nothing is validated again."""
+        other = object.__new__(type(self))
+        other.__dict__.update(self.__dict__, labels=_labels(labels, len(self)))
+        return other
 
     @property
     def gram(self) -> np.ndarray:
@@ -113,6 +118,15 @@ class UnitarySet:
 
     def __repr__(self) -> str:
         return f"UnitarySet(dim={self.dim}, n={len(self.elems)})"
+
+
+def _labels(labels, n: int) -> tuple[str, ...] | None:
+    if labels is None:
+        return None
+    labels = tuple(str(s) for s in labels)
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} elements")
+    return labels
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -264,8 +278,11 @@ class HaarSampler:
 
     The state is (seed, counter) where `counter` indexes quaternions drawn
     so far; any (seed, counter) pair reproduces the identical continuation,
-    and bulk draws agree bitwise with repeated single draws.  Not for
-    concurrent mutation — give each thread its own sampler.
+    and bulk draws agree bitwise with repeated single draws.  Quaternion k
+    of the stream is a pure function of (seed, k), so _haar_block draws any
+    block of it without a sampler: mc_oracle_check draws its blocks that
+    way, on worker threads, and advances `counter` once at the end.  Not
+    for concurrent mutation — give each thread its own sampler.
     """
 
     seed: int
@@ -275,20 +292,35 @@ class HaarSampler:
         """Draw n uniform points of S^3 as an (n, 4) array, advancing the state."""
         if n < 1:
             raise ValueError("need n >= 1")
-        # Each quaternion consumes one 128-bit counter block (four doubles),
-        # so jumping the block counter by `counter` replays the stream tail.
-        bits = np.random.Philox(key=np.uint64(self.seed), counter=[self.counter, 0, 0, 0])
-        u = np.ascontiguousarray(np.random.Generator(bits).random((n, 4)).T)
+        g, u = np.empty((4, n)), np.empty((4, n))
+        _haar_block(self.seed, self.counter, g, u)
         self.counter += n
-        # Box-Muller on contiguous rows: g = (r cos a, r sin a) for (r, a) from
-        # rows (0, 1) and (2, 3), normalized in np.linalg.norm's summation order
-        r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-        a = 2.0 * np.pi * u[1::2]
-        g = np.empty((4, n))
-        np.multiply(r, np.cos(a, out=g[0::2]), out=g[0::2])
-        np.multiply(r, np.sin(a, out=g[1::2]), out=g[1::2])
-        g /= np.sqrt(((g[0] * g[0] + g[1] * g[1]) + g[2] * g[2]) + g[3] * g[3])
         return g.T
+
+
+def _haar_block(seed: int, counter: int, g: np.ndarray, u: np.ndarray) -> None:
+    """Write quaternions counter, ..., counter + m - 1 of the Haar stream of
+    `seed` into the rows (s, x, y, z) of g, a C-contiguous (4, m) array,
+    with u, another, as scratch.  It keeps no state and allocates no array,
+    so the blocks of one stream can be drawn in any order and on any thread."""
+    # Each quaternion consumes one 128-bit counter block (four doubles), so
+    # starting the block counter at `counter` replays the stream from there.
+    # The raw draws, (m, 4) in C order, go through g's memory to u's rows.
+    bits = np.random.Philox(key=np.uint64(seed), counter=[counter, 0, 0, 0])
+    raw = g.reshape(g.shape[1], 4)
+    np.copyto(u, np.random.Generator(bits).random(out=raw).T)
+    # Box-Muller on contiguous rows, in place: g = (r cos a, r sin a) for (r, a)
+    # from rows (0, 1) and (2, 3), normalized in np.linalg.norm's summation order
+    r, a = u[0::2], u[1::2]
+    np.sqrt(np.multiply(np.log1p(np.negative(r, out=r), out=r), -2.0, out=r), out=r)
+    np.multiply(a, 2.0 * np.pi, out=a)
+    np.multiply(r, np.cos(a, out=g[0::2]), out=g[0::2])
+    np.multiply(r, np.sin(a, out=g[1::2]), out=g[1::2])
+    norm, square = u[0], u[1]  # r and a are spent
+    np.multiply(g[0], g[0], out=norm)
+    for row in g[1:]:
+        norm += np.multiply(row, row, out=square)
+    g /= np.sqrt(norm, out=norm)
 
 
 def haar_sample(h: HaarSampler) -> np.ndarray:
@@ -315,10 +347,19 @@ def _superop_layout(G: np.ndarray, D: int) -> np.ndarray:
 _ABS2_BASIS = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, -1.0], [-1.0, 1.0]]])
 
 
-def _monomials(W: np.ndarray, t: int) -> np.ndarray:
+def _monomials(W: np.ndarray, t: int, out: np.ndarray | None = None) -> np.ndarray:
     """Rows of the degree-t monomials of the columns of a (k, m) array:
-    W at t = 1, W_a W_b for a <= b in row-major order at t = 2."""
-    return W if t == 1 else np.concatenate([W[a] * W[a:] for a in range(len(W))])
+    W at t = 1, W_a W_b for a <= b in row-major order at t = 2, written
+    into `out` when given."""
+    if t == 1:
+        return W
+    k, m = W.shape
+    Y = np.empty((k * (k + 1) // 2, m)) if out is None else out
+    row = 0
+    for a in range(k):
+        np.multiply(W[a], W[a:], out=Y[row : row + k - a])
+        row += k - a
+    return Y
 
 
 def _power_map(E: np.ndarray, t: int) -> np.ndarray:
@@ -363,36 +404,61 @@ class McOracleReport:
 
 
 def mc_oracle_check(
-    h: HaarSampler, t: int, n: int, nsigma: float = 5.0, chunk: int = 65536
+    h: HaarSampler, t: int, n: int, nsigma: float = 5.0, chunk: int = 16384
 ) -> McOracleReport:
     """Single-pass MC sweep of the twirl over the whole operator basis.
 
     Estimates the twirl superoperator (whose column j*D+i is the vectorized
     twirl of E(i,j)) together with entrywise second moments, then scores
-    every basis element against the exact Haar oracle.  For a chunk's tensor
+    every basis element against the exact Haar oracle.  For a block's tensor
     powers flattened to X = Y C_t, with Y the (m, n_t) monomials of the
     quaternions (n_t = 4 at t = 1, 10 at t = 2) and C_t read off su2_batch,
     the first moment X^H X is C_t^H (Y^T Y) C_t.  The second, P^T P for
-    P = |X|^2 = Z B_t with Z = [1, A, ..., A^t] and A = |U_00|^2, is
-    B_t^T (Z^T Z) B_t: power sums of A up to A^(2t).  Both, indexed
+    P = |X|^2 = Z B_t with Z = [1, A, ..., A^t] and A = |U_00|^2 = s^2 + z^2,
+    is B_t^T (Z^T Z) B_t: power sums of A up to A^(2t).  Both, indexed
     [(a,b),(c,d)], are permuted to the superoperator's [(a,c),(b,d)] =
-    kron(conj(M), M) layout once, after the last chunk.
+    kron(conj(M), M) layout once, after the last block.
+
+    The samples h.counter, ..., h.counter + n - 1 of h's stream are split
+    into blocks of `chunk` (the last may be shorter).  Each block is drawn
+    and reduced to its two Gram matrices on its own, in a work array of at
+    most 18 rows of `chunk` floats (2.4 MB at the default) that the blocks
+    on one worker reuse.  The blocks run on one worker thread per CPU this
+    process may use (os.sched_getaffinity; os.cpu_count outside Linux),
+    inline when that or the block count is 1, and their Gram matrices are
+    added in block order.  The partition depends on n and chunk alone, so
+    the report is bit-identical whatever the number of workers; a different
+    chunk moves it only by floating-point summation order.  h.counter
+    advances by n.
     """
     if t not in (1, 2):
         raise UnsupportedOrder(f"oracle check implements t in {{1, 2}}, got {t}")
+    if not _is_int(n):
+        raise ValueError(f"n must be an int, got {type(n).__name__}")
     if n < 2:
-        raise ValueError("need n >= 2 for a standard error")
-    D = 2**t
+        raise ValueError(f"n must be >= 2 for a standard error, got {n}")
+    if not _is_int(chunk) or chunk < 1:
+        raise ValueError(f"chunk must be an int >= 1, got {chunk!r}")
+    seed, start, stop, chunk = h.seed, h.counter, h.counter + int(n), int(chunk)
+    starts = range(start, stop, chunk)
+    workers = min(_usable_cpus(), len(starts))
+    # one work array per worker, made on this thread: workers allocate no
+    # array, so no per-thread heap holds on to their memory
+    spare = [np.empty(_MC_ROWS[t] * min(chunk, n)) for _ in range(workers)]
+
+    def block(lo):
+        work = spare.pop()  # atomic; the pool runs at most `workers` blocks at once
+        try:
+            return _mc_block(seed, lo, min(chunk, stop - lo), t, work)
+        finally:
+            spare.append(work)
+
     gram_y = gram_z = 0.0
-    left = n
-    while left > 0:
-        m = min(left, chunk)
-        Q = h.quaternions(m).T  # (4, m)
-        Y = _monomials(Q, t)
-        gram_y = gram_y + Y @ Y.T
-        Z = _monomials(np.stack([np.ones(m), np.abs(UNIT_BASIS[:, 0, 0] @ Q) ** 2]), t)  # A = |U_00|^2
-        gram_z = gram_z + Z @ Z.T
-        left -= m
+    for gy, gz in _in_order(block, starts, workers):
+        gram_y = gram_y + gy
+        gram_z = gram_z + gz
+    h.counter = stop
+    D = 2**t
     C, B = _power_map(UNIT_BASIS, t), _power_map(_ABS2_BASIS, t)
     mean = _superop_layout(C.conj().T @ gram_y @ C, D) / n
     second = _superop_layout(B.T @ gram_z @ B, D)
@@ -400,3 +466,59 @@ def mc_oracle_check(
     deviations = np.linalg.norm(mean - SUPEROP_HAAR[t], axis=0)
     std_errors = np.sqrt(entry_var.sum(axis=0) / n)
     return McOracleReport(t, n, h.seed, deviations, std_errors, nsigma)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+#: rows of m floats that _mc_block uses at order t: g and u, then the monomials
+_MC_ROWS = {1: 8, 2: 18}
+
+
+def _mc_block(seed: int, start: int, m: int, t: int, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrices (Y Y^T, Z Z^T) of quaternions start, ..., start + m - 1
+    of the stream `seed`, for mc_oracle_check, computed in `work`, a flat
+    float array of at least _MC_ROWS[t] * m entries.  It calls no traced
+    name and allocates only its two small results, so that it can run on
+    worker threads."""
+    g, u = work[: 8 * m].reshape(2, 4, m)
+    _haar_block(seed, start, g, u)
+    Y = _monomials(g, t, out=work[8 * m : 18 * m].reshape(10, m) if t == 2 else None)
+    Z = u[: t + 1]  # u is spent; the monomials of (1, A) are its powers
+    Z[0] = 1.0
+    np.multiply(g[0], g[0], out=Z[1])
+    Z[1] += np.multiply(g[3], g[3], out=u[3])  # A = |U_00|^2, U_00 = s - iz
+    if t == 2:
+        np.multiply(Z[1], Z[1], out=Z[2])
+    return Y @ Y.T, Z @ Z.T
+
+
+def _in_order(fn, items, workers: int):
+    """Yield fn(item) for each item, in item order, computed on `workers`
+    threads with at most 2 * workers items in flight.  An exception from fn
+    propagates unchanged, after the items still queued are cancelled and
+    the running ones have finished; no thread outlives the iteration."""
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # ~7 ms to import; mc alone needs it
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        pending = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) >= 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)

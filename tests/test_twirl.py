@@ -1,4 +1,9 @@
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,9 +17,11 @@ from udes.errors import (
 )
 from udes.linalg import EQ_TOL, as_matrix, hs_norm, kron, kron_power
 from udes.qubit import bell_diagonal_part, pauli, singlet_triplet
+from udes import twirl
 from udes.su2 import UNIT_BASIS
 from udes.twirl import (
     _ABS2_BASIS,
+    _haar_block,
     _monomials,
     _power_map,
     _tensor_batch,
@@ -58,6 +65,18 @@ def test_unitary_set_basic_accessors():
     assert S.labels == ("1", "X")
     assert np.array_equal(S[1], pauli(1))
     assert [U.shape for U in S] == [(2, 2), (2, 2)]
+
+
+def test_relabeled_shares_the_validated_set():
+    S = UnitarySet([pauli(m) for m in range(4)])
+    gram = S.gram
+    T = S.relabeled(["1", "X", "Y", "Z"])
+    assert T.labels == ("1", "X", "Y", "Z") and S.labels is None
+    assert T.stack is S.stack and T.gram is gram and T.elems is S.elems
+    assert T.unitarity_defect == S.unitarity_defect and T.dim == S.dim
+    assert T.relabeled(None).labels is None
+    with pytest.raises(ValueError, match="3 labels for 4 elements"):
+        S.relabeled(["a", "b", "c"])
 
 
 def test_unitary_set_rejects_mixed_dimensions():
@@ -654,3 +673,123 @@ def test_mc_oracle_check_replays_bit_identically(t):
 def test_mc_oracle_check_needs_samples():
     with pytest.raises(ValueError):
         mc_oracle_check(HaarSampler(0), 1, 1)
+
+
+@pytest.mark.parametrize("seed,counter,n", sorted(HAAR_STREAM_SHA256))
+def test_haar_blocks_concatenate_to_the_pinned_stream(seed, counter, n):
+    for size in (16384, 1000, 97):
+        parts = []
+        for lo in range(counter, counter + n, size):
+            m = min(size, counter + n - lo)
+            g, u = np.empty((4, m)), np.empty((4, m))
+            _haar_block(seed, lo, g, u)
+            parts.append(g.T)
+        q = np.ascontiguousarray(np.concatenate(parts))
+        assert hashlib.sha256(q.tobytes()).hexdigest() == HAAR_STREAM_SHA256[seed, counter, n], size
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_mc_block_sums_the_monomials_and_powers_of_a(t):
+    m = 999
+    q = HaarSampler(21, counter=4).quaternions(m)
+    Y = _monomials(q.T, t)
+    A = np.abs(su2_batch(q)[:, 0, 0]) ** 2
+    Z = np.vander(A, t + 1, increasing=True).T
+    gram_y, gram_z = twirl._mc_block(21, 4, m, t, np.empty(twirl._MC_ROWS[t] * m))
+    assert np.allclose(gram_y, Y @ Y.T, rtol=1e-13, atol=0)
+    assert np.allclose(gram_z, Z @ Z.T, rtol=1e-13, atol=0)
+
+
+def workers(monkeypatch, k):
+    """Make mc_oracle_check see k usable CPUs."""
+    monkeypatch.setattr(twirl.os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_mc_oracle_check_is_bit_identical_on_any_number_of_workers(monkeypatch, t):
+    reports = []
+    for k in (1, 2, 3):
+        workers(monkeypatch, k)
+        reports.append(mc_oracle_check(HaarSampler(11, counter=5), t, 20003, chunk=1000))
+    for rep in reports[1:]:
+        assert rep.deviations.tobytes() == reports[0].deviations.tobytes()
+        assert rep.std_errors.tobytes() == reports[0].std_errors.tobytes()
+
+
+def test_mc_oracle_check_blocks_never_share_a_work_array(monkeypatch):
+    # more workers than cores, switching threads as often as the interpreter
+    # can: two blocks in one work array would corrupt each other's Gram sums
+    workers(monkeypatch, 1)
+    serial = mc_oracle_check(HaarSampler(12), 2, 3001, chunk=7)
+    workers(monkeypatch, 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = mc_oracle_check(HaarSampler(12), 2, 3001, chunk=7)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.deviations.tobytes() == serial.deviations.tobytes()
+    assert threaded.std_errors.tobytes() == serial.std_errors.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_mc_oracle_check_advances_the_counter_by_n(monkeypatch, k):
+    workers(monkeypatch, k)
+    h = HaarSampler(3, counter=17)
+    mc_oracle_check(h, 2, 2501, chunk=1000)
+    assert h.counter == 17 + 2501
+    # and continues the stream where the check stopped
+    assert np.array_equal(h.quaternions(2), HaarSampler(3, counter=17 + 2501).quaternions(2))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_an_error_in_one_block_propagates_and_leaves_no_thread(monkeypatch, k):
+    workers(monkeypatch, k)
+    block, err = twirl._mc_block, RuntimeError("block failed")
+
+    def failing(seed, start, m, t, work):
+        if start == 3000:
+            raise err
+        return block(seed, start, m, t, work)
+
+    monkeypatch.setattr(twirl, "_mc_block", failing)
+    before = threading.active_count()
+    h = HaarSampler(1)
+    with pytest.raises(RuntimeError) as caught:
+        mc_oracle_check(h, 2, 20000, chunk=1000)
+    assert caught.value is err
+    assert threading.active_count() == before
+    assert h.counter == 0  # a failed check draws nothing from the sampler
+
+
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        ({"n": 2.5}, "n"),
+        ({"n": True}, "n"),
+        ({"n": "100"}, "n"),
+        ({"chunk": 0}, "chunk"),
+        ({"chunk": -5}, "chunk"),
+        ({"chunk": 1.0}, "chunk"),
+        ({"chunk": True}, "chunk"),
+    ],
+)
+def test_mc_oracle_check_names_the_bad_argument(kwargs, name):
+    args = {"n": 100, **kwargs}
+    with pytest.raises(ValueError, match=rf"^{name} must be an int"):
+        mc_oracle_check(HaarSampler(0), 1, **args)
+
+
+def test_mc_oracle_check_takes_numpy_integers():
+    a = mc_oracle_check(HaarSampler(4), 2, np.int64(3000), chunk=np.int32(700))
+    b = mc_oracle_check(HaarSampler(4), 2, 3000, chunk=700)
+    assert a.deviations.tobytes() == b.deviations.tobytes()
+
+
+def test_import_loads_no_thread_pool():
+    # concurrent.futures costs ~7 ms to import; only a threaded mc needs it
+    src = str(pathlib.Path(twirl.__file__).resolve().parents[1])
+    code = "import sys, udes.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]
