@@ -454,8 +454,8 @@ def cmd_mc(args) -> tuple[dict, int]:
         "nsigma": check.nsigma,
         "max_deviation": check.max_deviation,
         "max_ratio": check.max_ratio,
-        "deviations": list(check.deviations),
-        "std_errors": list(check.std_errors),
+        "deviations": check.deviations.tolist(),
+        "std_errors": check.std_errors.tolist(),
         "ok": check.ok,
     }
     report = {"command": "mc", "t": args.t, "result": result}

@@ -39,12 +39,12 @@ from .errors import (
 from .linalg import EQ_TOL, UNITARITY_TOL, first_pair, hs_norm
 from .qubit import pauli
 from .su2 import (
-    UNIT_BASIS,
+    _UNIT_COORDINATES,
     W_QUATERNION,
     canonical_sign,
     hamilton,
+    rotation_batch,
     rotation_quaternion,
-    so3_rep,
     su2_batch,
 )
 from .twirl import SUPEROP_HAAR, UnitarySet, frame_potential, superop_of_twirl
@@ -147,10 +147,7 @@ def verify_rotation_sum(S: UnitarySet, tol: float = EQ_TOL) -> bool:
     This is the phase-blind 1-design criterion: it holds for S exactly when
     the twirl over S (at t = 1) is completely depolarizing.
     """
-    total = np.zeros((3, 3))
-    for U in S:
-        total += so3_rep(U)
-    return hs_norm(total) <= tol
+    return hs_norm(rotation_batch(S.stack).sum(axis=0)) <= tol
 
 
 def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
@@ -278,9 +275,6 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
     return OneDesignFrame(V, Vp, tuple(phases), sigma)
 
 
-#: alpha = (U flattened) @ this gives U = sum_k alpha_k UNIT_BASIS[k]: the
-#: units are orthogonal, of squared norm 2
-_UNIT_COORDINATES = UNIT_BASIS.reshape(4, 4).conj().T / 2.0
 #: the quaternion units 1, I, J, K as tuples
 _UNITS = tuple(map(tuple, np.eye(4).tolist()))
 

@@ -76,11 +76,6 @@ def hs_norm(A) -> float:
     return float(np.linalg.norm(np.asarray(A, dtype=complex)))
 
 
-def hs_dist(A, B) -> float:
-    """HS distance ||A - B||."""
-    return hs_norm(np.asarray(A, dtype=complex) - np.asarray(B, dtype=complex))
-
-
 #: the most entries of a Gram matrix first_pair forms at once (256 kB complex)
 GRAM_BLOCK = 2**14
 
@@ -143,14 +138,6 @@ def assert_unitary(U, tol: float = UNITARITY_TOL, what: str = "matrix") -> np.nd
     if not defect <= tol:
         raise NotUnitary(f"{what} is not unitary: ||U^H U - 1|| = {defect:.3e} > {tol:.1e}")
     return U
-
-
-def is_unitary(U, tol: float = UNITARITY_TOL) -> bool:
-    try:
-        assert_unitary(U, tol)
-    except (NotUnitary, DimensionMismatch):
-        return False
-    return True
 
 
 def change_of_basis(A, T) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError, NotSpecialUnitary
 from .linalg import EQ_TOL, as_matrix, assert_unitary, change_of_basis, kron
-from .su2 import PAULI_BASIS, _euler_args, so3_rep
+from .su2 import PAULI_BASIS, _euler_args
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
 

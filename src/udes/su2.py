@@ -36,12 +36,8 @@ from .errors import (
 )
 from .linalg import EQ_TOL, as_matrix, assert_unitary, hs_norm
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_SIGMA = (_X, _Y, _Z)
 #: the Pauli basis 1, X, Y, Z as one read-only (4, 2, 2) stack
-PAULI_BASIS = np.stack([np.eye(2, dtype=complex), *_SIGMA])
+PAULI_BASIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 PAULI_BASIS.flags.writeable = False
 
 #: cyclic coordinate shift e_i -> e_{i+1 mod 3}; the rotation image of the
@@ -127,6 +123,9 @@ W_QUATERNION.flags.writeable = False
 #: q = (real entries of U) @ this; the entries of UNIT_BASIS are orthogonal,
 #: of squared norm 2, so this is half the transposed q -> U map
 _QUATERNION_OF_ENTRIES = 0.5 * UNIT_BASIS.view(float).reshape(4, 8).T
+#: a = (U flattened) @ this gives U = sum_k a_k UNIT_BASIS[k] for any 2x2 U:
+#: the units are orthogonal, of squared norm 2
+_UNIT_COORDINATES = UNIT_BASIS.reshape(4, 4).conj().T / 2.0
 
 
 def quaternion_batch(U) -> np.ndarray:
@@ -261,20 +260,40 @@ def su2_from_axis_angle(axis, angle: float | None = None) -> np.ndarray:
     return su2_batch(np.concatenate([[math.cos(angle / 2)], math.sin(angle / 2) * n]))
 
 
+def rotation_batch(U) -> np.ndarray:
+    """The covering rotations (..., 3, 3) of an unvalidated (..., 2, 2) stack
+    of unitaries, R[i,j] = tr(X_i U X_j U^H)/2.
+
+    The unit-basis coordinates a = (a_0, a_v) of U are e^{i phi} (s, v) for
+    the quaternion (s, v) of its special part, so R = (s^2 - |v|^2) 1 +
+    2 v v^T + 2 s [v]_x reads (|a_0|^2 - |a_v|^2) 1 + 2 Re(a_v a_v^H) +
+    2 [Re(a_0 conj(a_v))]_x: blind to the phase, and exactly equal for U and
+    -U, whose coordinates differ only in sign.
+    """
+    U = np.asarray(U, dtype=complex)
+    a = U.reshape(U.shape[:-2] + (4,)) @ _UNIT_COORDINATES
+    a0, av = a[..., 0], a[..., 1:]
+    R = 2.0 * (av[..., :, None] * av[..., None, :].conj()).real
+    x, y, z = np.moveaxis(2.0 * (a0[..., None] * av.conj()).real, -1, 0)
+    diagonal = a0.real**2 + a0.imag**2 - np.trace(R, axis1=-2, axis2=-1) / 2.0
+    for i in range(3):
+        R[..., i, i] += diagonal
+    R[..., 0, 1] -= z
+    R[..., 1, 0] += z
+    R[..., 0, 2] += y
+    R[..., 2, 0] -= y
+    R[..., 1, 2] -= x
+    R[..., 2, 1] += x
+    return R
+
+
 def so3_rep(U) -> np.ndarray:
-    """The rotation carried by a 2x2 unitary: R[i,j] = tr(X_i U X_j U^H)/2.
+    """The rotation carried by a 2x2 unitary, validated: rotation_batch(U).
 
     Insensitive to a global phase of U, hence defined on all of U(2);
     antipodal special unitaries have the same image.
     """
-    U = assert_unitary(as_matrix(U, 2))
-    Uh = U.conj().T
-    R = np.empty((3, 3))
-    conj = [U @ s @ Uh for s in _SIGMA]
-    for i in range(3):
-        for j in range(3):
-            R[i, j] = 0.5 * np.trace(_SIGMA[i] @ conj[j]).real
-    return R
+    return rotation_batch(assert_unitary(as_matrix(U, 2)))
 
 
 def rodrigues(axis, angle: float | None = None) -> np.ndarray:

@@ -15,8 +15,9 @@ design checks use Delta = Phi_S - Phi_Haar, whose largest column norm is the
 worst twirl error on a basis operator and whose squared norm is the
 frame-potential gap (Gross, Audenaert & Eisert, JMP 48, 052104 (2007)).
 
-The Monte Carlo check of the Haar oracle sums its moments over monomials of
-the Haar quaternion q instead of the entries of U^{(x)t}; see mc_oracle_check.
+The Monte Carlo check of the Haar oracle sums its first moment over
+monomials of the Haar quaternion q instead of the entries of U^{(x)t}; see
+mc_oracle_check.
 """
 
 from __future__ import annotations
@@ -343,10 +344,6 @@ def _superop_layout(G: np.ndarray, D: int) -> np.ndarray:
     return G.reshape((D,) * 4).swapaxes(1, 2).reshape(D * D, D * D)
 
 
-#: |U|^2 = [[A, 1 - A], [1 - A, A]] on SU(2), as the coefficients of 1 and A
-_ABS2_BASIS = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, -1.0], [-1.0, 1.0]]])
-
-
 def _monomials(W: np.ndarray, t: int, out: np.ndarray | None = None) -> np.ndarray:
     """Rows of the degree-t monomials of the columns of a (k, m) array:
     W at t = 1, W_a W_b for a <= b in row-major order at t = 2, written
@@ -408,28 +405,28 @@ def mc_oracle_check(
 ) -> McOracleReport:
     """Single-pass MC sweep of the twirl over the whole operator basis.
 
-    Estimates the twirl superoperator (whose column j*D+i is the vectorized
-    twirl of E(i,j)) together with entrywise second moments, then scores
-    every basis element against the exact Haar oracle.  For a block's tensor
-    powers flattened to X = Y C_t, with Y the (m, n_t) monomials of the
-    quaternions (n_t = 4 at t = 1, 10 at t = 2) and C_t read off su2_batch,
-    the first moment X^H X is C_t^H (Y^T Y) C_t.  The second, P^T P for
-    P = |X|^2 = Z B_t with Z = [1, A, ..., A^t] and A = |U_00|^2 = s^2 + z^2,
-    is B_t^T (Z^T Z) B_t: power sums of A up to A^(2t).  Both, indexed
-    [(a,b),(c,d)], are permuted to the superoperator's [(a,c),(b,d)] =
-    kron(conj(M), M) layout once, after the last block.
+    Estimates the twirl superoperator, whose column j*D+i is the vectorized
+    twirl of E(i,j), and scores every basis element against the exact Haar
+    oracle.  For a block's tensor powers flattened to X = Y C_t, with Y the
+    (m, n_t) monomials of the quaternions (n_t = 4 at t = 1, 10 at t = 2)
+    and C_t read off su2_batch, the moment X^H X is C_t^H (Y^T Y) C_t,
+    indexed [(a,b),(c,d)]; it is permuted to the superoperator's
+    [(a,c),(b,d)] = kron(conj(M), M) layout once, after the last block.
+    Every column of kron(conj(M), M) is a unit vector for unitary M, so the
+    entry variances of a column sum to 1 - ||mean column||^2, and that sum
+    over n gives the column's squared standard error.
 
     The samples h.counter, ..., h.counter + n - 1 of h's stream are split
     into blocks of `chunk` (the last may be shorter).  Each block is drawn
-    and reduced to its two Gram matrices on its own, in a work array of at
-    most 18 rows of `chunk` floats (2.4 MB at the default) that the blocks
-    on one worker reuse.  The blocks run on one worker thread per CPU this
-    process may use (os.sched_getaffinity; os.cpu_count outside Linux),
-    inline when that or the block count is 1, and their Gram matrices are
-    added in block order.  The partition depends on n and chunk alone, so
-    the report is bit-identical whatever the number of workers; a different
-    chunk moves it only by floating-point summation order.  h.counter
-    advances by n.
+    and reduced to its Gram matrix on its own, in a work array of at most
+    18 rows of `chunk` floats (2.4 MB at the default) that the blocks on one
+    worker reuse.  The blocks run on one worker thread per CPU this process
+    may use (os.sched_getaffinity; os.cpu_count outside Linux), inline when
+    that or the block count is 1, and their Gram matrices are added in
+    block order.  The partition depends on n and chunk alone, so the report
+    is bit-identical whatever the number of workers; a different chunk
+    moves it only by floating-point summation order.  h.counter advances
+    by n.
     """
     if t not in (1, 2):
         raise UnsupportedOrder(f"oracle check implements t in {{1, 2}}, got {t}")
@@ -453,18 +450,13 @@ def mc_oracle_check(
         finally:
             spare.append(work)
 
-    gram_y = gram_z = 0.0
-    for gy, gz in _in_order(block, starts, workers):
-        gram_y = gram_y + gy
-        gram_z = gram_z + gz
+    gram = sum(_in_order(block, starts, workers))  # in block order
     h.counter = stop
-    D = 2**t
-    C, B = _power_map(UNIT_BASIS, t), _power_map(_ABS2_BASIS, t)
-    mean = _superop_layout(C.conj().T @ gram_y @ C, D) / n
-    second = _superop_layout(B.T @ gram_z @ B, D)
-    entry_var = np.maximum(second / n - np.abs(mean) ** 2, 0.0)
+    C = _power_map(UNIT_BASIS, t)
+    mean = _superop_layout(C.conj().T @ gram @ C, 2**t) / n
     deviations = np.linalg.norm(mean - SUPEROP_HAAR[t], axis=0)
-    std_errors = np.sqrt(entry_var.sum(axis=0) / n)
+    # a mean column of samples that all agree can round to norm 1 + ulp
+    std_errors = np.sqrt(np.maximum(1.0 - (np.abs(mean) ** 2).sum(axis=0), 0.0) / n)
     return McOracleReport(t, n, h.seed, deviations, std_errors, nsigma)
 
 
@@ -483,22 +475,16 @@ def _is_int(v) -> bool:
 _MC_ROWS = {1: 8, 2: 18}
 
 
-def _mc_block(seed: int, start: int, m: int, t: int, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram matrices (Y Y^T, Z Z^T) of quaternions start, ..., start + m - 1
-    of the stream `seed`, for mc_oracle_check, computed in `work`, a flat
-    float array of at least _MC_ROWS[t] * m entries.  It calls no traced
-    name and allocates only its two small results, so that it can run on
-    worker threads."""
+def _mc_block(seed: int, start: int, m: int, t: int, work: np.ndarray) -> np.ndarray:
+    """The Gram matrix Y Y^T of the monomials of quaternions start, ...,
+    start + m - 1 of the stream `seed`, for mc_oracle_check, computed in
+    `work`, a flat float array of at least _MC_ROWS[t] * m entries.  It calls
+    no traced name and allocates only its small result, so that it can run
+    on worker threads."""
     g, u = work[: 8 * m].reshape(2, 4, m)
     _haar_block(seed, start, g, u)
     Y = _monomials(g, t, out=work[8 * m : 18 * m].reshape(10, m) if t == 2 else None)
-    Z = u[: t + 1]  # u is spent; the monomials of (1, A) are its powers
-    Z[0] = 1.0
-    np.multiply(g[0], g[0], out=Z[1])
-    Z[1] += np.multiply(g[3], g[3], out=u[3])  # A = |U_00|^2, U_00 = s - iz
-    if t == 2:
-        np.multiply(Z[1], Z[1], out=Z[2])
-    return Y @ Y.T, Z @ Z.T
+    return Y @ Y.T
 
 
 def _in_order(fn, items, workers: int):

@@ -181,6 +181,35 @@ def test_emit_json_formats_each_number_once(monkeypatch, argv):
     assert len(calls) == _numeric_leaves(report)
 
 
+def _number_types(value) -> set:
+    if isinstance(value, dict):
+        return set().union(*map(_number_types, value.values()))
+    if isinstance(value, (list, tuple)):
+        return set().union(*map(_number_types, value))
+    return set() if value is None or isinstance(value, (str, bool)) else {type(value)}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--builtin", "D"],
+        ["construct", "--from", "pauli"],
+        ["frame-potential", "--builtin", "D"],
+        ["group", "--builtin", "D"],
+        ["geometry", "--builtin", "D"],
+        ["table"],
+        ["mc", "--t", "1", "--samples", "1000"],
+        ["mc", "--t", "2", "--samples", "1000"],
+    ],
+)
+def test_reports_hold_plain_numbers(argv):
+    # emit_json lays out a row of numbers in one join only when each is an
+    # int or a float; a numpy scalar sends the row down the recursive path
+    args = cli.build_parser().parse_args(argv)
+    report, _ = cli._COMMANDS[args.command](args)
+    assert _number_types(report) <= cli._NUMBER_TYPES
+
+
 def test_save_load_round_trip_is_bit_identical(tmp_path):
     S = UnitarySet([pauli(m) for m in range(4)], labels=list("1XYZ"))
     p = tmp_path / "s.json"

@@ -26,7 +26,7 @@ from udes.errors import (
     UnknownName,
     UnsupportedOrder,
 )
-from udes.linalg import hs_dist, hs_inner, hs_norm, kron_power
+from udes.linalg import hs_inner, hs_norm, kron_power
 from udes.qubit import pauli, singlet_triplet
 from udes.su2 import (
     PAULI_BASIS,
@@ -76,7 +76,7 @@ def test_d_is_the_cycled_pauli_listing():
     B = named_design("B").set
     Wd = W.conj().T
     expect = list(B) + [W @ U for U in B] + [Wd @ U for U in B]
-    assert all(hs_dist(x, y) < 1e-15 for x, y in zip(D, expect))
+    assert all(hs_norm(x - y) < 1e-15 for x, y in zip(D, expect))
 
 
 def test_d2_matches_its_closed_form_listing():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from udes.linalg import hs_dist, hs_inner, hs_norm, kron
+from udes.linalg import hs_inner, hs_norm, kron
 from udes.qubit import (
     BELL_LABELS,
     SPHERICAL_BASIS,
@@ -185,5 +185,5 @@ def test_bell_diagonal_part_is_a_pinching():
 def test_bell_diagonal_part_fixes_uu_invariant_operators():
     # singlet/triplet projectors are invariant, so pinching cannot move them
     P_s, P_t = singlet_triplet()
-    assert hs_dist(bell_diagonal_part(P_s), P_s) < 1e-14
-    assert hs_dist(bell_diagonal_part(P_t), P_t) < 1e-14
+    assert hs_norm(bell_diagonal_part(P_s) - P_s) < 1e-14
+    assert hs_norm(bell_diagonal_part(P_t) - P_t) < 1e-14

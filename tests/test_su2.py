@@ -10,7 +10,7 @@ from udes.errors import (
     NotRotation,
     NotSpecialUnitary,
 )
-from udes.linalg import hs_dist, hs_norm
+from udes.linalg import hs_norm
 from udes.qubit import pauli
 from udes.twirl import HaarSampler
 from udes.su2 import (
@@ -31,6 +31,7 @@ from udes.su2 import (
     quaternion_batch,
     quaternion_of,
     rodrigues,
+    rotation_batch,
     rotation_quaternion,
     shift_euler_solutions,
     so3_rep,
@@ -64,7 +65,7 @@ def su2_of(qtuple):
 
 def test_euler_constructor_agrees_with_axis_angle_on_shift_generator():
     axis = (1 / math.sqrt(3),) * 3
-    assert hs_dist(W, su2_from_axis_angle(axis, 2 * math.pi / 3)) < 1e-15
+    assert hs_norm(W - su2_from_axis_angle(axis, 2 * math.pi / 3)) < 1e-15
 
 
 def test_shift_generator_is_exact_dyadic():
@@ -106,10 +107,10 @@ def test_all_four_euler_solutions_have_the_shift_pattern():
         R = so3_rep(su2_from_euler(angles))
         assert np.allclose(np.abs(R), SHIFT_RIGHT, atol=1e-14)
     # the first solution is the exact shift generator, not merely phased
-    assert hs_dist(su2_from_euler(sols[0]), W) < 1e-15
+    assert hs_norm(su2_from_euler(sols[0]) - W) < 1e-15
     assert np.allclose(so3_rep(W), SHIFT_RIGHT, atol=1e-15)
     # the second is its negative, which covers the same rotation
-    assert hs_dist(su2_from_euler(sols[1]), -W) < 1e-15
+    assert hs_norm(su2_from_euler(sols[1]) + W) < 1e-15
 
 
 # ---- covering map ----------------------------------------------------------
@@ -184,7 +185,7 @@ def test_su2_of_quaternion_rejects_non_unit():
 def test_quaternion_distance_is_scaled_hs_distance(qa, qb):
     U, V = su2_of(qa), su2_of(qb)
     d_q = np.linalg.norm(quaternion_of(U).as_array() - quaternion_of(V).as_array())
-    assert hs_dist(U, V) == pytest.approx(math.sqrt(2) * d_q, abs=1e-12)
+    assert hs_norm(U - V) == pytest.approx(math.sqrt(2) * d_q, abs=1e-12)
 
 
 def test_quaternion_conjugate_is_adjoint():
@@ -214,7 +215,7 @@ def test_canonical_su2_fixes_antipodal_choice(q):
 def test_su2_from_rotation_inverts_covering_map(q):
     U = canonical_su2(su2_of(q))
     plus, minus = su2_from_rotation(so3_rep(U))
-    assert hs_dist(plus, U) < 1e-7 or hs_dist(minus, U) < 1e-7
+    assert hs_norm(plus - U) < 1e-7 or hs_norm(minus - U) < 1e-7
     assert np.allclose(plus, -minus)
     assert np.allclose(so3_rep(plus), so3_rep(U), atol=1e-7)
 
@@ -365,6 +366,22 @@ def test_stack_maps_round_trip_on_any_leading_shape(shape):
     assert np.abs(np.linalg.det(U) - 1).max() <= 1e-14
     assert quaternion_batch(U).shape == shape + (4,)
     assert np.abs(quaternion_batch(U) - q).max() <= 1e-15
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+def test_rotation_batch_is_the_pauli_trace_map_on_any_leading_shape(shape):
+    rng = np.random.default_rng(10 + len(shape))
+    phases = np.exp(1j * rng.uniform(0, 2 * math.pi, shape))[..., None, None]
+    U = phases * su2_batch(_unit_quaternions(rng, shape))
+    R = rotation_batch(U)
+    assert R.shape == shape + (3, 3)
+    # R[i, j] = tr(X_i U X_j U^H) / 2, one trace at a time
+    sigma = [pauli(k) for k in (1, 2, 3)]
+    for k in np.ndindex(shape):
+        V = U[k]
+        trace = [[0.5 * np.trace(a @ V @ b @ V.conj().T).real for b in sigma] for a in sigma]
+        assert np.abs(R[k] - trace).max() <= 1e-15
+    assert np.array_equal(rotation_batch(-U), R)
 
 
 def test_stack_map_of_a_hamilton_product_is_the_matrix_product():

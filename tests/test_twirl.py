@@ -20,7 +20,6 @@ from udes.qubit import bell_diagonal_part, pauli, singlet_triplet
 from udes import twirl
 from udes.su2 import UNIT_BASIS
 from udes.twirl import (
-    _ABS2_BASIS,
     _haar_block,
     _monomials,
     _power_map,
@@ -614,10 +613,20 @@ def test_moment_maps_reproduce_the_tensor_power(t):
     Y = _monomials(q.T, t).T
     assert Y.shape == (500, (4, 10)[t - 1])
     assert np.max(np.abs(Y @ _power_map(UNIT_BASIS, t) - X)) < 1e-12
-    A = np.abs(su2_batch(q)[:, 0, 0]) ** 2
-    Z = _monomials(np.stack([np.ones(500), A]), t).T
-    assert np.array_equal(Z, np.vander(A, t + 1, increasing=True))
-    assert np.max(np.abs(Z @ _power_map(_ABS2_BASIS, t) - np.abs(X) ** 2)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(*(st.floats(-1, 1) for _ in range(4))).filter(lambda v: np.linalg.norm(v) > 1e-2),
+    st.floats(0, 2 * np.pi),
+    st.sampled_from([1, 2]),
+)
+def test_columns_of_the_moment_summand_are_unit_vectors(v, phi, t):
+    # mc_oracle_check's standard errors in closed form rest on this identity
+    q = np.array(v) / np.linalg.norm(v)
+    M = kron_power(np.exp(1j * phi) * su2_batch(q), t)
+    K = np.kron(M.conj(), M)
+    assert np.max(np.abs(np.linalg.norm(K, axis=0) - 1.0)) < 1e-14
 
 
 @pytest.mark.parametrize("t", [1, 2])
@@ -641,10 +650,23 @@ def reference_oracle_check(seed, t, n):
     return deviations, np.sqrt(entry_var.sum(axis=0) / n)
 
 
-@pytest.mark.parametrize("t", [1, 2])
-def test_mc_oracle_check_matches_per_sample_reference(t):
-    rep = mc_oracle_check(HaarSampler(31), t, 300, chunk=64)
-    deviations, std_errors = reference_oracle_check(31, t, 300)
+@pytest.mark.parametrize(
+    "seed,t,n,chunk",
+    [
+        pytest.param(31, 1, 300, 64, id="1"),
+        pytest.param(31, 2, 300, 64, id="2"),
+        (5, 1, 2, 1),
+        (6, 2, 2, 16384),
+        (7, 1, 3, 2),
+        (8, 2, 3, 1),
+        (9, 2, 5, 3),
+        (10, 1, 1000, 97),
+        (11, 2, 777, 256),
+    ],
+)
+def test_mc_oracle_check_matches_per_sample_reference(seed, t, n, chunk):
+    rep = mc_oracle_check(HaarSampler(seed), t, n, chunk=chunk)
+    deviations, std_errors = reference_oracle_check(seed, t, n)
     assert np.max(np.abs(rep.deviations - deviations)) < 1e-12
     assert np.max(np.abs(rep.std_errors - std_errors)) < 1e-12
 
@@ -689,15 +711,27 @@ def test_haar_blocks_concatenate_to_the_pinned_stream(seed, counter, n):
 
 
 @pytest.mark.parametrize("t", [1, 2])
-def test_mc_block_sums_the_monomials_and_powers_of_a(t):
+def test_mc_block_sums_the_monomials(t):
     m = 999
-    q = HaarSampler(21, counter=4).quaternions(m)
-    Y = _monomials(q.T, t)
-    A = np.abs(su2_batch(q)[:, 0, 0]) ** 2
-    Z = np.vander(A, t + 1, increasing=True).T
-    gram_y, gram_z = twirl._mc_block(21, 4, m, t, np.empty(twirl._MC_ROWS[t] * m))
-    assert np.allclose(gram_y, Y @ Y.T, rtol=1e-13, atol=0)
-    assert np.allclose(gram_z, Z @ Z.T, rtol=1e-13, atol=0)
+    Y = _monomials(HaarSampler(21, counter=4).quaternions(m).T, t)
+    gram = twirl._mc_block(21, 4, m, t, np.empty(twirl._MC_ROWS[t] * m))
+    assert np.allclose(gram, Y @ Y.T, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_mc_oracle_check_of_a_constant_stream_has_zero_standard_errors(monkeypatch, t):
+    # every sample one unitary: each mean column is that sample's unit column,
+    # whose squared norm rounds to either side of 1; no error may be NaN
+    workers(monkeypatch, 1)
+    for q in np.random.default_rng(t).normal(size=(40, 4)):
+        q = q / np.linalg.norm(q)
+
+        def constant(seed, counter, g, u, q=q):
+            g[:] = q[:, None]
+
+        monkeypatch.setattr(twirl, "_haar_block", constant)
+        rep = mc_oracle_check(HaarSampler(0), t, 64)
+        assert np.all(rep.std_errors <= np.sqrt(1e-12 / 64))
 
 
 def workers(monkeypatch, k):
