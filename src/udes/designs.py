@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +65,7 @@ _FRAME_TOL = 1e-8
 _FIRST_ORDER_TOL = 4 * _FRAME_TOL
 
 
-@dataclass(frozen=True)
-class DesignReport:
+class DesignReport(NamedTuple):
     t: int
     is_design: bool
     frame_gap: float
@@ -76,8 +75,7 @@ class DesignReport:
     haar_value: float
 
 
-@dataclass(frozen=True)
-class OneDesignFrame:
+class OneDesignFrame(NamedTuple):
     """The data reconstructing a minimal 1-design as a phased Pauli frame.
 
     `permutation` maps element position -> Pauli index (position 0 always
@@ -97,8 +95,7 @@ class OneDesignFrame:
         ]
 
 
-@dataclass(frozen=True)
-class NamedDesign:
+class NamedDesign(NamedTuple):
     name: str
     set: UnitarySet
 

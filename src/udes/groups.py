@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,14 +49,14 @@ def _hs_distance(d: np.ndarray) -> np.ndarray:
     return math.sqrt(2.0) * np.sqrt(np.einsum("...i,...i->...", d, d))
 
 
-@dataclass(frozen=True)
-class Su2Closure:
+class Su2Closure(NamedTuple):
     """Both determinant-1 normalizations of every element of a set.
 
     closure[2a] is the canonical normalization of original element a (first
     nonzero quaternion coordinate positive) and closure[2a+1] its negative;
     `pairing` maps each index to its antipodal partner, and row k of the
     read-only `quaternions` array holds the coordinates of closure[k].
+    len() is the closure size, not the number of fields.
     """
 
     original: UnitarySet
@@ -74,6 +74,11 @@ class Su2Closure:
     def points(self) -> np.ndarray:
         """The closure as an (n, 4) array of unit quaternions."""
         return self.quaternions
+
+
+# namedtuple's own _make, which _replace calls, checks len(), the closure
+# size here; the constructor checks the field count instead
+Su2Closure._make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def su2_closure(S: UnitarySet, tol: float = _MEMBER_TOL) -> Su2Closure:
@@ -107,8 +112,7 @@ def su2_closure(S: UnitarySet, tol: float = _MEMBER_TOL) -> Su2Closure:
     return Su2Closure(S, tuple(stack), tuple(k ^ 1 for k in range(len(stack))), Q)
 
 
-@dataclass(frozen=True)
-class GroupProfile:
+class GroupProfile(NamedTuple):
     is_group: bool
     order_histogram: dict
     center_size: int
@@ -256,8 +260,7 @@ def _has_cyclic_complement(prod: np.ndarray, members: set, e: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class PolytopeId:
+class PolytopeId(NamedTuple):
     kind: str
     distance_spectrum: tuple  # ((chord, multiplicity), ...) per vertex
 
@@ -349,8 +352,7 @@ ROTATION_C = 2.0 * math.pi / (3.0 * math.sqrt(3.0))
 _ROTATION_SCALE = {1.0: 0.0, 0.0: math.pi, 0.5: 2.0 * ROTATION_C}
 
 
-@dataclass(frozen=True)
-class ClosureTableRow:
+class ClosureTableRow(NamedTuple):
     """One element of the binary tetrahedral closure in all four pictures."""
 
     label: str

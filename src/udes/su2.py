@@ -120,19 +120,17 @@ UNIT_BASIS.flags.writeable = False
 W_QUATERNION = np.full(4, 0.5)
 W_QUATERNION.flags.writeable = False
 
-#: q = (real entries of U) @ this; the entries of UNIT_BASIS are orthogonal,
-#: of squared norm 2, so this is half the transposed q -> U map
-_QUATERNION_OF_ENTRIES = 0.5 * UNIT_BASIS.view(float).reshape(4, 8).T
 #: a = (U flattened) @ this gives U = sum_k a_k UNIT_BASIS[k] for any 2x2 U:
-#: the units are orthogonal, of squared norm 2
+#: the units are orthogonal, of squared norm 2.  For a special unitary a is
+#: its quaternion, real up to rounding
 _UNIT_COORDINATES = UNIT_BASIS.reshape(4, 4).conj().T / 2.0
 
 
 def quaternion_batch(U) -> np.ndarray:
     """Inverse of su2_batch: coordinates (..., 4) of a (..., 2, 2) stack of
-    special unitaries."""
-    U = np.ascontiguousarray(U, dtype=complex)
-    return U.view(float).reshape(U.shape[:-2] + (8,)) @ _QUATERNION_OF_ENTRIES
+    special unitaries, the real part of their unit-basis coordinates."""
+    U = np.asarray(U, dtype=complex)
+    return (U.reshape(U.shape[:-2] + (4,)) @ _UNIT_COORDINATES).real
 
 
 def rotation_quaternion(R) -> tuple[float, float, float, float]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,8 +167,7 @@ def _square_stack(elems) -> tuple[np.ndarray, str | None]:
     return np.stack(mats[:same]), f"element {same} is {m}x{m}, expected {d}x{d}"
 
 
-@dataclass(frozen=True)
-class FramePotentialReport:
+class FramePotentialReport(NamedTuple):
     t: int
     value: float
     haar_value: float | None  # None when no exact reference is implemented
@@ -273,7 +272,6 @@ def frame_potential(S: UnitarySet, t: int) -> FramePotentialReport:
 # deterministic Haar sampling on SU(2)
 
 
-@dataclass
 class HaarSampler:
     """Deterministic Haar-uniform SU(2) stream.
 
@@ -284,10 +282,29 @@ class HaarSampler:
     block of it without a sampler: mc_oracle_check draws its blocks that
     way, on worker threads, and advances `counter` once at the end.  Not
     for concurrent mutation — give each thread its own sampler.
+
+    `seed` must be an int in [0, 2**64), the Philox key, and `counter` an
+    int >= 0; numpy ints count, bools do not.  Anything else raises
+    ValueError, since it would draw some other stream than the one it names.
     """
 
-    seed: int
-    counter: int = 0
+    __slots__ = ("seed", "counter")
+
+    def __init__(self, seed: int, counter: int = 0):
+        if not _is_int(seed) or not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
+        if not _is_int(counter) or counter < 0:
+            raise ValueError(f"counter must be an int >= 0, got {counter!r}")
+        self.seed = int(seed)
+        self.counter = int(counter)
+
+    def __repr__(self) -> str:
+        return f"HaarSampler(seed={self.seed!r}, counter={self.counter!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.seed, self.counter) == (other.seed, other.counter)
 
     def quaternions(self, n: int) -> np.ndarray:
         """Draw n uniform points of S^3 as an (n, 4) array, advancing the state."""
@@ -371,8 +388,12 @@ def _power_map(E: np.ndarray, t: int) -> np.ndarray:
     return (X[0] - X[1]) * np.where(a == b, 0.25, 0.5)[:, None]
 
 
-@dataclass(frozen=True)
-class McOracleReport:
+#: the Monte Carlo gate: a report is ok when every deviation is within this
+#: many standard errors
+NSIGMA = 5.0
+
+
+class McOracleReport(NamedTuple):
     """Per-basis-element comparison of the MC twirl against the exact oracle.
 
     For each standard basis operator E(i,j), `deviations[j*D+i]` is the
@@ -385,7 +406,7 @@ class McOracleReport:
     seed: int
     deviations: np.ndarray
     std_errors: np.ndarray
-    nsigma: float = 5.0
+    nsigma: float = NSIGMA
 
     @property
     def max_deviation(self) -> float:
@@ -400,9 +421,7 @@ class McOracleReport:
         return bool(np.all(self.deviations <= self.nsigma * self.std_errors))
 
 
-def mc_oracle_check(
-    h: HaarSampler, t: int, n: int, nsigma: float = 5.0, chunk: int = 16384
-) -> McOracleReport:
+def mc_oracle_check(h: HaarSampler, t: int, n: int, chunk: int = 16384) -> McOracleReport:
     """Single-pass MC sweep of the twirl over the whole operator basis.
 
     Estimates the twirl superoperator, whose column j*D+i is the vectorized
@@ -457,7 +476,7 @@ def mc_oracle_check(
     deviations = np.linalg.norm(mean - SUPEROP_HAAR[t], axis=0)
     # a mean column of samples that all agree can round to norm 1 + ulp
     std_errors = np.sqrt(np.maximum(1.0 - (np.abs(mean) ** 2).sum(axis=0), 0.0) / n)
-    return McOracleReport(t, n, h.seed, deviations, std_errors, nsigma)
+    return McOracleReport(t, n, h.seed, deviations, std_errors)
 
 
 def _usable_cpus() -> int:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -207,7 +206,7 @@ def test_both_raises_only_when_the_frame_identity_fails(monkeypatch):
 
     def shifted(S, t):
         fp = real(S, t)
-        return dataclasses.replace(fp, gap=fp.gap + 1e-9)
+        return fp._replace(gap=fp.gap + 1e-9)
 
     monkeypatch.setattr(designs, "frame_potential", shifted)
     with pytest.raises(InternalConsistencyError):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -6,10 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from udes.cli import BUILTIN_NAMES
-from udes.designs import AXIS_CYCLE, named_design
+from udes.designs import (
+    AXIS_CYCLE,
+    DesignReport,
+    NamedDesign,
+    OneDesignFrame,
+    classify_min_1design,
+    named_design,
+    verify_design,
+)
 from udes.errors import DimensionMismatch, NonUnitPoint, NotHalfInteger, ProportionalElements
 from udes.groups import (
+    ClosureTableRow,
     GroupProfile,
+    PolytopeId,
+    Su2Closure,
     _orders,
     _product_table,
     axis_cycle_closure_table,
@@ -22,7 +34,14 @@ from udes.groups import (
 from udes.qubit import pauli
 from udes.linalg import hs_norm
 from udes.su2 import hamilton, quaternion_of, rodrigues, so3_rep, su2_batch
-from udes.twirl import HaarSampler, UnitarySet
+from udes.twirl import (
+    FramePotentialReport,
+    HaarSampler,
+    McOracleReport,
+    UnitarySet,
+    frame_potential,
+    mc_oracle_check,
+)
 
 B = named_design("B").set
 D = named_design("D").set
@@ -520,3 +539,63 @@ def test_closed_form_orders_at_the_tolerance_boundary(seed, tol):
     assert clear.mean() > 0.9
     assert np.array_equal(got[clear], want[clear])
     assert np.array_equal(got[clear], np.where(target <= tol, k, 0)[clear])
+
+
+# ---- records -------------------------------------------------------------
+
+#: every report type with its field names, in order
+RECORD_FIELDS = {
+    FramePotentialReport: ("t", "value", "haar_value", "gap"),
+    McOracleReport: ("t", "n", "seed", "deviations", "std_errors", "nsigma"),
+    DesignReport: (
+        "t",
+        "is_design",
+        "frame_gap",
+        "max_twirl_deviation",
+        "method_agreement",
+        "frame_potential",
+        "haar_value",
+    ),
+    OneDesignFrame: ("V", "Vp", "phases", "permutation"),
+    NamedDesign: ("name", "set"),
+    Su2Closure: ("original", "closure", "pairing", "quaternions"),
+    GroupProfile: ("is_group", "order_histogram", "center_size", "cosets", "semidirect_check"),
+    PolytopeId: ("kind", "distance_spectrum"),
+    ClosureTableRow: ("label", "pauli", "quaternion", "rotation"),
+}
+
+
+@functools.cache
+def _records() -> dict:
+    """One record of each type, as the library makes them, by type."""
+    C = su2_closure(D)
+    made = (
+        frame_potential(D, 2),
+        mc_oracle_check(HaarSampler(1), 1, 64),
+        verify_design(D, 2),
+        classify_min_1design(B),
+        named_design("D"),
+        C,
+        group_profile(C),
+        polytope_identify(C.points()),
+        axis_cycle_closure_table()[0],
+    )
+    return {type(rec): rec for rec in made}
+
+
+@pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
+def test_records_are_named_tuples_with_pinned_fields(cls):
+    rec = _records()[cls]
+    assert isinstance(rec, tuple)
+    assert cls._fields == RECORD_FIELDS[cls]
+    new = rec._replace(**{cls._fields[0]: "x"})
+    assert type(new) is cls and new[0] == "x"
+    assert all(a is b for a, b in zip(new[1:], rec[1:]))
+    assert list(rec._asdict()) == list(cls._fields)
+
+
+def test_closure_len_is_its_size():
+    C = su2_closure(D)
+    assert len(C) == len(C.closure) == 24
+    assert len(C._replace(pairing=C.pairing)) == 24
+

@@ -587,6 +587,36 @@ def test_different_seeds_differ():
     )
 
 
+@pytest.mark.parametrize(
+    "args,name",
+    [
+        ((1.5,), "seed"),  # would draw seed 1's stream
+        (("7",), "seed"),  # would draw seed 7's
+        ((True,), "seed"),  # would draw seed 1's
+        ((-1,), "seed"),  # an OverflowError at the first draw
+        ((2**64,), "seed"),
+        ((None,), "seed"),
+        ((3, -5), "counter"),  # would draw a stream that is no position of seed 3's
+        ((3, 2.0), "counter"),
+        ((3, True), "counter"),
+    ],
+)
+def test_sampler_names_the_bad_argument(args, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be an int"):
+        HaarSampler(*args)
+
+
+def test_sampler_takes_numpy_integers_and_compares_by_state():
+    a = HaarSampler(np.uint64(2**64 - 1), counter=np.int64(7))
+    b = HaarSampler(2**64 - 1, 7)
+    assert a == b and a != HaarSampler(2**64 - 1, 8) and a != (2**64 - 1, 7)
+    assert repr(a) == "HaarSampler(seed=18446744073709551615, counter=7)"
+    assert np.array_equal(a.quaternions(3), b.quaternions(3))
+    assert a.counter == 10
+    with pytest.raises(TypeError):
+        hash(a)  # mutable, so unhashable
+
+
 # sha256 of the C-ordered (n, 4) draws: replays by (seed, counter) depend on them
 HAAR_STREAM_SHA256 = {
     (0, 0, 1): "c8784d6685d29c54b417ebe7afe2a1e5078b29e61cf7ee0d10d579bb0510c18a",
@@ -821,9 +851,10 @@ def test_mc_oracle_check_takes_numpy_integers():
 
 
 def test_import_loads_no_thread_pool():
-    # concurrent.futures costs ~7 ms to import; only a threaded mc needs it
+    # concurrent.futures costs ~7 ms to import; only a threaded mc needs it.
+    # The records are NamedTuples, so dataclasses is not imported either
     src = str(pathlib.Path(twirl.__file__).resolve().parents[1])
-    code = "import sys, udes.cli; print('concurrent.futures' in sys.modules)"
+    code = "import sys, udes.cli; print(*(m in sys.modules for m in ('concurrent.futures', 'dataclasses')))"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False"]
+    assert out.stdout.split() == ["False", "False"]
