@@ -73,17 +73,26 @@ def emit_json(value, indent: int = 0) -> str:
 _NUMBER_TYPES = frozenset((float, int))
 
 
-def _number_fields(value, indent: int) -> list[str] | None:
-    """The one-line items of a list at `indent`, each number formatted once,
-    when they are all numbers, or all lists of numbers whose one-line forms
-    fit at indent + 1; None otherwise, for the recursion to lay out."""
+def _number_fields(value, indent: int) -> tuple[list[str], bool] | None:
+    """The items of a list at `indent` as _layout needs them, each number
+    formatted once, and whether they are all one-line, when the items are
+    all numbers or all lists of numbers; None otherwise, for the recursion
+    to lay out.  A row of numbers too wide for one line at indent + 1 is
+    laid out one number per line from the strings already formatted."""
     kinds = {*map(type, value)}
     if kinds <= _NUMBER_TYPES:
-        return list(map(format_number, value))
+        return list(map(format_number, value)), True
     if kinds != {list} or not {*map(type, chain.from_iterable(value))} <= _NUMBER_TYPES:
         return None
-    rows = ["[" + ", ".join(map(format_number, v)) + "]" for v in value]
-    return rows if max(map(len, rows)) <= 100 - 2 * (indent + 1) else None
+    limit = 100 - 2 * (indent + 1)
+    rows, flat = [], True
+    for v in value:
+        numbers = list(map(format_number, v))
+        row = "[" + ", ".join(numbers) + "]"
+        if len(row) > limit:
+            row, flat = _block("[", numbers, "]", indent + 1), False
+        rows.append(row)
+    return rows, flat
 
 
 def _layout(value, indent: int) -> tuple[str, bool]:
@@ -94,12 +103,15 @@ def _layout(value, indent: int) -> tuple[str, bool]:
     if isinstance(value, dict):
         items = [_layout(v, indent + 1) for v in value.values()]
         fields = [f"{json.dumps(k)}: {text}" for k, (text, _) in zip(value, items)]
+        flat = all(f for _, f in items)
         opening, closing = "{", "}"
     elif isinstance(value, (list, tuple)):
-        fields, items = _number_fields(value, indent), ()
-        if fields is None:
+        numbers = _number_fields(value, indent)
+        if numbers is None:
             items = [_layout(v, indent + 1) for v in value]
-            fields = [text for text, _ in items]
+            fields, flat = [text for text, _ in items], all(f for _, f in items)
+        else:
+            fields, flat = numbers
         opening, closing = "[", "]"
     elif value is None:
         return "null", True
@@ -107,13 +119,18 @@ def _layout(value, indent: int) -> tuple[str, bool]:
         return json.dumps(value), True
     else:
         return format_number(value), True
-    if all(flat for _, flat in items):
+    if flat:
         line = opening + ", ".join(fields) + closing
         if len(line) <= 100 - 2 * indent:
             return line, True
+    return _block(opening, fields, closing, indent), False
+
+
+def _block(opening: str, fields: list[str], closing: str, indent: int) -> str:
+    """A collection at `indent` laid out one field per line."""
     pad = "  " * indent
     lines = ",\n".join(f"{pad}  {field}" for field in fields)
-    return f"{opening}\n{lines}\n{pad}{closing}", False
+    return f"{opening}\n{lines}\n{pad}{closing}"
 
 
 # --------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .errors import (
     UnknownName,
     UnsupportedOrder,
 )
-from .linalg import EQ_TOL, UNITARITY_TOL, first_pair, hs_norm
+from .linalg import EQ_TOL, UNITARITY_TOL, first_pair, hs_norm, norms
 from .qubit import pauli
 from .su2 import (
     _UNIT_COORDINATES,
@@ -47,7 +47,7 @@ from .su2 import (
     rotation_quaternion,
     su2_batch,
 )
-from .twirl import SUPEROP_HAAR, UnitarySet, frame_potential, superop_of_twirl
+from .twirl import SUPEROP_HAAR, UnitarySet, _read_only, frame_potential, superop_of_twirl
 
 #: order-6 special unitary whose covering rotation is the cyclic axis shift
 #: x -> y -> z -> x; all four entries are exact dyadic rationals
@@ -123,7 +123,7 @@ def verify_design(S: UnitarySet, t: int, tol: float = EQ_TOL, method: str = "bot
     if S.dim != 2:
         raise DimensionMismatch(f"expected dimension 2, got {S.dim}")
     delta = superop_of_twirl(S, t) - SUPEROP_HAAR[t]
-    max_dev = float(np.linalg.norm(delta, axis=0).max())
+    max_dev = float(norms(delta, 0).max())
     fp = frame_potential(S, t)
     gap = float(fp.gap)
     if method == "both":
@@ -173,6 +173,10 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
     is no frame, which a failed check then refuses as NotOrthogonalBasis,
     naming the condition; at tol <= _FRAME_TOL a failed check is a bug, and
     raises InternalConsistencyError, NotRotation or NotUnitary.
+
+    A frame found for a UnitarySet is stored on it under `tol`, with V and
+    V' read-only, and a later call with the same tol returns it; a failure
+    is not stored, so it raises again.
     """
     if not isinstance(S, UnitarySet):
         try:
@@ -181,6 +185,10 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
             raise NotUnitaryElements(str(exc)) from None
         except DuplicateElements as exc:
             raise NotOrthogonalBasis(f"duplicate elements: {exc}") from None
+    key = ("frame", tol)
+    frame = S._derived.get(key)
+    if frame is not None:
+        return frame
     if S.dim != 2 or len(S) != 4:
         raise NotOrthogonalBasis(
             f"a minimal 1-design has four 2x2 elements, got {len(S)} of dim {S.dim}"
@@ -268,8 +276,9 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
             f"the frame reconstruction misses by {worst:.3e}",
             InternalConsistencyError(f"frame reconstruction misses by {worst:.3e}"),
         )
-    V, Vp = su2_batch((v, qc))
-    return OneDesignFrame(V, Vp, tuple(phases), sigma)
+    # read-only: the stored frame goes to every later caller
+    frame = S._derived[key] = OneDesignFrame(*_read_only(su2_batch((v, qc))), tuple(phases), sigma)
+    return frame
 
 
 #: the quaternion units 1, I, J, K as tuples
@@ -314,7 +323,8 @@ def extend_to_2design(S, frame: OneDesignFrame | None = None) -> UnitarySet:
 
     Adjoins the left translates of S by the conjugated axis-cycle generator
     and its inverse: S u GS u G^H S with G = V W V^H, W the order-6 cycle
-    and V the left unitary of `frame`, by default classify_min_1design(S).
+    and V the left unitary of `frame`, by default classify_min_1design(S),
+    which reuses the frame a classification of the same set stored.
     """
     if frame is None:
         try:

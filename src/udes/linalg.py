@@ -76,6 +76,23 @@ def hs_norm(A) -> float:
     return float(np.linalg.norm(np.asarray(A, dtype=complex)))
 
 
+# The two reductions below are the expressions np.linalg.norm (an int or a
+# pair of axes, ord None) and np.mean (all axes, float input) evaluate, so
+# their values are bit-identical; they skip the argument handling that costs
+# a few microseconds per call.
+
+
+def norms(A: np.ndarray, axis) -> np.ndarray:
+    """np.linalg.norm(A, axis=axis): the Euclidean norms of a complex array
+    over `axis`, an int or a pair of ints."""
+    return np.sqrt(np.add.reduce((A.conj() * A).real, axis))
+
+
+def mean(x: np.ndarray):
+    """np.mean(x) of a nonempty float array, as a numpy scalar."""
+    return np.add.reduce(x, axis=None) / x.size
+
+
 #: the most entries of a Gram matrix first_pair forms at once (256 kB complex)
 GRAM_BLOCK = 2**14
 

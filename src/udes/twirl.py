@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, DuplicateElements, NotUnitary, UnsupportedOrder
-from .linalg import EQ_TOL, GRAM_BLOCK, MAX_DIM, RANK_TOL, as_matrix, first_pair, near_pairs, rank
+from .linalg import EQ_TOL, GRAM_BLOCK, MAX_DIM, RANK_TOL, as_matrix, first_pair, mean, near_pairs, norms, rank
 from .qubit import singlet_triplet
 from .su2 import UNIT_BASIS, su2_batch
 
@@ -59,14 +59,17 @@ class UnitarySet:
 
     `gram`, the Gram matrix G[a, b] = tr(U_a^H U_b), is one GEMM, read-only
     and computed once: by the duplicate scan when it fits in one of
-    first_pair's blocks, else on first use.
+    first_pair's blocks, else on first use.  Since the set never changes,
+    the results derived from it are stored on it too, in `_derived`, a dict
+    that relabeled copies share: frame_potential's value per order t, and
+    designs.classify_min_1design's frame per tol (successes only).
     """
 
     def __init__(self, elems, labels=None, tol: float = EQ_TOL):
         stack, mismatch = _square_stack(elems)
         n, d, _ = stack.shape
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf or nan, refused
-            defects = np.linalg.norm(stack.conj().swapaxes(1, 2) @ stack - np.eye(d), axis=(1, 2))
+            defects = norms(stack.conj().swapaxes(1, 2) @ stack - np.eye(d), (1, 2))
         bad = np.flatnonzero(~(defects <= tol))
         if bad.size:
             k = bad[0]
@@ -93,10 +96,12 @@ class UnitarySet:
         self.stack = _read_only(stack)  # (N, d, d); the elements are views into it
         self.unitarity_defect = float(defects.max())  # max ||U^H U - 1||_HS
         self.elems = tuple(stack)
+        self._derived = {}
 
     def relabeled(self, labels) -> UnitarySet:
         """The same elements under `labels` (one per element, or None),
-        sharing this set's stack and Gram matrix: nothing is validated again."""
+        sharing this set's stack, Gram matrix and derived results: nothing is
+        validated or computed again."""
         other = object.__new__(type(self))
         other.__dict__.update(self.__dict__, labels=_labels(labels, len(self)))
         return other
@@ -257,12 +262,15 @@ def choi_rank(Phi, tol: float = RANK_TOL) -> int:
 
 def frame_potential(S: UnitarySet, t: int) -> FramePotentialReport:
     """(1/N^2) sum_{a,b} |tr(U_a^H U_b)|^(2t), read off the set's cached
-    Gram matrix, with the U(2) Haar reference for t in {1, 2}; the reference
-    (and the gap) is None for other orders and for sets of dimension other
-    than 2."""
+    Gram matrix once per t and then stored on the set, with the U(2) Haar
+    reference for t in {1, 2}; the reference (and the gap) is None for other
+    orders and for sets of dimension other than 2."""
     if t < 1:
         raise UnsupportedOrder(f"frame potential order must be >= 1, got {t}")
-    value = float(np.mean(np.abs(S.gram) ** (2 * t)))
+    key = ("frame_potential", t)
+    value = S._derived.get(key)
+    if value is None:
+        value = S._derived[key] = float(mean(np.abs(S.gram) ** (2 * t)))
     haar_value = FRAME_POTENTIAL_HAAR.get(t) if S.dim == 2 else None
     gap = None if haar_value is None else value - haar_value
     return FramePotentialReport(t, value, haar_value, gap)
@@ -270,6 +278,15 @@ def frame_potential(S: UnitarySet, t: int) -> FramePotentialReport:
 
 # --------------------------------------------------------------------------
 # deterministic Haar sampling on SU(2)
+
+
+#: the end of every Haar stream: Philox's block counter has 256 bits
+_STREAM_END = 2**256
+
+
+def _check_stream_end(counter: int, n: int) -> None:
+    if counter + n > _STREAM_END:
+        raise ValueError(f"drawing {n} from counter {counter} passes the stream's end at 2**256")
 
 
 class HaarSampler:
@@ -284,8 +301,9 @@ class HaarSampler:
     for concurrent mutation — give each thread its own sampler.
 
     `seed` must be an int in [0, 2**64), the Philox key, and `counter` an
-    int >= 0; numpy ints count, bools do not.  Anything else raises
-    ValueError, since it would draw some other stream than the one it names.
+    int in [0, 2**256), the Philox block counter; numpy ints count, bools do
+    not.  Anything else raises ValueError, since it would draw some other
+    stream than the one it names, and so does a draw past 2**256.
     """
 
     __slots__ = ("seed", "counter")
@@ -293,8 +311,8 @@ class HaarSampler:
     def __init__(self, seed: int, counter: int = 0):
         if not _is_int(seed) or not 0 <= seed < 2**64:
             raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
-        if not _is_int(counter) or counter < 0:
-            raise ValueError(f"counter must be an int >= 0, got {counter!r}")
+        if not _is_int(counter) or not 0 <= counter < _STREAM_END:
+            raise ValueError(f"counter must be an int in [0, 2**256), got {counter!r}")
         self.seed = int(seed)
         self.counter = int(counter)
 
@@ -308,8 +326,10 @@ class HaarSampler:
 
     def quaternions(self, n: int) -> np.ndarray:
         """Draw n uniform points of S^3 as an (n, 4) array, advancing the state."""
-        if n < 1:
-            raise ValueError("need n >= 1")
+        if not _is_int(n) or n < 1:
+            raise ValueError(f"n must be an int >= 1, got {n!r}")
+        n = int(n)  # a numpy int would overflow the counter's sum from 2**63 up
+        _check_stream_end(self.counter, n)
         g, u = np.empty((4, n)), np.empty((4, n))
         _haar_block(self.seed, self.counter, g, u)
         self.counter += n
@@ -321,10 +341,12 @@ def _haar_block(seed: int, counter: int, g: np.ndarray, u: np.ndarray) -> None:
     `seed` into the rows (s, x, y, z) of g, a C-contiguous (4, m) array,
     with u, another, as scratch.  It keeps no state and allocates no array,
     so the blocks of one stream can be drawn in any order and on any thread."""
-    # Each quaternion consumes one 128-bit counter block (four doubles), so
+    # Each quaternion consumes one 256-bit counter block (four doubles), so
     # starting the block counter at `counter` replays the stream from there.
-    # The raw draws, (m, 4) in C order, go through g's memory to u's rows.
-    bits = np.random.Philox(key=np.uint64(seed), counter=[counter, 0, 0, 0])
+    # Philox takes it as a Python int in [0, 2**256), exactly; a list would go
+    # through float64 from 2**63 up.  The raw draws, (m, 4) in C order, go
+    # through g's memory to u's rows.
+    bits = np.random.Philox(key=np.uint64(seed), counter=counter)
     raw = g.reshape(g.shape[1], 4)
     np.copyto(u, np.random.Generator(bits).random(out=raw).T)
     # Box-Muller on contiguous rows, in place: g = (r cos a, r sin a) for (r, a)
@@ -455,7 +477,9 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int, chunk: int = 16384) -> McOra
         raise ValueError(f"n must be >= 2 for a standard error, got {n}")
     if not _is_int(chunk) or chunk < 1:
         raise ValueError(f"chunk must be an int >= 1, got {chunk!r}")
-    seed, start, stop, chunk = h.seed, h.counter, h.counter + int(n), int(chunk)
+    n, chunk = int(n), int(chunk)
+    _check_stream_end(h.counter, n)
+    seed, start, stop = h.seed, h.counter, h.counter + n
     starts = range(start, stop, chunk)
     workers = min(_usable_cpus(), len(starts))
     # one work array per worker, made on this thread: workers allocate no
@@ -472,10 +496,10 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int, chunk: int = 16384) -> McOra
     gram = sum(_in_order(block, starts, workers))  # in block order
     h.counter = stop
     C = _power_map(UNIT_BASIS, t)
-    mean = _superop_layout(C.conj().T @ gram @ C, 2**t) / n
-    deviations = np.linalg.norm(mean - SUPEROP_HAAR[t], axis=0)
+    phi = _superop_layout(C.conj().T @ gram @ C, 2**t) / n
+    deviations = np.linalg.norm(phi - SUPEROP_HAAR[t], axis=0)
     # a mean column of samples that all agree can round to norm 1 + ulp
-    std_errors = np.sqrt(np.maximum(1.0 - (np.abs(mean) ** 2).sum(axis=0), 0.0) / n)
+    std_errors = np.sqrt(np.maximum(1.0 - (np.abs(phi) ** 2).sum(axis=0), 0.0) / n)
     return McOracleReport(t, n, h.seed, deviations, std_errors)
 
 

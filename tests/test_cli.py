@@ -21,6 +21,7 @@ from udes.cli import (
     save_unitary_set,
     set_payload,
 )
+from udes.designs import named_design
 from udes.errors import UdesError
 from udes.qubit import pauli
 from udes.twirl import HaarSampler, UnitarySet, haar_sample
@@ -164,10 +165,40 @@ def _numeric_leaves(value) -> int:
     return int(value is not None and not isinstance(value, str))
 
 
-@pytest.mark.parametrize("argv", [["table"], ["geometry", "--builtin", "D"], ["construct", "--from", "pauli"]])
-def test_emit_json_formats_each_number_once(monkeypatch, argv):
+def _wide_number_rows(value, indent: int = 0) -> int:
+    """The rows of numbers in a report too wide for one line where they sit."""
+    if isinstance(value, dict):
+        return sum(_wide_number_rows(v, indent + 1) for v in value.values())
+    if not isinstance(value, (list, tuple)):
+        return 0
+    if value and all(type(x) in (int, float) for x in value):
+        return int(len(_inline_reference(value)) > 100 - 2 * indent)
+    return sum(_wide_number_rows(v, indent + 1) for v in value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table"],
+        ["geometry", "--builtin", "D"],
+        ["construct", "--from", "pauli"],
+        # generic input, with quaternion rows too wide for one line
+        ["geometry", "--file", "{conjugated}"],
+    ],
+)
+def test_emit_json_formats_each_number_once(monkeypatch, tmp_path, argv):
+    if "{conjugated}" in argv:
+        # D conjugated by a Haar unitary and rephased, like the benchmark's set
+        # files; at this seed the element conjugated from 1 has the quaternion
+        # [0.99999999999999978, -1.4671839369134548e-18, ...], 96 columns wide
+        path = tmp_path / "conjugated.json"
+        V = haar_sample(HaarSampler(20))
+        save_unitary_set(UnitarySet([1j**k * V @ U @ V.conj().T for k, U in enumerate(named_design("D").set)]), path)
+        argv = [a.format(conjugated=path) for a in argv]
     args = cli.build_parser().parse_args(argv)
     report, _ = cli._COMMANDS[args.command](args)
+    if "--file" in argv:
+        assert _wide_number_rows(report) > 0
     calls = []
     real = cli.format_number
 

@@ -554,6 +554,64 @@ def test_extension_completes_from_a_given_frame(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(ext, named_design("D").set))
 
 
+def _same_frame(a, b) -> bool:
+    return (
+        a.V.tobytes() == b.V.tobytes()
+        and a.Vp.tobytes() == b.Vp.tobytes()
+        and a.phases == b.phases
+        and a.permutation == b.permutation
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_stored_frame_is_the_classification_of_a_fresh_copy(seed):
+    S = UnitarySet(random_frame(seed))
+    frame = classify_min_1design(S)
+    assert classify_min_1design(S) is frame
+    assert _same_frame(frame, classify_min_1design(UnitarySet(np.array(S.stack))))
+    # another tol classifies again, to the same frame
+    other = classify_min_1design(S, 1e-10)
+    assert other is not frame and _same_frame(other, frame)
+    assert classify_min_1design(S, 1e-10) is other
+
+
+def test_a_stored_frame_is_read_only():
+    frame = classify_min_1design(UnitarySet(random_frame(7)))
+    for M in (frame.V, frame.Vp):
+        with pytest.raises(ValueError):
+            M[0, 0] = 0.0
+
+
+def test_a_relabeled_set_and_the_extension_reuse_the_stored_frame(monkeypatch):
+    S = UnitarySet(random_frame(8))
+    frame = classify_min_1design(S)
+    extended = extend_to_2design(S)
+    # nothing of the classification itself runs again
+    monkeypatch.setattr(designs, "first_pair", lambda *a: pytest.fail("classified again"))
+    assert classify_min_1design(S.relabeled("abcd")) is frame
+    assert np.array_equal(extend_to_2design(S).stack, extended.stack)
+
+
+@pytest.mark.parametrize(
+    "elems, tol",
+    [
+        # the overlap scan fails
+        ([pauli(0), pauli(1), (pauli(1) + pauli(2)) * SQ2, pauli(3)], 1e-9),
+        # the scan passes at this loose tol, and the orthonormality check fails
+        ([pauli(0), pauli(1), np.cos(1e-6) * pauli(2) + np.sin(1e-6) * pauli(1), pauli(3)], 1e-5),
+    ],
+)
+def test_a_failed_classification_is_not_stored(elems, tol):
+    S = UnitarySet(elems)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NotOrthogonalBasis) as exc:
+            classify_min_1design(S, tol)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert S._derived == {}
+
+
 def test_extension_of_pauli_basis_is_the_named_completion():
     D = named_design("D").set
     ext = extend_to_2design(named_design("B").set)

@@ -11,6 +11,8 @@ from udes.linalg import (
     hs_norm,
     kron,
     kron_power,
+    mean,
+    norms,
     rank,
 )
 
@@ -127,3 +129,14 @@ def test_change_of_basis_preserves_hs_norm():
     A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     T = random_unitary()
     assert hs_norm(change_of_basis(A, T)) == pytest.approx(hs_norm(A))
+
+
+@pytest.mark.parametrize("shape, axis", [((7, 3, 3), (1, 2)), ((12, 2, 2), (1, 2)), ((16, 16), 0), ((5, 4, 3), 1)])
+def test_norms_and_mean_are_numpys_bitwise(shape, axis):
+    # the same expressions as np.linalg.norm and np.mean; a numpy that
+    # changes its own would show here
+    for scale in (1e-9, 1.0, 1e9):
+        A = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        assert norms(A, axis).tobytes() == np.linalg.norm(A, axis=axis).tobytes()
+        x = np.abs(A) ** 4
+        assert mean(x) == np.mean(x) and type(mean(x)) is type(np.mean(x))

@@ -226,6 +226,16 @@ def test_cached_gram_and_frame_potential_match_the_einsum_reference(n):
         assert abs(frame_potential(S, t).value - np.mean(np.abs(gram) ** (2 * t))) <= 1e-15
 
 
+@pytest.mark.parametrize("n", [4, 12, 48])
+def test_a_stored_frame_potential_is_np_mean_bitwise(n):
+    S = UnitarySet(_random_unitaries(np.random.default_rng(n), n, 2))
+    for t in (1, 2, 3):
+        want = float(np.mean(np.abs(S.gram) ** (2 * t)))
+        first = frame_potential(S, t)
+        assert first.value == want and frame_potential(S, t) == first
+        assert frame_potential(S.relabeled(None), t).value == want
+
+
 def test_unitary_set_rejects_bad_label_count():
     with pytest.raises(ValueError):
         UnitarySet([np.eye(2)], labels=["a", "b"])
@@ -599,11 +609,47 @@ def test_different_seeds_differ():
         ((3, -5), "counter"),  # would draw a stream that is no position of seed 3's
         ((3, 2.0), "counter"),
         ((3, True), "counter"),
+        ((3, 2**256), "counter"),  # Philox's block counter has 256 bits
     ],
 )
 def test_sampler_names_the_bad_argument(args, name):
     with pytest.raises(ValueError, match=rf"^{name} must be an int"):
         HaarSampler(*args)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "3", 0])
+def test_sampler_draw_names_a_bad_n(n):
+    h = HaarSampler(3)
+    with pytest.raises(ValueError, match="^n must be an int >= 1"):
+        h.quaternions(n)
+    assert h.counter == 0
+
+
+def test_sampler_counters_past_2_63_are_exact():
+    # a counter that went through float64 drew these three as one
+    first = [HaarSampler(3, c).quaternions(1) for c in (2**63, 2**63 + 1, 2**63 + 1000)]
+    assert not np.array_equal(first[0], first[1]) and not np.array_equal(first[0], first[2])
+    assert np.array_equal(HaarSampler(3, 2**63).quaternions(2)[1:], first[1])
+
+
+def test_sampler_stream_carries_across_2_64():
+    # the counter's low word wraps and its next word counts on
+    h = HaarSampler(3, 2**64 - 2)
+    bulk = h.quaternions(4)
+    assert h.counter == 2**64 + 2
+    singles = np.concatenate([HaarSampler(3, 2**64 - 2 + k).quaternions(1) for k in range(4)])
+    assert np.array_equal(bulk, singles)
+    assert np.allclose(np.einsum("ij,ij->i", bulk, bulk), 1.0)
+
+
+def test_sampler_draws_up_to_the_end_of_the_stream():
+    h = HaarSampler(3, 2**256 - 1)
+    with pytest.raises(ValueError, match="passes the stream's end"):
+        h.quaternions(2)
+    with pytest.raises(ValueError, match="passes the stream's end"):
+        mc_oracle_check(h, 1, 2)
+    assert h.counter == 2**256 - 1
+    assert h.quaternions(1).shape == (1, 4) and h.counter == 2**256
 
 
 def test_sampler_takes_numpy_integers_and_compares_by_state():
