@@ -324,8 +324,34 @@ def _resolve_source(args) -> tuple[twirl.UnitarySet, dict]:
     return S, {"kind": "file", "path": paths[0], "sha256": digest}
 
 
+#: the report header in order: each key and the parsed argument it echoes,
+#: for whichever of them a command takes; "source" is the input that
+#: _resolve_source reads, for the commands that take one
+_HEADER = (("command", "command"), ("source", None), ("t", "t"), ("method", "method"), ("tolerance", "tol"))
+
+
+def build_report(args) -> tuple[dict, int]:
+    """The report of a parsed command line, and its exit code: the header,
+    then the body that the command computes from the input set (None for a
+    command without one)."""
+    report, S = {}, None
+    for key, arg in _HEADER:
+        if key == "source":
+            if hasattr(args, "builtin"):
+                S, report[key] = _resolve_source(args)
+        elif hasattr(args, arg):
+            report[key] = getattr(args, arg)
+    body, code = _COMMANDS[args.command](S, args)
+    return report | body, code
+
+
 # --------------------------------------------------------------------------
-# commands
+# commands: each returns its report body and exit code
+
+
+def _base_labels(S: twirl.UnitarySet) -> list[str]:
+    """The set's labels, or U0, U1, ... for a set without them."""
+    return list(S.labels) if S.labels is not None else [f"U{k}" for k in range(len(S))]
 
 
 def _verification_payload(S, t, tol, method) -> dict:
@@ -343,31 +369,18 @@ def _verification_payload(S, t, tol, method) -> dict:
     return out
 
 
-def cmd_verify(args) -> tuple[dict, int]:
-    S, source = _resolve_source(args)
+def cmd_verify(S, args) -> tuple[dict, int]:
     result = _verification_payload(S, args.t, args.tol, args.method)
-    report = {
-        "command": "verify",
-        "source": source,
-        "t": args.t,
-        "method": args.method,
-        "tolerance": args.tol,
-        "result": result,
-    }
-    return report, 0 if result["is_design"] else 1
+    return {"result": result}, 0 if result["is_design"] else 1
 
 
-def cmd_construct(args) -> tuple[dict, int]:
-    S, source = _resolve_source(args)
+def cmd_construct(S, args) -> tuple[dict, int]:
     frame = designs.classify_min_1design(S, tol=args.tol)
     design = designs.extend_to_2design(S, frame)
-    base = list(S.labels) if S.labels is not None else [f"U{k}" for k in range(len(S))]
+    base = _base_labels(S)
     labeled = design.relabeled(base + [f"G{l}" for l in base] + [f"G*{l}" for l in base])
     result = _verification_payload(labeled, 2, args.tol, "both")
-    report = {
-        "command": "construct",
-        "source": source,
-        "tolerance": args.tol,
+    body = {
         "classification": {
             "permutation": list(frame.permutation),
             "phases": [[z.real, z.imag] for z in frame.phases],
@@ -378,65 +391,40 @@ def cmd_construct(args) -> tuple[dict, int]:
     }
     if args.out:
         save_unitary_set(labeled, args.out)
-    return report, 0 if result["is_design"] else 1
+    return body, 0 if result["is_design"] else 1
 
 
-def cmd_frame_potential(args) -> tuple[dict, int]:
-    S, source = _resolve_source(args)
+def cmd_frame_potential(S, args) -> tuple[dict, int]:
     # is_design needs the Haar reference; refuse before the sum can overflow
     if args.t not in twirl.FRAME_POTENTIAL_HAAR:
         raise UnsupportedOrder(f"no Haar reference for t={args.t}; one exists for U(2), t <= 2")
     fp = twirl.frame_potential(S, args.t)
-    report = {
-        "command": "frame-potential",
-        "source": source,
-        "t": args.t,
-        "tolerance": args.tol,
-        "result": {
-            "value": fp.value,
-            "haar_value": fp.haar_value,
-            "gap": fp.gap,
-            "is_design": fp.is_design(args.tol),
-        },
+    result = {
+        "value": fp.value,
+        "haar_value": fp.haar_value,
+        "gap": fp.gap,
+        "is_design": fp.is_design(args.tol),
     }
-    return report, 0
+    return {"result": result}, 0
 
 
-def _closure_labels(C: groups.Su2Closure) -> list[str]:
-    S = C.original
-    base = list(S.labels) if S.labels is not None else [f"U{k}" for k in range(len(S))]
-    out = []
-    for l in base:
-        out += [f"+{l}", f"-{l}"]
-    return out
-
-
-def cmd_group(args) -> tuple[dict, int]:
-    S, source = _resolve_source(args)
+def cmd_group(S, args) -> tuple[dict, int]:
     C = groups.su2_closure(S, args.tol)
     prof = groups.group_profile(C, args.tol)
-    labels = _closure_labels(C)
     histogram = {str(k): prof.order_histogram[k] for k in sorted(prof.order_histogram)}
     result = {
         "closure_size": len(C),
-        "element_labels": labels,
+        "element_labels": [f"{sign}{l}" for l in _base_labels(S) for sign in "+-"],
         "is_group": prof.is_group,
         "order_histogram": histogram,
         "center_size": prof.center_size,
         "cosets": [list(c) for c in prof.cosets] if prof.cosets is not None else None,
         "semidirect": prof.semidirect_check,
     }
-    report = {
-        "command": "group",
-        "source": source,
-        "tolerance": args.tol,
-        "result": result,
-    }
-    return report, 0 if prof.is_group else 1
+    return {"result": result}, 0 if prof.is_group else 1
 
 
-def cmd_geometry(args) -> tuple[dict, int]:
-    S, source = _resolve_source(args)
+def cmd_geometry(S, args) -> tuple[dict, int]:
     C = groups.su2_closure(S, args.tol)
     pid = groups.polytope_identify(C.points(), args.tol)
     rotations = [
@@ -450,16 +438,10 @@ def cmd_geometry(args) -> tuple[dict, int]:
         "quaternions": C.points().tolist(),
         "rotations": rotations,
     }
-    report = {
-        "command": "geometry",
-        "source": source,
-        "tolerance": args.tol,
-        "result": result,
-    }
-    return report, 0
+    return {"result": result}, 0
 
 
-def cmd_mc(args) -> tuple[dict, int]:
+def cmd_mc(S, args) -> tuple[dict, int]:
     sampler = twirl.HaarSampler(args.seed)
     counter_start = sampler.counter
     check = twirl.mc_oracle_check(sampler, args.t, args.samples)
@@ -475,23 +457,20 @@ def cmd_mc(args) -> tuple[dict, int]:
         "std_errors": check.std_errors.tolist(),
         "ok": check.ok,
     }
-    report = {"command": "mc", "t": args.t, "result": result}
-    return report, 0 if check.ok else 1
+    return {"result": result}, 0 if check.ok else 1
 
 
-def cmd_table(args) -> tuple[dict, int]:
-    rows = []
-    for row in groups.axis_cycle_closure_table():
-        rows.append(
-            {
-                "label": row.label,
-                "pauli": [[c.real, c.imag] for c in row.pauli],
-                "quaternion": list(row.quaternion),
-                "rotation": list(row.rotation),
-            }
-        )
-    report = {"command": "table", "result": {"rows": rows}}
-    return report, 0
+def cmd_table(S, args) -> tuple[dict, int]:
+    rows = [
+        {
+            "label": row.label,
+            "pauli": [[c.real, c.imag] for c in row.pauli],
+            "quaternion": list(row.quaternion),
+            "rotation": list(row.rotation),
+        }
+        for row in groups.axis_cycle_closure_table()
+    ]
+    return {"result": {"rows": rows}}, 0
 
 
 _COMMANDS = {
@@ -521,19 +500,16 @@ def _render_source(source: dict) -> list[str]:
     return [f"source: file {source['path']}", f"sha256: {source['sha256']}"]
 
 
-def _render_verification(result: dict) -> list[str]:
-    lines = [
-        _kv("is design", result["is_design"]),
-        _kv("frame gap", result["frame_gap"]) if result["frame_gap"] is not None else "frame gap: n/a",
-    ]
-    if result.get("frame_potential") is not None:
-        lines.insert(1, _kv("frame potential", result["frame_potential"]))
-        lines.insert(2, _kv("haar value", result["haar_value"]))
-    if result["max_twirl_deviation"] is not None:
-        lines.append(_kv("max twirl deviation", result["max_twirl_deviation"]))
-    if result["methods_agree"] is not None:
-        lines.append(_kv("methods agree", result["methods_agree"]))
-    return lines
+def _fields(result: dict, keys) -> list[str]:
+    """A line for each of `keys` that `result` holds, labelled with its words."""
+    return [_kv(k.replace("_", " "), result[k]) for k in keys if k in result]
+
+
+#: the verification lines in order; frame_potential and haar_value are
+#: present for the frame criterion
+_VERIFICATION_LINES = (
+    "is_design", "frame_potential", "haar_value", "frame_gap", "max_twirl_deviation", "methods_agree"
+)
 
 
 _EXACT_STRINGS = {0.0: "0", 0.5: "1/2", -0.5: "-1/2", 1.0: "1", -1.0: "-1"}
@@ -583,19 +559,13 @@ def _pauli_string(coeff) -> str:
 
 
 def render_text(report: dict) -> str:
-    cmd = report["command"]
-    lines = [f"command: {cmd}"]
-    if "source" in report:
-        lines += _render_source(report["source"])
-    if "t" in report:
-        lines.append(_kv("t", report["t"]))
-    if "method" in report:
-        lines.append(f"method: {report['method']}")
-    if "tolerance" in report:
-        lines.append(_kv("tolerance", report["tolerance"]))
-    result = report.get("result", {})
+    lines = []
+    for key, _ in _HEADER:
+        if key in report:
+            lines += _render_source(report[key]) if key == "source" else [_kv(key, report[key])]
+    cmd, result = report["command"], report.get("result", {})
     if cmd == "verify":
-        lines += _render_verification(result)
+        lines += _fields(result, _VERIFICATION_LINES)
     elif cmd == "construct":
         cls = report["classification"]
         lines.append(f"permutation: {tuple(cls['permutation'])}")
@@ -606,14 +576,9 @@ def render_text(report: dict) -> str:
         lines.append(f"phases: {phases}")
         lines.append("design size: " + format_number(len(report["design"]["unitaries"])))
         lines.append("labels: " + " ".join(report["design"].get("labels", [])))
-        lines += _render_verification(report["verification"])
+        lines += _fields(report["verification"], _VERIFICATION_LINES)
     elif cmd == "frame-potential":
-        lines += [
-            _kv("value", result["value"]),
-            _kv("haar value", result["haar_value"]),
-            _kv("gap", result["gap"]),
-            _kv("is design", result["is_design"]),
-        ]
+        lines += _fields(result, result)
     elif cmd == "group":
         lines += [
             _kv("closure size", result["closure_size"]),
@@ -684,7 +649,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        report, code = _COMMANDS[args.command](args)
+        report, code = build_report(args)
         rendered = emit_json(report) + "\n" if args.fmt == "json" else render_text(report)
         # the file first, so that a path that cannot be written leaves stdout empty
         if args.out and args.command != "construct":

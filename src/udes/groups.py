@@ -330,7 +330,8 @@ def demitesseract_class(q, tol: float = _MEMBER_TOL) -> str:
     "W*" for negative).  Antipodal points always land together.
     """
     vals = [float(v) for v in q]
-    if len(vals) != 4 or any(abs(abs(v) - 0.5) > tol for v in vals):
+    # written as not <= so that NaN coordinates and a NaN tol fail
+    if len(vals) != 4 or not all(abs(abs(v) - 0.5) <= tol for v in vals):
         raise NotHalfInteger(f"expected all coordinates +-1/2, got {vals}")
     product = vals[0] * vals[1] * vals[2] * vals[3]
     return "W" if product > 0 else "W*"

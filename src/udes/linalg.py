@@ -141,7 +141,7 @@ def rank(A, tol: float = RANK_TOL) -> int:
     largest one.  For the exact lattice-valued matrices this library
     produces, the spectrum separates cleanly by many orders of magnitude, so
     the threshold is uncritical."""
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
     s = np.linalg.svd(as_matrix(A), compute_uv=False)
     return int(np.count_nonzero(s > tol * s.max(initial=0.0)))

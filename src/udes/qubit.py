@@ -185,7 +185,7 @@ def adapted_bell_block(U, tol: float = EQ_TOL) -> np.ndarray:
     """
     U = assert_unitary(as_matrix(U, 2))
     det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
-    if abs(det - 1.0) > tol:
+    if not abs(det - 1.0) <= tol:  # not <=, so that a NaN tol fails
         raise NotSpecialUnitary(f"det = {det}, expected 1")
     T = adapted_bell_matrix()
     M = change_of_basis(kron(U, U), T.conj().T)

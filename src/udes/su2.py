@@ -216,13 +216,18 @@ def _euler_args(alpha, beta, gamma) -> EulerAngles:
 
 
 def _axis_angle_args(axis, angle) -> tuple[np.ndarray, float]:
-    """Accept (axis, angle) or a single AxisAngle-like pair; axis must be unit."""
+    """Accept (axis, angle) or a single AxisAngle-like pair; the axis must be
+    unit and the angle finite."""
     if angle is None:
         axis, angle = axis
     n = np.asarray(axis, dtype=float).reshape(3)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-        raise NonUnitAxis(f"axis has norm {np.linalg.norm(n)!r}, expected 1")
-    return n, float(angle)
+    norm = float(np.linalg.norm(n))
+    if not abs(norm - 1.0) <= 1e-12:  # not <=, so that a NaN axis fails
+        raise NonUnitAxis(f"axis has norm {norm!r}, expected 1")
+    angle = float(angle)
+    if not math.isfinite(angle):
+        raise ValueError(f"angle={angle} is not finite")
+    return n, angle
 
 
 def su2_from_euler(alpha, beta: float | None = None, gamma: float | None = None) -> np.ndarray:
@@ -319,7 +324,7 @@ def quaternion_of(U, tol: float = EQ_TOL) -> Quaternion:
     """Coordinates (s, x, y, z) of a special unitary, U = s 1 - i (x,y,z).sigma."""
     U = assert_unitary(as_matrix(U, 2))
     det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
-    if abs(det - 1.0) > tol:
+    if not abs(det - 1.0) <= tol:  # not <=, so that a NaN tol fails
         raise NotSpecialUnitary(f"det = {det}, expected 1")
     return Quaternion(*quaternion_batch(U).tolist())
 
@@ -328,7 +333,7 @@ def su2_of_quaternion(q, tol: float = EQ_TOL) -> np.ndarray:
     """Inverse of quaternion_of; q must be a unit quaternion."""
     s, x, y, z = (float(v) for v in q)
     norm2 = s * s + x * x + y * y + z * z
-    if abs(norm2 - 1.0) > 2 * tol:
+    if not abs(norm2 - 1.0) <= 2 * tol:  # not <=, so that NaN fails
         raise NonUnitQuaternion(f"|q|^2 = {norm2}, expected 1")
     return su2_batch((s, x, y, z))
 

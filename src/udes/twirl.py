@@ -443,7 +443,12 @@ class McOracleReport(NamedTuple):
         return bool(np.all(self.deviations <= self.nsigma * self.std_errors))
 
 
-def mc_oracle_check(h: HaarSampler, t: int, n: int, chunk: int = 16384) -> McOracleReport:
+#: the samples per block of mc_oracle_check: a block's work array holds at
+#: most 18 rows of CHUNK floats, 2.4 MB
+CHUNK = 16384
+
+
+def mc_oracle_check(h: HaarSampler, t: int, n: int) -> McOracleReport:
     """Single-pass MC sweep of the twirl over the whole operator basis.
 
     Estimates the twirl superoperator, whose column j*D+i is the vectorized
@@ -458,14 +463,13 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int, chunk: int = 16384) -> McOra
     over n gives the column's squared standard error.
 
     The samples h.counter, ..., h.counter + n - 1 of h's stream are split
-    into blocks of `chunk` (the last may be shorter).  Each block is drawn
-    and reduced to its Gram matrix on its own, in a work array of at most
-    18 rows of `chunk` floats (2.4 MB at the default) that the blocks on one
-    worker reuse.  The blocks run on one worker thread per CPU this process
-    may use (os.sched_getaffinity; os.cpu_count outside Linux), inline when
-    that or the block count is 1, and their Gram matrices are added in
-    block order.  The partition depends on n and chunk alone, so the report
-    is bit-identical whatever the number of workers; a different chunk
+    into blocks of CHUNK (the last may be shorter).  Each block is drawn
+    and reduced to its Gram matrix on its own, in a work array that the
+    blocks on one worker reuse.  The blocks run on one worker thread per
+    CPU this process may use (os.sched_getaffinity; os.cpu_count outside
+    Linux), inline when that or the block count is 1, and their Gram
+    matrices are added in block order.  The partition depends on n and CHUNK alone, so the report
+    is bit-identical whatever the number of workers; a different CHUNK
     moves it only by floating-point summation order.  h.counter advances
     by n.
     """
@@ -475,9 +479,7 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int, chunk: int = 16384) -> McOra
         raise ValueError(f"n must be an int, got {type(n).__name__}")
     if n < 2:
         raise ValueError(f"n must be >= 2 for a standard error, got {n}")
-    if not _is_int(chunk) or chunk < 1:
-        raise ValueError(f"chunk must be an int >= 1, got {chunk!r}")
-    n, chunk = int(n), int(chunk)
+    n, chunk = int(n), CHUNK
     _check_stream_end(h.counter, n)
     seed, start, stop = h.seed, h.counter, h.counter + n
     starts = range(start, stop, chunk)

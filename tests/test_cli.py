@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -196,7 +197,7 @@ def test_emit_json_formats_each_number_once(monkeypatch, tmp_path, argv):
         save_unitary_set(UnitarySet([1j**k * V @ U @ V.conj().T for k, U in enumerate(named_design("D").set)]), path)
         argv = [a.format(conjugated=path) for a in argv]
     args = cli.build_parser().parse_args(argv)
-    report, _ = cli._COMMANDS[args.command](args)
+    report, _ = cli.build_report(args)
     if "--file" in argv:
         assert _wide_number_rows(report) > 0
     calls = []
@@ -237,7 +238,7 @@ def test_reports_hold_plain_numbers(argv):
     # emit_json lays out a row of numbers in one join only when each is an
     # int or a float; a numpy scalar sends the row down the recursive path
     args = cli.build_parser().parse_args(argv)
-    report, _ = cli._COMMANDS[args.command](args)
+    report, _ = cli.build_report(args)
     assert _number_types(report) <= cli._NUMBER_TYPES
 
 
@@ -488,6 +489,64 @@ def test_verify_text_and_json_print_the_same_numbers(capsys):
     assert sampler == {"seed": 5, "counter_start": 0, "counter_end": 3000}
     for key, value in sampler.items():
         assert int(fields["sampler " + key.replace("_", " ")]) == value
+
+
+#: the keys of each command's report, in order: the header, then the body
+ENVELOPES = {
+    "verify": ["command", "source", "t", "method", "tolerance", "result"],
+    "construct": ["command", "source", "tolerance", "classification", "design", "verification"],
+    "frame-potential": ["command", "source", "t", "tolerance", "result"],
+    "group": ["command", "source", "tolerance", "result"],
+    "geometry": ["command", "source", "tolerance", "result"],
+    "mc": ["command", "t", "result"],
+    "table": ["command", "result"],
+}
+
+ENVELOPE_CASES = [
+    ["verify", "--builtin", "D"],
+    ["verify", "--file", "{pauli}", "--t", "1", "--method", "frame", "--tol", "1e-9"],
+    ["construct", "--builtin", "pauli"],
+    ["construct", "--file", "{pauli}", "--tol", "1e-9"],
+    ["construct", "--from", "file", "{pauli}"],
+    ["frame-potential", "--builtin", "B"],
+    ["frame-potential", "--file", "{pauli}", "--t", "1", "--tol", "1e-9"],
+    ["group", "--builtin", "D1"],
+    ["group", "--file", "{pauli}"],
+    ["geometry", "--builtin", "B0"],
+    ["geometry", "--file", "{pauli}", "--tol", "1e-9"],
+    ["mc", "--t", "1", "--samples", "1000"],
+    ["table"],
+]
+
+
+@pytest.mark.parametrize("argv", ENVELOPE_CASES, ids=" ".join)
+def test_every_report_opens_with_one_header_in_text_and_json(tmp_path, capsys, argv):
+    path = tmp_path / "pauli.json"
+    save_unitary_set(UnitarySet([pauli(m) for m in range(4)], labels=list("1XYZ")), str(path))
+    argv = [a.format(pauli=path) for a in argv]
+    _, text, err = run(capsys, *argv)
+    _, doc = run_json(capsys, *argv)
+    assert err == ""
+    assert list(doc) == ENVELOPES[argv[0]]
+    expected = []  # the header as (label, value) pairs, from the JSON report
+    for key in doc:
+        if key == "source":
+            source = doc["source"]
+            if source["kind"] == "builtin":
+                assert list(source) == ["kind", "name"] and source["name"] == argv[2]
+                expected.append(("source", f"builtin {source['name']}"))
+            else:
+                assert list(source) == ["kind", "path", "sha256"] and source["path"] == str(path)
+                assert source["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+                expected += [("source", f"file {path}"), ("sha256", source["sha256"])]
+        elif key in ("command", "t", "method", "tolerance"):
+            expected.append((key, doc[key]))
+    header = [tuple(l.split(": ", 1)) for l in text.splitlines()[: len(expected)]]
+    assert [label for label, _ in header] == [label for label, _ in expected]
+    for (_, shown), (_, value) in zip(header, expected):
+        assert type(value)(shown) == value
+    tol = float(argv[argv.index("--tol") + 1]) if "--tol" in argv else cli.DEFAULT_TOL
+    assert doc.get("tolerance", tol) == tol
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-7, 1e-8])

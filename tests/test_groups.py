@@ -156,6 +156,13 @@ def test_demitesseract_class_requires_half_coordinates():
         demitesseract_class((1.0, 0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("q,tol", [([math.nan] * 4, 1e-9), ([0.5, math.nan, 0.5, 0.5], 1e-9), ([0.5] * 4, math.nan)])
+def test_demitesseract_class_refuses_nan(q, tol):
+    # NaN fails every comparison, so a test written as > tol would let it through
+    with pytest.raises(NotHalfInteger):
+        demitesseract_class(q, tol)
+
+
 def test_demitesseract_class_is_antipodal_invariant():
     q = np.array([0.5, -0.5, 0.5, 0.5])
     assert demitesseract_class(q) == demitesseract_class(-q)

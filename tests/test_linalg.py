@@ -106,6 +106,12 @@ def test_rank_respects_tolerance():
     assert rank(A, tol=1e-16) == 2
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan])
+def test_rank_refuses_a_tol_that_is_not_positive(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        rank(np.eye(2), tol=tol)
+
+
 def test_assert_unitary_passes_and_fails():
     assert_unitary(random_unitary())
     with pytest.raises(NotUnitary):

@@ -158,6 +158,8 @@ def test_adapted_bell_block_rejects_plain_unitary():
 
     with pytest.raises(NotSpecialUnitary):
         adapted_bell_block(1j * np.eye(2))
+    with pytest.raises(NotSpecialUnitary):
+        adapted_bell_block(1j * np.eye(2), tol=math.nan)
 
 
 def test_twirl_coefficients_reconstruct_bell_diagonal():

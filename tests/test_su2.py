@@ -97,6 +97,17 @@ def test_axis_must_be_unit():
         su2_from_axis_angle((1.0, 1.0, 0.0), 0.5)
 
 
+@pytest.mark.parametrize("f", [su2_from_axis_angle, rodrigues])
+def test_axis_angle_refuses_nan_and_infinite_input(f):
+    with pytest.raises(NonUnitAxis, match="norm nan"):
+        f((math.nan, 0.0, 0.0), 0.5)
+    for angle in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^angle={angle} is not finite$"):
+            f((0.0, 0.0, 1.0), angle)
+        with pytest.raises(ValueError, match="not finite"):
+            f(AxisAngle((0.0, 0.0, 1.0), angle))
+
+
 def test_all_four_euler_solutions_have_the_shift_pattern():
     # the solutions produce a *phased* shift: the covering rotation carries
     # the cyclic zero pattern, with unit entries of possibly mixed sign
@@ -173,11 +184,19 @@ def test_quaternion_round_trip(q):
 def test_quaternion_of_rejects_general_unitary():
     with pytest.raises(NotSpecialUnitary):
         quaternion_of(1j * np.eye(2))
+    with pytest.raises(NotSpecialUnitary):
+        quaternion_of(1j * np.eye(2), tol=math.nan)
 
 
 def test_su2_of_quaternion_rejects_non_unit():
     with pytest.raises(NonUnitQuaternion):
         su2_of_quaternion(Quaternion(1.0, 1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("q,tol", [([math.nan, 0.0, 0.0, 0.0], 1e-10), ([1.0, 0.0, 0.0, 0.0], math.nan)])
+def test_su2_of_quaternion_refuses_nan(q, tol):
+    with pytest.raises(NonUnitQuaternion):
+        su2_of_quaternion(q, tol)
 
 
 @given(quaternions, quaternions)
