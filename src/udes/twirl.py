@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -297,8 +297,9 @@ class HaarSampler:
     and bulk draws agree bitwise with repeated single draws.  Quaternion k
     of the stream is a pure function of (seed, k), so _haar_block draws any
     block of it without a sampler: mc_oracle_check draws its blocks that
-    way, on worker threads, and advances `counter` once at the end.  Not
-    for concurrent mutation — give each thread its own sampler.
+    way, on the calling thread and its helper threads, and advances
+    `counter` once at the end.  Not for concurrent mutation — give each
+    thread its own sampler.
 
     `seed` must be an int in [0, 2**64), the Philox key, and `counter` an
     int in [0, 2**256), the Philox block counter; numpy ints count, bools do
@@ -436,7 +437,10 @@ class McOracleReport(NamedTuple):
 
     @property
     def max_ratio(self) -> float:
-        return float((self.deviations / self.std_errors).max())
+        """The largest deviation in standard errors: a zero deviation counts
+        as 0 and any other over a zero standard error as inf."""
+        d, s = self.deviations, self.std_errors
+        return float(np.divide(d, s, out=np.where(d > 0, np.inf, 0.0), where=s > 0).max())
 
     @property
     def ok(self) -> bool:
@@ -444,8 +448,9 @@ class McOracleReport(NamedTuple):
 
 
 #: the samples per block of mc_oracle_check: a block's work array holds at
-#: most 18 rows of CHUNK floats, 2.4 MB
-CHUNK = 16384
+#: most 18 rows of CHUNK floats, 1.2 MB, which stays in a 2 MB L2 cache, and
+#: a call has enough blocks that a helper thread starting late still finds some
+CHUNK = 8192
 
 
 def mc_oracle_check(h: HaarSampler, t: int, n: int) -> McOracleReport:
@@ -463,15 +468,15 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int) -> McOracleReport:
     over n gives the column's squared standard error.
 
     The samples h.counter, ..., h.counter + n - 1 of h's stream are split
-    into blocks of CHUNK (the last may be shorter).  Each block is drawn
-    and reduced to its Gram matrix on its own, in a work array that the
-    blocks on one worker reuse.  The blocks run on one worker thread per
-    CPU this process may use (os.sched_getaffinity; os.cpu_count outside
-    Linux), inline when that or the block count is 1, and their Gram
-    matrices are added in block order.  The partition depends on n and CHUNK alone, so the report
-    is bit-identical whatever the number of workers; a different CHUNK
-    moves it only by floating-point summation order.  h.counter advances
-    by n.
+    into blocks of CHUNK = 8192 (the last may be shorter).  Each block is
+    drawn and reduced to its Gram matrix on its own, in one of `workers`
+    work arrays.  The calling thread takes blocks, and so does one helper
+    thread per further CPU this process may use (os.sched_getaffinity;
+    os.cpu_count outside Linux), up to one thread per block; their Gram
+    matrices are added in block order (_sum_in_order).  The partition
+    depends on n and CHUNK alone, so the report is bit-identical whatever
+    the number of workers; a different CHUNK moves it only by
+    floating-point summation order.  h.counter advances by n.
     """
     if t not in (1, 2):
         raise UnsupportedOrder(f"oracle check implements t in {{1, 2}}, got {t}")
@@ -489,13 +494,13 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int) -> McOracleReport:
     spare = [np.empty(_MC_ROWS[t] * min(chunk, n)) for _ in range(workers)]
 
     def block(lo):
-        work = spare.pop()  # atomic; the pool runs at most `workers` blocks at once
+        work = spare.pop()  # atomic; at most `workers` blocks run at once
         try:
             return _mc_block(seed, lo, min(chunk, stop - lo), t, work)
         finally:
             spare.append(work)
 
-    gram = sum(_in_order(block, starts, workers))  # in block order
+    gram = _sum_in_order(block, starts, workers)
     h.counter = stop
     C = _power_map(UNIT_BASIS, t)
     phi = _superop_layout(C.conj().T @ gram @ C, 2**t) / n
@@ -525,31 +530,71 @@ def _mc_block(seed: int, start: int, m: int, t: int, work: np.ndarray) -> np.nda
     start + m - 1 of the stream `seed`, for mc_oracle_check, computed in
     `work`, a flat float array of at least _MC_ROWS[t] * m entries.  It calls
     no traced name and allocates only its small result, so that it can run
-    on worker threads."""
+    on helper threads."""
     g, u = work[: 8 * m].reshape(2, 4, m)
     _haar_block(seed, start, g, u)
     Y = _monomials(g, t, out=work[8 * m : 18 * m].reshape(10, m) if t == 2 else None)
-    return Y @ Y.T
+    return np.dot(Y, Y.T)  # not Y @ Y.T, which holds the GIL for the whole product
 
 
-def _in_order(fn, items, workers: int):
-    """Yield fn(item) for each item, in item order, computed on `workers`
-    threads with at most 2 * workers items in flight.  An exception from fn
-    propagates unchanged, after the items still queued are cancelled and
-    the running ones have finished; no thread outlives the iteration."""
+def _sum_in_order(fn, items, workers: int):
+    """The left fold 0 + fn(items[0]) + fn(items[1]) + ..., as sum() gives it,
+    with fn run on the calling thread and workers - 1 helper threads.
+
+    Each thread takes the next item under a lock and runs fn on it.  A
+    result is added to the total once every earlier item's result has been;
+    one that comes early waits in `parked` while its thread goes on, and a
+    thread takes an item only while at most `workers` taken items wait to be
+    added, so at most `workers` results wait.  An exception from fn stops
+    the taking of items; once every helper is joined, the one raised by the
+    earliest item propagates unchanged, as it would from
+    sum(map(fn, items)).  No thread outlives the call."""
     if workers <= 1:
-        yield from map(fn, items)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # ~7 ms to import; mc alone needs it
+        return sum(map(fn, items))
+    todo = enumerate(items)
+    turn = threading.Condition()
+    total, added, taken, parked = 0, 0, 0, {}
+    failed = None  # (index, exception) once anything raised
 
-    pool = ThreadPoolExecutor(workers)
+    def work():
+        nonlocal total, added, taken, failed
+        while True:
+            with turn:
+                turn.wait_for(lambda: taken - added <= workers or failed)
+                k, item = next(todo, (None, None))
+                if k is None or failed:
+                    return
+                taken += 1
+            try:
+                value = fn(item)
+            except BaseException as exc:
+                with turn:
+                    if not failed or k < failed[0]:
+                        failed = (k, exc)
+                    turn.notify_all()
+                return
+            with turn:
+                parked[k] = value
+                while added in parked:
+                    total = total + parked.pop(added)
+                    added += 1
+                turn.notify_all()
+
+    helpers = []
     try:
-        pending = deque()
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) >= 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+        for _ in range(workers - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    except BaseException as exc:  # an interrupt, or no thread to start: stop the helpers
+        with turn:
+            failed = (-1, exc)
+            turn.notify_all()
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[1]
+    return total

@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -810,6 +811,17 @@ def test_mc_oracle_check_of_a_constant_stream_has_zero_standard_errors(monkeypat
         monkeypatch.setattr(twirl, "_haar_block", constant)
         rep = mc_oracle_check(HaarSampler(0), t, 64)
         assert np.all(rep.std_errors <= np.sqrt(1e-12 / 64))
+        # and the 5-sigma gate refuses it, with no warning for the zero errors
+        assert rep.max_ratio > rep.nsigma and not rep.ok
+    # over a zero standard error, a zero deviation is 0 errors, any other inf
+    zero = np.zeros(3)
+    assert rep._replace(deviations=zero, std_errors=zero).max_ratio == 0.0
+    assert rep._replace(deviations=zero, std_errors=zero).ok
+    tiny = np.array([0.0, 1e-17, 0.0])
+    assert rep._replace(deviations=tiny, std_errors=zero).max_ratio == np.inf
+    assert not rep._replace(deviations=tiny, std_errors=zero).ok
+    mixed = rep._replace(deviations=np.array([0.0, 1.0, 3.0]), std_errors=np.array([0.0, 1.0, 2.0]))
+    assert mixed.max_ratio == 1.5 and mixed.ok
 
 
 def workers(monkeypatch, k):
@@ -844,6 +856,78 @@ def test_mc_oracle_check_blocks_never_share_a_work_array(monkeypatch):
         sys.setswitchinterval(interval)
     assert threaded.deviations.tobytes() == serial.deviations.tobytes()
     assert threaded.std_errors.tobytes() == serial.std_errors.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sum_in_order_is_the_left_fold_on_any_number_of_workers(k):
+    # terms whose sum depends on their order, each returned after a random
+    # sleep so that the threads finish out of order
+    values = [1e16, 1.0, -1e16, 1.0, 3.0, -1e16, 0.5, 1e16] * 5
+    pauses = np.random.default_rng(k).uniform(0, 2e-3, len(values))
+    calls, running, most = [0] * len(values), [0], [0]
+    started, finished, events = {}, {}, iter(range(10**6))
+    lock = threading.Lock()
+
+    def fn(i):
+        with lock:
+            calls[i] += 1
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+            started[i] = next(events)
+        time.sleep(pauses[i])
+        with lock:
+            running[0] -= 1
+            finished[i] = next(events)
+        return values[i]
+
+    before = threading.active_count()
+    total = twirl._sum_in_order(fn, range(len(values)), k)
+    assert threading.active_count() == before
+    assert total == sum(values) and type(total) is float
+    assert calls == [1] * len(values)
+    assert 1 <= most[0] <= k
+    # at most k results wait: item i starts once every item before i - k is added
+    for i in range(k + 1, len(values)):
+        assert started[i] > max(finished[j] for j in range(i - k)), i
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sum_in_order_raises_the_earliest_items_error(k):
+    # item 12 fails while item 5, which fails too, is still running: the
+    # error of item 5 propagates, as it would from sum(map(fn, items))
+    errors = {5: ValueError("item 5"), 12: KeyError("item 12")}
+
+    def fn(i):
+        if i == 5:
+            time.sleep(0.05)
+        if i in errors:
+            raise errors[i]
+        return float(i)
+
+    before = threading.active_count()
+    with pytest.raises(ValueError) as caught:
+        twirl._sum_in_order(fn, range(20), k)
+    assert caught.value is errors[5]
+    assert threading.active_count() == before
+
+
+def test_sum_in_order_joins_its_helpers_when_one_cannot_start(monkeypatch):
+    start, started = threading.Thread.start, []
+    err = RuntimeError("can't start new thread")
+
+    def start_one(thread):
+        if started:
+            raise err
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_one)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as caught:
+        twirl._sum_in_order(lambda i: time.sleep(1e-3) or 1.0, range(50), 3)
+    assert caught.value is err
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -900,10 +984,19 @@ def test_mc_oracle_check_takes_numpy_integers(monkeypatch):
 
 
 def test_import_loads_no_thread_pool():
-    # concurrent.futures costs ~7 ms to import; only a threaded mc needs it.
-    # The records are NamedTuples, so dataclasses is not imported either
+    # concurrent.futures costs ~7 ms to import, and a threaded mc does not need
+    # it: its helpers are plain threads, all joined when it returns.  The
+    # records are NamedTuples, so dataclasses is not imported either
     src = str(pathlib.Path(twirl.__file__).resolve().parents[1])
-    code = "import sys, udes.cli; print(*(m in sys.modules for m in ('concurrent.futures', 'dataclasses')))"
+    code = (
+        "import contextlib, io, os, sys, threading, udes.cli\n"
+        "loaded = lambda: [m in sys.modules for m in ('concurrent.futures', 'dataclasses')]\n"
+        "print(*loaded())\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = udes.cli.main(['mc', '--samples', '20000', '--format', 'json'])\n"
+        "print(code, *loaded(), threading.active_count())\n"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False", "False", "0", "False", "False", "1"]
