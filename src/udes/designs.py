@@ -36,7 +36,7 @@ from .errors import (
     UnknownName,
     UnsupportedOrder,
 )
-from .linalg import EQ_TOL, UNITARITY_TOL, first_pair, hs_norm, norms
+from .linalg import EQ_TOL, UNITARITY_TOL, hs_norm, norms
 from .qubit import pauli
 from .su2 import (
     _UNIT_COORDINATES,
@@ -194,9 +194,9 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
             f"a minimal 1-design has four 2x2 elements, got {len(S)} of dim {S.dim}"
         )
     X = S.stack.reshape(4, 4)
-    pair = first_pair(X, lambda G, lo: np.nonzero(np.abs(G) > tol), S.gram)  # tr(U_a^H U_b)
-    if pair:
-        a, b = pair
+    a, b = np.nonzero((np.abs(S.gram) > tol) & _UPPER)  # |tr(U_a^H U_b)|, row-major
+    if a.size:
+        a, b = a[0], b[0]
         raise NotOrthogonalBasis(
             f"elements {a} and {b} have HS inner product {X[a].conj() @ X[b]:.3e}"
         )
@@ -277,12 +277,18 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
             InternalConsistencyError(f"frame reconstruction misses by {worst:.3e}"),
         )
     # read-only: the stored frame goes to every later caller
-    frame = S._derived[key] = OneDesignFrame(*_read_only(su2_batch((v, qc))), tuple(phases), sigma)
+    # su2_batch((v, qc)) as one array: the same float expressions, a fraction of the calls
+    V, Vp = _read_only(
+        np.array([[[s - 1j * z, -y - 1j * x], [y - 1j * x, s + 1j * z]] for s, x, y, z in (v, qc)])
+    )
+    frame = S._derived[key] = OneDesignFrame(V, Vp, tuple(phases), sigma)
     return frame
 
 
 #: the quaternion units 1, I, J, K as tuples
 _UNITS = tuple(map(tuple, np.eye(4).tolist()))
+#: the strict upper triangle of a 4x4 Gram matrix: the pairs a < b
+_UPPER = np.triu(np.ones((4, 4), dtype=bool), 1)
 
 
 def _special(alpha) -> tuple:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .designs import BUILTIN_LABELS, D0_QUATERNIONS
 from .errors import DimensionMismatch, NonUnitPoint, NotHalfInteger, ProportionalElements
-from .linalg import first_pair, near_pairs
+from .linalg import first_pair, gram_floor, near_pairs
 from .su2 import (
     AxisAngle,
     axis_angle_batch,
@@ -87,16 +87,19 @@ def su2_closure(S: UnitarySet, tol: float = _MEMBER_TOL) -> Su2Closure:
     Proportional elements share their normalizations, which would collapse
     the closure; the first pair in row order with sqrt(2) min(|p - q|,
     |p + q|) <= tol for its normalized quaternions p and q is rejected.  The
-    Gram screen of linalg.near_pairs, on |p|^2 + |q|^2 - 2 |p.q|, passes on
-    the pairs that may be that close, and their differences decide.
+    Gram screen of linalg.near_pairs passes on the pairs with |p.q| at or
+    above linalg.gram_floor for the squared norms |p|^2 the quaternions span,
+    which holds every pair that close, and their differences decide.
     """
     if S.dim != 2:
         raise DimensionMismatch(f"expected dimension 2, got {S.dim}")
     V = normalize_batch(S.stack)
     P = quaternion_batch(V)
+    sq = np.einsum("ij,ij->i", P, P)
+    floor = gram_floor(sq.min(), sq.max(), tol / math.sqrt(2.0), 4)
 
     def close(G, lo):
-        i, j = near_pairs(P, np.abs(G), lo, tol / math.sqrt(2.0))
+        i, j = near_pairs(np.abs(G), lo, floor)
         # the sign of p.q picks the nearer of q and -q
         hit = _hs_distance(P[lo + i] - np.sign(G[i, j])[:, None] * P[j]) <= tol
         return i[hit], j[hit]

@@ -99,39 +99,56 @@ GRAM_BLOCK = 2**14
 
 def first_pair(X: np.ndarray, find, gram: np.ndarray | None = None) -> tuple[int, int] | None:
     """The first pair of rows (a, b), a < b, in double-loop order, among the
-    pairs ``find(G, lo)`` returns as row-major index arrays (i, j) into G,
-    the rows lo, lo + 1, ... of the Gram matrix conj(X) X^T.  The blocks G
-    hold at most GRAM_BLOCK entries, and are cut from `gram`, the whole Gram
-    matrix, when it is given."""
+    pairs ``find(G, lo)`` returns as row-major index arrays (i, j), j > lo +
+    i, into G, the rows lo, lo + 1, ... of the Gram matrix conj(X) X^T.  The
+    blocks G hold at most GRAM_BLOCK entries, and are cut from `gram`, the
+    whole Gram matrix, when it is given."""
     rows = max(1, GRAM_BLOCK // len(X))
     for lo in range(0, len(X), rows):
-        G = X[lo : lo + rows].conj() @ X.T if gram is None else gram[lo : lo + rows]
-        i, j = find(G, lo)
+        i, j = find(X[lo : lo + rows].conj() @ X.T if gram is None else gram[lo : lo + rows], lo)
         if i.size:
-            later = np.flatnonzero(j > lo + i)
-            if later.size:
-                k = later[0]
-                return lo + int(i[k]), int(j[k])
+            return lo + int(i[0]), int(j[0])
     return None
 
 
-def near_pairs(X: np.ndarray, overlap: np.ndarray, lo: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j), j > lo + i, of the pairs of rows (lo + i, j) of a
-    C-contiguous X that may lie within `radius`, for an exact distance to
-    decide.
+def gram_floor(low: float, high: float, radius: float, k: int) -> float:
+    """The floor that the computed overlap Re<x_a, x_b> (or |<x_a, x_b>|)
+    of every pair of rows within `radius` of each other reaches, for rows of
+    k complex coordinates whose squared norms are known to lie in [low,
+    high].  The bound is only as good as that knowledge: UnitarySet takes it
+    from its unitarity check, su2_closure from the norms themselves.
 
-    `overlap` is a block of Gram rows as first_pair passes it, reduced to
-    its real part (for the distance ||x_a - x_b||) or its modulus (for the
-    distance to the nearer of +-x_b, X real).  The Gram form
-    s = ||x_a||^2 + ||x_b||^2 - 2 overlap of the squared distance is off by
-    less than (k + 2) eps (||x_a||^2 + ||x_b||^2) for rows of k real
-    coordinates, so the pairs with s - (k + 4) eps (||x_a||^2 + ||x_b||^2)
-    within radius^2 include every pair within `radius`; radius^2 alone lies
-    below the rounding floor near 0 and would miss pairs.
+    Exactly, ||x_a - x_b||^2 = ||x_a||^2 + ||x_b||^2 - 2 Re<x_a, x_b>, so a
+    pair within `radius` has Re<x_a, x_b> >= low - radius^2 / 2.  The
+    allowance 4 (k + 3) eps (high + radius^2), eps the float64 epsilon,
+    covers what rounding can move that bound by:
+      - a GEMM entry is off by at most (k + 2) eps ||x_a|| ||x_b|| <=
+        (k + 2) eps high;
+      - a pair within `radius` as norms() measures its difference lies
+        within radius^2 (1 + 2 (k + 2) eps) exactly;
+      - low and high may be off by 2 (k + 3) eps high themselves.
+        UnitarySet's are d -+ sqrt(d) delta, k = d^2, from computed
+        defects <= delta: the exact ||U^H U - 1|| is then at most
+        delta (1 + (k + 3) eps) + (d + 2) eps ||U||^2, and sqrt(d) (d + 2)
+        <= k + 2;
+      - the floor's own evaluation rounds by a few eps (high + radius^2).
+    These sum to less than the allowance.  Without it a screen misses pairs
+    at the edge: pairs built at the largest computed defect and distance
+    <= tol fall up to 3 eps (high + radius^2) below low - radius^2 / 2.
     """
-    x = X.view(float)
-    sq = np.einsum("ij,ij->i", x, x) * (1.0 - (x.shape[1] + 4) * _EPS)
-    i, j = np.nonzero(sq[lo : lo + len(overlap), None] + sq - 2.0 * overlap <= radius * radius)
+    r2 = radius * radius
+    return low - r2 / 2.0 - 4.0 * (k + 3) * _EPS * (high + r2)
+
+
+def near_pairs(overlap: np.ndarray, lo: int, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), j > lo + i, in row-major order, of the entries of
+    `overlap` at or above `floor`: a block of Gram rows lo, lo + 1, ... as
+    first_pair passes it, reduced to its real part or its modulus.  With a
+    floor from gram_floor these include every pair of rows (lo + i, j) within
+    its radius, for an exact distance to decide: the Gram form cannot
+    resolve the distance itself, since radius^2 lies below its rounding
+    floor near 0."""
+    i, j = np.nonzero(overlap >= floor)
     later = j > lo + i
     return i[later], j[later]
 

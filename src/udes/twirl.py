@@ -30,7 +30,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, DuplicateElements, NotUnitary, UnsupportedOrder
-from .linalg import EQ_TOL, GRAM_BLOCK, MAX_DIM, RANK_TOL, as_matrix, first_pair, mean, near_pairs, norms, rank
+from .linalg import (
+    EQ_TOL,
+    GRAM_BLOCK,
+    MAX_DIM,
+    RANK_TOL,
+    as_matrix,
+    first_pair,
+    gram_floor,
+    mean,
+    near_pairs,
+    norms,
+    rank,
+)
 from .qubit import singlet_triplet
 from .su2 import UNIT_BASIS, su2_batch
 
@@ -54,14 +66,24 @@ class UnitarySet:
     order.  Either way the first offending element decides the error,
     checked in this order: shape and finiteness, unitarity (of the elements
     before the first one of another dimension), dimension, then duplicates.
-    The duplicate scan screens pairs by the Gram matrix and measures the
-    few it passes on as differences, in row-major order.
+
+    The duplicate scan screens pairs on the Gram matrix and measures the few
+    it passes on as differences, in row-major order.  Once every element
+    has passed the unitarity check, ||U_a||^2 = tr(U_a^H U_a) lies within
+    |tr(U_a^H U_a - 1)| <= sqrt(d) ||U_a^H U_a - 1|| <= sqrt(d) delta of d,
+    delta <= tol the largest defect the check measured.  So a pair within
+    `tol` has Re G[a, b] >= d - sqrt(d) delta - tol^2 / 2, and the screen
+    keeps the pairs at or above that floor less linalg.gram_floor's
+    rounding allowance.  Before the check the norms are unbounded, and the
+    floor would prove nothing.  Once sqrt(d) delta + tol^2 / 2 reaches d,
+    the floor falls to 0 and passes most pairs on, each then measured.
 
     `gram`, the Gram matrix G[a, b] = tr(U_a^H U_b), is one GEMM, read-only
     and computed once: by the duplicate scan when it fits in one of
     first_pair's blocks, else on first use.  Since the set never changes,
     the results derived from it are stored on it too, in `_derived`, a dict
-    that relabeled copies share: frame_potential's value per order t, and
+    that relabeled copies share: a Gram matrix built on first use,
+    frame_potential's value per order t, and
     designs.classify_min_1design's frame per tol (successes only).
     """
 
@@ -69,21 +91,26 @@ class UnitarySet:
         stack, mismatch = _square_stack(elems)
         n, d, _ = stack.shape
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf or nan, refused
-            defects = norms(stack.conj().swapaxes(1, 2) @ stack - np.eye(d), (1, 2))
-        bad = np.flatnonzero(~(defects <= tol))
-        if bad.size:
-            k = bad[0]
+            E = stack.conj().swapaxes(1, 2) @ stack
+            E.reshape(n, d * d)[:, :: d + 1] -= 1  # U^H U - 1
+            defects = norms(E, (1, 2))
+        unitary = defects <= tol
+        if not unitary.all():
+            k = np.flatnonzero(~unitary)[0]
             raise NotUnitary(
                 f"element {k}: matrix is not unitary: ||U^H U - 1|| = {defects[k]:.3e} > {tol:.1e}"
             )
         if mismatch is not None:
             raise DimensionMismatch(mismatch)
         X = stack.reshape(n, d * d)
+        defect = float(defects.max())
+        # every ||x_a||^2 is within sqrt(d) defect of d now: see the docstring
+        floor = gram_floor(d - math.sqrt(d) * defect, d + math.sqrt(d) * defect, tol, d * d)
 
         def coincide(G, lo):
-            i, j = near_pairs(X, G.real, lo, tol)
+            i, j = near_pairs(G.real, lo, floor)
             if i.size:
-                hit = np.linalg.norm(X[lo + i] - X[j], axis=1) <= tol
+                hit = norms(X[lo + i] - X[j], 1) <= tol
                 i, j = i[hit], j[hit]
             return i, j
 
@@ -94,7 +121,7 @@ class UnitarySet:
         self.labels = _labels(labels, n)
         self.dim = d
         self.stack = _read_only(stack)  # (N, d, d); the elements are views into it
-        self.unitarity_defect = float(defects.max())  # max ||U^H U - 1||_HS
+        self.unitarity_defect = defect  # max ||U^H U - 1||_HS
         self.elems = tuple(stack)
         self._derived = {}
 
@@ -108,10 +135,13 @@ class UnitarySet:
 
     @property
     def gram(self) -> np.ndarray:
-        if self._gram is None:
-            X = self.stack.reshape(len(self), -1)
-            self._gram = _read_only(X.conj() @ X.T)
-        return self._gram
+        gram = self._gram
+        if gram is None:  # built on first use, in _derived, where relabeled copies find it
+            gram = self._derived.get("gram")
+            if gram is None:
+                X = self.stack.reshape(len(self), -1)
+                gram = self._derived["gram"] = _read_only(X.conj() @ X.T)
+        return gram
 
     def __len__(self) -> int:
         return len(self.elems)

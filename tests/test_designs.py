@@ -587,7 +587,7 @@ def test_a_relabeled_set_and_the_extension_reuse_the_stored_frame(monkeypatch):
     frame = classify_min_1design(S)
     extended = extend_to_2design(S)
     # nothing of the classification itself runs again
-    monkeypatch.setattr(designs, "first_pair", lambda *a: pytest.fail("classified again"))
+    monkeypatch.setattr(designs, "rotation_quaternion", lambda *a: pytest.fail("classified again"))
     assert classify_min_1design(S.relabeled("abcd")) is frame
     assert np.array_equal(extend_to_2design(S).stack, extended.stack)
 

@@ -210,6 +210,105 @@ def test_gram_screen_finds_the_first_pair_across_row_blocks(d, seed):
     assert str(exc.value) == f"elements {want[0]} and {want[1]} coincide within {EQ_TOL}"
 
 
+def _defects(U):
+    """||U^H U - 1|| per element, the expression UnitarySet's check evaluates."""
+    return np.linalg.norm(U.conj().swapaxes(1, 2) @ U - np.eye(U.shape[-1]), axis=(1, 2))
+
+
+def _off_unitary(U, tol, target, sign):
+    """sqrt(c) U for a stack U of unitaries, c = 1 + sign s tol / sqrt(d),
+    with s in [0, 2] bisected to the largest computed defect <= target: off
+    unitary with tr(U^H U - 1) = sign sqrt(d) ||U^H U - 1||, the extremes
+    the Gram screen's bound allows."""
+    d = U.shape[-1]
+
+    def scaled(s):
+        return np.sqrt(np.maximum(1.0 + sign * s * tol / np.sqrt(d), 0.0))[:, None, None] * U
+
+    lo, hi = np.zeros(len(U)), np.full(len(U), 2.0)
+    for _ in range(45):
+        mid = (lo + hi) / 2
+        ok = _defects(scaled(mid)) <= target
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return scaled(lo)
+
+
+def _edge_of_tol(seed, n, d, tol, plants):
+    """n random unitaries of dimension d, _off_unitary with either sign: a
+    third at the largest computed defect <= tol, most of the rest just below
+    it.  Then `plants` phased copies exp(i theta) U_a replace other elements,
+    at distance tol (1 +- 1e-6) from U_a (or as far as a phase reaches, when
+    that is less)."""
+    g = np.random.default_rng(seed)
+    f = g.choice([0.0, 1.0, 2.0], n, p=[0.25, 0.35, 0.4])
+    f[f == 2.0] = 1.0 - 10.0 ** -g.uniform(0, 9, np.count_nonzero(f == 2.0))
+    U = _off_unitary(_random_unitaries(g, n, d), tol, f * tol, g.choice([-1.0, 1.0], n))
+    for _ in range(plants):
+        a, b = g.choice(n, 2, replace=False)
+        dist = tol * (1.0 + g.choice([-1e-6, 1e-6]))
+        # ||exp(i theta) U_a - U_a|| = 2 sin(theta / 2) ||U_a||
+        half, norm = dist / 2.0, np.linalg.norm(U[a])
+        theta = 2.0 * np.arcsin(half / norm) if half < norm else np.pi
+        for k in range(8):  # a copy at the edge may round past tol; another theta may not
+            U[b] = np.exp(1j * theta * (1.0 + k * 1e-12)) * U[a]
+            if _defects(U[b : b + 1])[0] <= tol:
+                break
+    return U
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 4, 16]),
+    st.sampled_from([128, 129]),  # one Gram block, and two
+    st.sampled_from([1e-12, 1e-10, 1e-6, 1e-2, 1.0, 3.0]),
+    st.integers(1, 3),
+)
+def test_gram_screen_keeps_every_pair_at_the_edge_of_tol(seed, d, n, tol, plants):
+    U = _edge_of_tol(seed, n, d, tol, plants)
+    defects = _defects(U)
+    if not (defects <= tol).all():
+        k = np.flatnonzero(~(defects <= tol))[0]
+        with pytest.raises(NotUnitary, match=f"^element {k}: matrix is not unitary: "):
+            UnitarySet(U, tol=tol)
+        return
+    want = _reference_first_duplicate(U.reshape(n, d * d), tol)
+    if want is None:
+        assert len(UnitarySet(U, tol=tol)) == n
+    else:
+        with pytest.raises(DuplicateElements) as exc:
+            UnitarySet(U, tol=tol)
+        assert str(exc.value) == f"elements {want[0]} and {want[1]} coincide within {tol}"
+
+
+@pytest.mark.parametrize("d", [2, 4, 16])
+@pytest.mark.parametrize("tol", [1e-10, 1e-6, 1e-2])
+def test_gram_screen_keeps_pairs_whose_margin_is_rounding(d, tol):
+    # 100 pairs: A shrunk to the largest computed defect <= tol, and B =
+    # exp(i theta) A at the largest theta with computed ||A - B|| <= tol and
+    # defect <= tol.  Re G_AB then meets d - sqrt(d) tol - tol^2 / 2 only up
+    # to rounding, below it in some pairs: the floor's allowance keeps them
+    g = np.random.default_rng(int(-np.log10(tol)) * 100 + d)
+    A = _off_unitary(_random_unitaries(g, 100, d), tol, tol, -1.0)
+    lo, hi = np.zeros(100), np.full(100, 4.0 * tol / np.sqrt(d))
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        B = np.exp(1j * mid)[:, None, None] * A
+        ok = (np.linalg.norm(A - B, axis=(1, 2)) <= tol) & (_defects(B) <= tol)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    for a, b in zip(A, np.exp(1j * lo)[:, None, None] * A):
+        with pytest.raises(DuplicateElements, match="^elements 0 and 1 coincide"):
+            UnitarySet([a, b], tol=tol)
+
+
+@pytest.mark.parametrize("first", ["copy", "original"])
+def test_relabeled_copies_share_a_gram_built_on_first_use(first):
+    S = UnitarySet(_random_unitaries(np.random.default_rng(3), 200, 2))  # past one Gram block
+    T = S.relabeled([str(k) for k in range(200)])
+    a, b = (T, S) if first == "copy" else (S, T)
+    assert a.gram is b.gram
+
+
 def test_unitary_set_stack_is_read_only():
     S = UnitarySet([pauli(m) for m in range(4)])
     for a in (S.stack, S[0], S.gram):
