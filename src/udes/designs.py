@@ -36,7 +36,7 @@ from .errors import (
     UnknownName,
     UnsupportedOrder,
 )
-from .linalg import EQ_TOL, UNITARITY_TOL, hs_norm, norms
+from .linalg import EQ_TOL, UNITARITY_TOL, check_tol, hs_norm, norms
 from .qubit import pauli
 from .su2 import (
     _UNIT_COORDINATES,
@@ -178,6 +178,7 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
     V' read-only, and a later call with the same tol returns it; a failure
     is not stored, so it raises again.
     """
+    check_tol(tol)
     if not isinstance(S, UnitarySet):
         try:
             S = UnitarySet(S)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .designs import BUILTIN_LABELS, D0_QUATERNIONS
 from .errors import DimensionMismatch, NonUnitPoint, NotHalfInteger, ProportionalElements
-from .linalg import first_pair, gram_floor, near_pairs
+from .linalg import check_tol, gram_floor, near_pairs
 from .su2 import (
     AxisAngle,
     axis_angle_batch,
@@ -50,26 +50,20 @@ def _hs_distance(d: np.ndarray) -> np.ndarray:
 
 
 class Su2Closure(NamedTuple):
-    """Both determinant-1 normalizations of every element of a set.
+    """Both determinant-1 normalizations of every element of a set, as the
+    read-only (2n, 4) array `quaternions` of unit quaternions.
 
-    closure[2a] is the canonical normalization of original element a (first
-    nonzero quaternion coordinate positive) and closure[2a+1] its negative;
-    `pairing` maps each index to its antipodal partner, and row k of the
-    read-only `quaternions` array holds the coordinates of closure[k].
-    len() is the closure size, not the number of fields.
+    Row 2a is the canonical normalization of original element a (first
+    nonzero coordinate positive) and row 2a + 1 its negative;
+    su2_batch(C.points()) gives their matrices.  len() is the closure size,
+    not the number of fields.
     """
 
     original: UnitarySet
-    closure: tuple
-    pairing: tuple
     quaternions: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.closure)
-
-    def representatives(self) -> list:
-        """One canonical element per antipodal pair."""
-        return [self.closure[k] for k in range(0, len(self.closure), 2)]
+        return len(self.quaternions)
 
     def points(self) -> np.ndarray:
         """The closure as an (n, 4) array of unit quaternions."""
@@ -91,28 +85,23 @@ def su2_closure(S: UnitarySet, tol: float = _MEMBER_TOL) -> Su2Closure:
     above linalg.gram_floor for the squared norms |p|^2 the quaternions span,
     which holds every pair that close, and their differences decide.
     """
+    check_tol(tol)
     if S.dim != 2:
         raise DimensionMismatch(f"expected dimension 2, got {S.dim}")
-    V = normalize_batch(S.stack)
-    P = quaternion_batch(V)
+    P = quaternion_batch(normalize_batch(S.stack))
     sq = np.einsum("ij,ij->i", P, P)
     floor = gram_floor(sq.min(), sq.max(), tol / math.sqrt(2.0), 4)
-
-    def close(G, lo):
-        i, j = near_pairs(np.abs(G), lo, floor)
+    G = P @ P.T
+    i, j = near_pairs(np.abs(G), floor)
+    if i.size:
         # the sign of p.q picks the nearer of q and -q
-        hit = _hs_distance(P[lo + i] - np.sign(G[i, j])[:, None] * P[j]) <= tol
-        return i[hit], j[hit]
-
-    pair = first_pair(P, close)
-    if pair:
-        raise ProportionalElements(
-            f"elements {pair[0]} and {pair[1]} are proportional and share normalizations"
-        )
-    stack = _signed(V)
+        hit = np.flatnonzero(_hs_distance(P[i] - np.sign(G[i, j])[:, None] * P[j]) <= tol)
+        if hit.size:
+            a, b = i[hit[0]], j[hit[0]]
+            raise ProportionalElements(f"elements {a} and {b} are proportional and share normalizations")
     Q = _signed(P)
     Q.flags.writeable = False
-    return Su2Closure(S, tuple(stack), tuple(k ^ 1 for k in range(len(stack))), Q)
+    return Su2Closure(S, Q)
 
 
 class GroupProfile(NamedTuple):
@@ -216,6 +205,7 @@ def group_profile(C: Su2Closure, tol: float = _MEMBER_TOL) -> GroupProfile:
     subgroup among the quaternion-unit subgroups, and whether that subgroup
     admits a cyclic complement (an inner semidirect decomposition), all from
     one table of Hamilton products looked up within tol."""
+    check_tol(tol)
     Q = C.points()
     n = len(C)
     prod, commutes = _product_table(Q, tol)

@@ -93,24 +93,6 @@ def mean(x: np.ndarray):
     return np.add.reduce(x, axis=None) / x.size
 
 
-#: the most entries of a Gram matrix first_pair forms at once (256 kB complex)
-GRAM_BLOCK = 2**14
-
-
-def first_pair(X: np.ndarray, find, gram: np.ndarray | None = None) -> tuple[int, int] | None:
-    """The first pair of rows (a, b), a < b, in double-loop order, among the
-    pairs ``find(G, lo)`` returns as row-major index arrays (i, j), j > lo +
-    i, into G, the rows lo, lo + 1, ... of the Gram matrix conj(X) X^T.  The
-    blocks G hold at most GRAM_BLOCK entries, and are cut from `gram`, the
-    whole Gram matrix, when it is given."""
-    rows = max(1, GRAM_BLOCK // len(X))
-    for lo in range(0, len(X), rows):
-        i, j = find(X[lo : lo + rows].conj() @ X.T if gram is None else gram[lo : lo + rows], lo)
-        if i.size:
-            return lo + int(i[0]), int(j[0])
-    return None
-
-
 def gram_floor(low: float, high: float, radius: float, k: int) -> float:
     """The floor that the computed overlap Re<x_a, x_b> (or |<x_a, x_b>|)
     of every pair of rows within `radius` of each other reaches, for rows of
@@ -140,17 +122,22 @@ def gram_floor(low: float, high: float, radius: float, k: int) -> float:
     return low - r2 / 2.0 - 4.0 * (k + 3) * _EPS * (high + r2)
 
 
-def near_pairs(overlap: np.ndarray, lo: int, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j), j > lo + i, in row-major order, of the entries of
-    `overlap` at or above `floor`: a block of Gram rows lo, lo + 1, ... as
-    first_pair passes it, reduced to its real part or its modulus.  With a
-    floor from gram_floor these include every pair of rows (lo + i, j) within
-    its radius, for an exact distance to decide: the Gram form cannot
-    resolve the distance itself, since radius^2 lies below its rounding
-    floor near 0."""
+def near_pairs(overlap: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), j > i, in row-major order, of the entries of the
+    strict upper triangle of `overlap` at or above `floor`: a Gram matrix
+    reduced to its real part or its modulus.  With a floor from gram_floor
+    these include every pair of rows (i, j) within its radius, for an exact
+    distance to decide: the Gram form cannot resolve the distance itself,
+    since radius^2 lies below its rounding floor near 0."""
     i, j = np.nonzero(overlap >= floor)
-    later = j > lo + i
+    later = j > i
     return i[later], j[later]
+
+
+def check_tol(tol: float) -> None:
+    """Refuse a NaN tol, which every comparison would read as False."""
+    if tol != tol:
+        raise ValueError(f"tol must be a number, got {tol!r}")
 
 
 def rank(A, tol: float = RANK_TOL) -> int:

@@ -347,8 +347,11 @@ def canonical_su2(U) -> np.ndarray:
 
 def su2_from_rotation(R, tol: float = EQ_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Both special unitaries covering a rotation, canonical one first,
-    through the pivot map rotation_quaternion."""
-    U = canonical_su2(su2_of_quaternion(rotation_quaternion(assert_rotation(R, tol).tolist())))
+    through the pivot map rotation_quaternion.  The lift is negated by unary
+    minus, as canonical_su2 does: a product with -1.0 would multiply as
+    complex numbers and change the signs of zeros."""
+    q = rotation_quaternion(assert_rotation(R, tol).tolist())
+    U = su2_batch(q) if canonical_sign(q) > 0 else -su2_batch(q)
     return U, -U
 
 

@@ -32,11 +32,10 @@ import numpy as np
 from .errors import DimensionMismatch, DuplicateElements, NotUnitary, UnsupportedOrder
 from .linalg import (
     EQ_TOL,
-    GRAM_BLOCK,
     MAX_DIM,
     RANK_TOL,
     as_matrix,
-    first_pair,
+    check_tol,
     gram_floor,
     mean,
     near_pairs,
@@ -78,16 +77,16 @@ class UnitarySet:
     floor would prove nothing.  Once sqrt(d) delta + tol^2 / 2 reaches d,
     the floor falls to 0 and passes most pairs on, each then measured.
 
-    `gram`, the Gram matrix G[a, b] = tr(U_a^H U_b), is one GEMM, read-only
-    and computed once: by the duplicate scan when it fits in one of
-    first_pair's blocks, else on first use.  Since the set never changes,
-    the results derived from it are stored on it too, in `_derived`, a dict
-    that relabeled copies share: a Gram matrix built on first use,
-    frame_potential's value per order t, and
+    `gram`, the Gram matrix G[a, b] = tr(U_a^H U_b), is the one GEMM the
+    duplicate scan reads, kept read-only.  `elems` is the stack, and S[k]
+    and iteration read it.  Since the set never changes, the results derived
+    from it are stored on it too, in `_derived`, a dict that relabeled
+    copies share: frame_potential's value per order t, and
     designs.classify_min_1design's frame per tol (successes only).
     """
 
     def __init__(self, elems, labels=None, tol: float = EQ_TOL):
+        check_tol(tol)
         stack, mismatch = _square_stack(elems)
         n, d, _ = stack.shape
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf or nan, refused
@@ -104,25 +103,19 @@ class UnitarySet:
             raise DimensionMismatch(mismatch)
         X = stack.reshape(n, d * d)
         defect = float(defects.max())
+        gram = X.conj() @ X.T
         # every ||x_a||^2 is within sqrt(d) defect of d now: see the docstring
         floor = gram_floor(d - math.sqrt(d) * defect, d + math.sqrt(d) * defect, tol, d * d)
-
-        def coincide(G, lo):
-            i, j = near_pairs(G.real, lo, floor)
-            if i.size:
-                hit = norms(X[lo + i] - X[j], 1) <= tol
-                i, j = i[hit], j[hit]
-            return i, j
-
-        self._gram = _read_only(X.conj() @ X.T) if n * n <= GRAM_BLOCK else None
-        pair = first_pair(X, coincide, self._gram)
-        if pair:
-            raise DuplicateElements(f"elements {pair[0]} and {pair[1]} coincide within {tol}")
+        i, j = near_pairs(gram.real, floor)
+        if i.size:  # most sets pass no pair on; skip the empty index and norms
+            hit = np.flatnonzero(norms(X[i] - X[j], 1) <= tol)
+            if hit.size:
+                raise DuplicateElements(f"elements {i[hit[0]]} and {j[hit[0]]} coincide within {tol}")
         self.labels = _labels(labels, n)
         self.dim = d
-        self.stack = _read_only(stack)  # (N, d, d); the elements are views into it
+        self.stack = _read_only(stack)  # (N, d, d)
+        self.gram = _read_only(gram)
         self.unitarity_defect = defect  # max ||U^H U - 1||_HS
-        self.elems = tuple(stack)
         self._derived = {}
 
     def relabeled(self, labels) -> UnitarySet:
@@ -134,26 +127,20 @@ class UnitarySet:
         return other
 
     @property
-    def gram(self) -> np.ndarray:
-        gram = self._gram
-        if gram is None:  # built on first use, in _derived, where relabeled copies find it
-            gram = self._derived.get("gram")
-            if gram is None:
-                X = self.stack.reshape(len(self), -1)
-                gram = self._derived["gram"] = _read_only(X.conj() @ X.T)
-        return gram
+    def elems(self) -> np.ndarray:
+        return self.stack
 
     def __len__(self) -> int:
-        return len(self.elems)
+        return len(self.stack)
 
     def __iter__(self):
-        return iter(self.elems)
+        return iter(self.stack)
 
     def __getitem__(self, k) -> np.ndarray:
-        return self.elems[k]
+        return self.stack[k]
 
     def __repr__(self) -> str:
-        return f"UnitarySet(dim={self.dim}, n={len(self.elems)})"
+        return f"UnitarySet(dim={self.dim}, n={len(self.stack)})"
 
 
 def _labels(labels, n: int) -> tuple[str, ...] | None:
@@ -291,8 +278,8 @@ def choi_rank(Phi, tol: float = RANK_TOL) -> int:
 
 
 def frame_potential(S: UnitarySet, t: int) -> FramePotentialReport:
-    """(1/N^2) sum_{a,b} |tr(U_a^H U_b)|^(2t), read off the set's cached
-    Gram matrix once per t and then stored on the set, with the U(2) Haar
+    """(1/N^2) sum_{a,b} |tr(U_a^H U_b)|^(2t), read off the set's Gram
+    matrix once per t and then stored on the set, with the U(2) Haar
     reference for t in {1, 2}; the reference (and the gap) is None for other
     orders and for sets of dimension other than 2."""
     if t < 1:

@@ -662,6 +662,14 @@ def test_classify_measures_overlap_against_tol():
     assert classify_min_1design(tilted(1e-12)).permutation[0] == 0
 
 
+def test_classify_refuses_a_nan_tol():
+    # every |overlap| > nan is False, so the scan would pass this non-frame and
+    # a later check would report a bug in the package
+    H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    with pytest.raises(ValueError, match="^tol must be a number, got nan$"):
+        classify_min_1design(UnitarySet([pauli(0), pauli(1), pauli(2), H]), tol=math.nan)
+
+
 def test_classify_rejects_wrong_size():
     with pytest.raises(NotOrthogonalBasis):
         classify_min_1design([pauli(0), pauli(1)])

@@ -50,12 +50,12 @@ ROT_C = 2 * math.pi / (3 * math.sqrt(3))
 
 def test_closure_doubles_and_pairs():
     C = su2_closure(B)
-    assert len(C) == 8
-    for k, partner in enumerate(C.pairing):
-        assert C.pairing[partner] == k
-        assert np.allclose(C.closure[k], -C.closure[partner])
+    Q = C.points()
+    assert len(C) == len(Q) == 8
+    # odd rows are the exact antipodes of the even rows before them
+    assert np.array_equal(Q[1::2], -Q[0::2])
     # even slots carry the canonical representative
-    for rep in C.representatives():
+    for rep in su2_batch(Q[0::2]):
         q = np.array(quaternion_of(rep))
         first = q[np.flatnonzero(np.abs(q) > 1e-9)[0]]
         assert first > 0
@@ -64,6 +64,19 @@ def test_closure_doubles_and_pairs():
 def test_closure_rejects_proportional_elements():
     with pytest.raises(ProportionalElements):
         su2_closure(UnitarySet([pauli(1), 1j * pauli(1)]))
+
+
+def test_closure_refuses_a_nan_tol():
+    # every distance <= nan is False, so the proportional pair would pass
+    with pytest.raises(ValueError, match="^tol must be a number, got nan$"):
+        su2_closure(UnitarySet([pauli(0), 1j * pauli(0)]), tol=math.nan)
+
+
+def test_group_profile_refuses_a_nan_tol():
+    # no lookup would miss, so any closure would read as a group
+    C = su2_closure(UnitarySet([pauli(0), pauli(1), named_design("D").set[4]]))
+    with pytest.raises(ValueError, match="^tol must be a number, got nan$"):
+        group_profile(C, tol=math.nan)
 
 
 def test_pauli_closure_is_the_quaternion_group():
@@ -370,7 +383,7 @@ def test_group_profile_matches_the_matrix_reference_on_generated_sets(kind, seed
 def test_quaternions_and_rotations_match_the_scalar_path(kind, seed):
     S = _generated(kind, seed)
     C = su2_closure(S)
-    closure = np.stack(C.closure)
+    closure = su2_batch(C.points())
     ref = _reference_closure(S)
     # U / sqrt(det U) and the library's conj(sqrt(det U)) U part by |det U| - 1,
     # a few ulps for these inputs
@@ -379,7 +392,6 @@ def test_quaternions_and_rotations_match_the_scalar_path(kind, seed):
     assert np.abs(np.linalg.det(closure) - 1).max() <= 1e-14
     overlap = np.einsum("nij,nij->n", np.repeat(S.stack, 2, axis=0).conj(), closure)
     assert np.abs(np.abs(overlap) - 2).max() <= 1e-14
-    assert np.abs(su2_batch(C.points()) - closure).max() <= 1e-15
     scalar = np.array([_reference_quaternion(U) for U in ref])
     assert np.abs(C.points() - scalar).max() <= 1e-14
     for aa, U in zip(so3_image_table(C), ref[0::2]):
@@ -565,7 +577,7 @@ RECORD_FIELDS = {
     ),
     OneDesignFrame: ("V", "Vp", "phases", "permutation"),
     NamedDesign: ("name", "set"),
-    Su2Closure: ("original", "closure", "pairing", "quaternions"),
+    Su2Closure: ("original", "quaternions"),
     GroupProfile: ("is_group", "order_histogram", "center_size", "cosets", "semidirect_check"),
     PolytopeId: ("kind", "distance_spectrum"),
     ClosureTableRow: ("label", "pauli", "quaternion", "rotation"),
@@ -603,6 +615,6 @@ def test_records_are_named_tuples_with_pinned_fields(cls):
 
 def test_closure_len_is_its_size():
     C = su2_closure(D)
-    assert len(C) == len(C.closure) == 24
-    assert len(C._replace(pairing=C.pairing)) == 24
+    assert len(C) == len(C.quaternions) == 24
+    assert len(C._replace(quaternions=C.quaternions)) == 24
 

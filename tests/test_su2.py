@@ -299,6 +299,31 @@ def test_su2_from_rotation_keeps_its_outputs_on_every_pivot(name):
     assert np.allclose(so3_rep(plus), R, atol=1e-12)
 
 
+#: the pivot rotations, more pi-rotations about axes with zero coordinates,
+#: which lift to unitaries with zero entries, a rotation about x by pi + 1/2,
+#: whose lift is negated (s < 0 under the x pivot), and the axis shifts
+SIGNED_ZERO_ROTATIONS = {
+    **PIVOT_ROTATIONS,
+    "pi_xy": rodrigues(np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0), math.pi),
+    "pi_x-z": rodrigues(np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0), math.pi),
+    "x_past_pi": rodrigues((1.0, 0.0, 0.0), math.pi + 0.5),
+    "shift_right": SHIFT_RIGHT,
+    "shift_left": SHIFT_LEFT,
+}
+
+
+@pytest.mark.parametrize("name", SIGNED_ZERO_ROTATIONS)
+def test_su2_from_rotation_is_the_matrix_path_bit_for_bit(name):
+    # su2_from_rotation lifts the pivot quaternion once; the matrix path goes
+    # through su2_of_quaternion and canonical_su2.  tobytes() also tells the
+    # signed zeros apart, which a product with -1.0 would move
+    R = SIGNED_ZERO_ROTATIONS[name]
+    want = canonical_su2(su2_of_quaternion(rotation_quaternion(R.tolist())))
+    plus, minus = su2_from_rotation(R)
+    assert plus.tobytes() == want.tobytes()
+    assert minus.tobytes() == (-want).tobytes()
+
+
 def _reference_rotation_quaternion_batch(R) -> np.ndarray:
     """The pivot map as it was written for (..., 3, 3) stacks in numpy; the
     reference for the scalar rotation_quaternion."""

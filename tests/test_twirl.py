@@ -301,6 +301,21 @@ def test_gram_screen_keeps_pairs_whose_margin_is_rounding(d, tol):
             UnitarySet([a, b], tol=tol)
 
 
+@pytest.mark.parametrize("n", [128, 129, 200])
+def test_the_gram_matrix_is_built_with_the_set_and_shared_by_relabeled_copies(n):
+    S = UnitarySet(_random_unitaries(np.random.default_rng(n), n, 2))
+    assert "gram" in vars(S)  # set by the constructor, not on first use
+    X = S.stack.reshape(n, 4)
+    assert S.gram.tobytes() == (X.conj() @ X.T).tobytes()
+    assert S.relabeled([str(k) for k in range(n)]).gram is S.gram
+
+
+def test_unitary_set_refuses_a_nan_tol():
+    # every defect <= nan is False, which read as "not unitary: 0.000e+00 > nan"
+    with pytest.raises(ValueError, match="^tol must be a number, got nan$"):
+        UnitarySet([np.eye(2), pauli(1)], tol=np.nan)
+
+
 @pytest.mark.parametrize("first", ["copy", "original"])
 def test_relabeled_copies_share_a_gram_built_on_first_use(first):
     S = UnitarySet(_random_unitaries(np.random.default_rng(3), 200, 2))  # past one Gram block
