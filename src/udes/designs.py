@@ -25,7 +25,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     InternalConsistencyError,
     NotMinimal1Design,
     NotOrthogonalBasis,
@@ -111,8 +110,8 @@ def verify_design(S: UnitarySet, t: int, tol: float = EQ_TOL, method: str = "bot
     the deviation (~eps) and the gap (~eps^2) can fall on either side of one
     `tol`, which `method_agreement` reports.  "both" checks the identity
     gap = ||Delta||_F^2 instead and raises InternalConsistencyError when the
-    two differ by more than 1e-12 d^(2t), for rounding (at most 6e-16 d^(2t)
-    was measured on sets of up to 1000 elements), plus 2 h ((1 + delta)^t - 1),
+    two differ by more than 1e-12 4^t, for rounding (at most 6e-16 4^t was
+    measured on sets of up to 1000 elements), plus 2 h ((1 + delta)^t - 1),
     the identity's error for elements unitary only to within
     delta = S.unitarity_defect, with h the Haar frame potential.
     """
@@ -120,15 +119,13 @@ def verify_design(S: UnitarySet, t: int, tol: float = EQ_TOL, method: str = "bot
         raise UnsupportedOrder(f"design verification implements t in {{1, 2}}, got {t}")
     if method not in ("twirl", "frame", "both"):
         raise ValueError(f"unknown method {method!r}")
-    if S.dim != 2:
-        raise DimensionMismatch(f"expected dimension 2, got {S.dim}")
     delta = superop_of_twirl(S, t) - SUPEROP_HAAR[t]
     max_dev = float(norms(delta, 0).max())
     fp = frame_potential(S, t)
     gap = float(fp.gap)
     if method == "both":
         dist_sq = np.vdot(delta, delta).real
-        bound = 1e-12 * S.dim ** (2 * t) + 2 * fp.haar_value * ((1 + S.unitarity_defect) ** t - 1)
+        bound = 1e-12 * 4**t + 2 * fp.haar_value * ((1 + S.unitarity_defect) ** t - 1)
         if abs(gap - dist_sq) > bound:
             raise InternalConsistencyError(
                 f"frame gap {gap} and ||Delta||^2 {dist_sq} differ by more than {bound:.3e}"
@@ -190,10 +187,8 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
     frame = S._derived.get(key)
     if frame is not None:
         return frame
-    if S.dim != 2 or len(S) != 4:
-        raise NotOrthogonalBasis(
-            f"a minimal 1-design has four 2x2 elements, got {len(S)} of dim {S.dim}"
-        )
+    if len(S) != 4:
+        raise NotOrthogonalBasis(f"a minimal 1-design has four elements, got {len(S)}")
     X = S.stack.reshape(4, 4)
     a, b = np.nonzero((np.abs(S.gram) > tol) & _UPPER)  # |tr(U_a^H U_b)|, row-major
     if a.size:

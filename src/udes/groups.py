@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .designs import BUILTIN_LABELS, D0_QUATERNIONS
-from .errors import DimensionMismatch, NonUnitPoint, NotHalfInteger, ProportionalElements
+from .errors import NonUnitPoint, NotHalfInteger, ProportionalElements
 from .linalg import check_tol, gram_floor, near_pairs
 from .su2 import (
     AxisAngle,
@@ -86,11 +86,9 @@ def su2_closure(S: UnitarySet, tol: float = _MEMBER_TOL) -> Su2Closure:
     which holds every pair that close, and their differences decide.
     """
     check_tol(tol)
-    if S.dim != 2:
-        raise DimensionMismatch(f"expected dimension 2, got {S.dim}")
     P = quaternion_batch(normalize_batch(S.stack))
     sq = np.einsum("ij,ij->i", P, P)
-    floor = gram_floor(sq.min(), sq.max(), tol / math.sqrt(2.0), 4)
+    floor = gram_floor(sq.min(), sq.max(), tol / math.sqrt(2.0))
     G = P @ P.T
     i, j = near_pairs(np.abs(G), floor)
     if i.size:

@@ -93,33 +93,32 @@ def mean(x: np.ndarray):
     return np.add.reduce(x, axis=None) / x.size
 
 
-def gram_floor(low: float, high: float, radius: float, k: int) -> float:
+def gram_floor(low: float, high: float, radius: float) -> float:
     """The floor that the computed overlap Re<x_a, x_b> (or |<x_a, x_b>|)
     of every pair of rows within `radius` of each other reaches, for rows of
-    k complex coordinates whose squared norms are known to lie in [low,
-    high].  The bound is only as good as that knowledge: UnitarySet takes it
-    from its unitarity check, su2_closure from the norms themselves.
+    four coordinates (a flattened 2x2 unitary, or a quaternion) whose
+    squared norms are known to lie in [low, high].  The bound is only as
+    good as that knowledge: UnitarySet takes it from its unitarity check,
+    su2_closure from the norms themselves.
 
     Exactly, ||x_a - x_b||^2 = ||x_a||^2 + ||x_b||^2 - 2 Re<x_a, x_b>, so a
     pair within `radius` has Re<x_a, x_b> >= low - radius^2 / 2.  The
-    allowance 4 (k + 3) eps (high + radius^2), eps the float64 epsilon,
-    covers what rounding can move that bound by:
-      - a GEMM entry is off by at most (k + 2) eps ||x_a|| ||x_b|| <=
-        (k + 2) eps high;
+    allowance 28 eps (high + radius^2), eps the float64 epsilon, covers what
+    rounding can move that bound by:
+      - a GEMM entry is off by at most 6 eps ||x_a|| ||x_b|| <= 6 eps high;
       - a pair within `radius` as norms() measures its difference lies
-        within radius^2 (1 + 2 (k + 2) eps) exactly;
-      - low and high may be off by 2 (k + 3) eps high themselves.
-        UnitarySet's are d -+ sqrt(d) delta, k = d^2, from computed
-        defects <= delta: the exact ||U^H U - 1|| is then at most
-        delta (1 + (k + 3) eps) + (d + 2) eps ||U||^2, and sqrt(d) (d + 2)
-        <= k + 2;
+        within radius^2 (1 + 12 eps) exactly;
+      - low and high may be off by 14 eps high themselves.  UnitarySet's
+        are 2 -+ sqrt(2) delta, from computed defects <= delta: the exact
+        ||U^H U - 1|| is then at most delta (1 + 7 eps) + 4 eps ||U||^2,
+        and sqrt(2) 4 <= 6;
       - the floor's own evaluation rounds by a few eps (high + radius^2).
     These sum to less than the allowance.  Without it a screen misses pairs
     at the edge: pairs built at the largest computed defect and distance
     <= tol fall up to 3 eps (high + radius^2) below low - radius^2 / 2.
     """
     r2 = radius * radius
-    return low - r2 / 2.0 - 4.0 * (k + 3) * _EPS * (high + r2)
+    return low - r2 / 2.0 - 28.0 * _EPS * (high + r2)
 
 
 def near_pairs(overlap: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,6 @@ import numpy as np
 from .errors import DimensionMismatch, DuplicateElements, NotUnitary, UnsupportedOrder
 from .linalg import (
     EQ_TOL,
-    MAX_DIM,
     RANK_TOL,
     as_matrix,
     check_tol,
@@ -51,30 +50,28 @@ FRAME_POTENTIAL_HAAR = {1: 1.0, 2: 2.0}  # Haar values for U(2), by order t
 
 
 class UnitarySet:
-    """An ordered, duplicate-free, finite set of same-dimension unitaries.
+    """An ordered, duplicate-free, finite set of 2x2 unitaries.
 
-    Elements are validated on construction: each must be unitary within
-    `tol`, and no two may coincide in Hilbert-Schmidt distance.  Proportional
-    elements (equal up to phase) are allowed here; operations that need
-    phase-distinctness check for it themselves.
+    Elements are validated on construction: each must be a 2x2 matrix with
+    finite entries, unitary within `tol`, and no two may coincide in
+    Hilbert-Schmidt distance.  Proportional elements (equal up to phase) are
+    allowed here; operations that need phase-distinctness check for it
+    themselves.
 
-    The elements are copied into one read-only (N, d, d) complex stack,
-    which never aliases the caller's arrays.  When they all have one square
-    shape of at most MAX_DIM with finite entries, that copy is made and
-    validated in one pass; otherwise each element goes through as_matrix in
-    order.  Either way the first offending element decides the error,
-    checked in this order: shape and finiteness, unitarity (of the elements
-    before the first one of another dimension), dimension, then duplicates.
+    The elements are copied into one read-only (N, 2, 2) complex stack,
+    which never aliases the caller's arrays.  The first offending element
+    decides the error, checked in this order: shape and finiteness, in
+    input order (DimensionMismatch), then unitarity, then duplicates.
 
     The duplicate scan screens pairs on the Gram matrix and measures the few
     it passes on as differences, in row-major order.  Once every element
     has passed the unitarity check, ||U_a||^2 = tr(U_a^H U_a) lies within
-    |tr(U_a^H U_a - 1)| <= sqrt(d) ||U_a^H U_a - 1|| <= sqrt(d) delta of d,
+    |tr(U_a^H U_a - 1)| <= sqrt(2) ||U_a^H U_a - 1|| <= sqrt(2) delta of 2,
     delta <= tol the largest defect the check measured.  So a pair within
-    `tol` has Re G[a, b] >= d - sqrt(d) delta - tol^2 / 2, and the screen
+    `tol` has Re G[a, b] >= 2 - sqrt(2) delta - tol^2 / 2, and the screen
     keeps the pairs at or above that floor less linalg.gram_floor's
     rounding allowance.  Before the check the norms are unbounded, and the
-    floor would prove nothing.  Once sqrt(d) delta + tol^2 / 2 reaches d,
+    floor would prove nothing.  Once sqrt(2) delta + tol^2 / 2 reaches 2,
     the floor falls to 0 and passes most pairs on, each then measured.
 
     `gram`, the Gram matrix G[a, b] = tr(U_a^H U_b), is the one GEMM the
@@ -85,13 +82,15 @@ class UnitarySet:
     designs.classify_min_1design's frame per tol (successes only).
     """
 
+    dim = 2  # every element is 2x2
+
     def __init__(self, elems, labels=None, tol: float = EQ_TOL):
         check_tol(tol)
-        stack, mismatch = _square_stack(elems)
-        n, d, _ = stack.shape
+        stack = _qubit_stack(elems)
+        n = len(stack)
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf or nan, refused
             E = stack.conj().swapaxes(1, 2) @ stack
-            E.reshape(n, d * d)[:, :: d + 1] -= 1  # U^H U - 1
+            E.reshape(n, 4)[:, ::3] -= 1  # U^H U - 1
             defects = norms(E, (1, 2))
         unitary = defects <= tol
         if not unitary.all():
@@ -99,21 +98,18 @@ class UnitarySet:
             raise NotUnitary(
                 f"element {k}: matrix is not unitary: ||U^H U - 1|| = {defects[k]:.3e} > {tol:.1e}"
             )
-        if mismatch is not None:
-            raise DimensionMismatch(mismatch)
-        X = stack.reshape(n, d * d)
+        X = stack.reshape(n, 4)
         defect = float(defects.max())
         gram = X.conj() @ X.T
-        # every ||x_a||^2 is within sqrt(d) defect of d now: see the docstring
-        floor = gram_floor(d - math.sqrt(d) * defect, d + math.sqrt(d) * defect, tol, d * d)
-        i, j = near_pairs(gram.real, floor)
+        # every ||x_a||^2 is within sqrt(2) defect of 2 now: see the docstring
+        spread = math.sqrt(2) * defect
+        i, j = near_pairs(gram.real, gram_floor(2 - spread, 2 + spread, tol))
         if i.size:  # most sets pass no pair on; skip the empty index and norms
             hit = np.flatnonzero(norms(X[i] - X[j], 1) <= tol)
             if hit.size:
                 raise DuplicateElements(f"elements {i[hit[0]]} and {j[hit[0]]} coincide within {tol}")
         self.labels = _labels(labels, n)
-        self.dim = d
-        self.stack = _read_only(stack)  # (N, d, d)
+        self.stack = _read_only(stack)  # (N, 2, 2)
         self.gram = _read_only(gram)
         self.unitarity_defect = defect  # max ||U^H U - 1||_HS
         self._derived = {}
@@ -146,6 +142,8 @@ class UnitarySet:
 def _labels(labels, n: int) -> tuple[str, ...] | None:
     if labels is None:
         return None
+    if isinstance(labels, str):  # would split into one label per character
+        raise ValueError(f"labels must be one string per element, not the string {labels!r}")
     labels = tuple(str(s) for s in labels)
     if len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} elements")
@@ -157,14 +155,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _square_stack(elems) -> tuple[np.ndarray, str | None]:
-    """The elements of a would-be UnitarySet as one (N, d, d) complex copy.
+def _qubit_stack(elems) -> np.ndarray:
+    """The elements of a would-be UnitarySet as one (N, 2, 2) complex copy.
 
-    Elements of one square shape with finite entries are copied in one pass.
-    Any others go through as_matrix one by one, which raises for the first
-    element it refuses; the copy then stops before the first element of
-    another dimension, and the DimensionMismatch message for it, owed once
-    the elements before it pass their unitarity check, comes back too.
+    Elements that numpy stacks into one (N, 2, 2) array of finite entries
+    are copied in one pass.  Otherwise each goes through in input order, and
+    the first that is not a 2x2 matrix of finite entries raises
+    DimensionMismatch naming it.
     """
     try:
         stack = np.array(elems, dtype=complex)
@@ -174,19 +171,21 @@ def _square_stack(elems) -> tuple[np.ndarray, str | None]:
         stack is not None
         and stack.ndim == 3
         and 0 < len(stack)
-        and stack.shape[1] == stack.shape[2] <= MAX_DIM
+        and stack.shape[1:] == (2, 2)
         and np.isfinite(stack).all()
     ):
-        return stack, None
-    mats = [as_matrix(m) for m in elems]
+        return stack
+    mats = []
+    for k, m in enumerate(elems):
+        m = np.asarray(m, dtype=complex)
+        if m.shape != (2, 2):
+            raise DimensionMismatch(f"element {k} has shape {m.shape}, expected (2, 2)")
+        if not np.isfinite(m).all():
+            raise DimensionMismatch(f"element {k}: matrix entries must be finite")
+        mats.append(m)
     if not mats:
         raise ValueError("a unitary set must be nonempty")
-    d = mats[0].shape[0]
-    same = next((k for k, m in enumerate(mats) if m.shape[0] != d), len(mats))
-    if same == len(mats):
-        return np.stack(mats), None
-    m = mats[same].shape[0]
-    return np.stack(mats[:same]), f"element {same} is {m}x{m}, expected {d}x{d}"
+    return np.stack(mats)
 
 
 class FramePotentialReport(NamedTuple):
@@ -230,7 +229,7 @@ def twirl_finite(S: UnitarySet, t: int, A) -> np.ndarray:
     """(1/N) sum_a U_a^{(x)t} A (U_a^H)^{(x)t} — the order-t twirl over S."""
     if t < 1:
         raise UnsupportedOrder(f"twirl order must be >= 1, got {t}")
-    A = as_matrix(A, S.dim**t)
+    A = as_matrix(A, 2**t)
     return unvec(superop_of_twirl(S, t) @ vec(A))
 
 
@@ -254,7 +253,7 @@ def superop_of_twirl(source, t: int) -> np.ndarray:
         return SUPEROP_HAAR[t]
     if t < 1:
         raise UnsupportedOrder(f"twirl order must be >= 1, got {t}")
-    D = source.dim**t
+    D = 2**t
     X = _tensor_batch(source.stack, t).reshape(len(source), D * D)
     return _superop_layout(X.conj().T @ X, D) / len(source)
 
@@ -281,14 +280,14 @@ def frame_potential(S: UnitarySet, t: int) -> FramePotentialReport:
     """(1/N^2) sum_{a,b} |tr(U_a^H U_b)|^(2t), read off the set's Gram
     matrix once per t and then stored on the set, with the U(2) Haar
     reference for t in {1, 2}; the reference (and the gap) is None for other
-    orders and for sets of dimension other than 2."""
+    orders."""
     if t < 1:
         raise UnsupportedOrder(f"frame potential order must be >= 1, got {t}")
     key = ("frame_potential", t)
     value = S._derived.get(key)
     if value is None:
         value = S._derived[key] = float(mean(np.abs(S.gram) ** (2 * t)))
-    haar_value = FRAME_POTENTIAL_HAAR.get(t) if S.dim == 2 else None
+    haar_value = FRAME_POTENTIAL_HAAR.get(t)
     gap = None if haar_value is None else value - haar_value
     return FramePotentialReport(t, value, haar_value, gap)
 

@@ -97,15 +97,40 @@ _SCALARS = (
     | st.booleans().map(np.bool_)
     | st.text(max_size=30)
 )
-# up to 10 items of up to 30 characters: one-line forms from 2 to several
-# hundred columns, so nodes fall on both sides of the width limit
-_DOCUMENTS = st.recursive(
-    _SCALARS,
-    lambda inner: st.lists(inner, max_size=10)
-    | st.lists(inner, max_size=10).map(tuple)
-    | st.dictionaries(st.text(max_size=12), inner, max_size=8),
-    max_leaves=60,
-)
+
+
+@st.composite
+def _documents(draw):
+    """A document of up to 60 scalars nested by a drawn plan.  Each step of
+    the plan moves the next 0 to 10 scalars onto a stack, then wraps its top
+    0 to 10 entries (8 in a dict) into a list, a tuple or a dict; the
+    document is the last entry built, or a scalar when the plan is empty.
+    Containers of up to 10 items of up to 30 characters have one-line forms
+    from 2 to several hundred columns, so nodes fall on both sides of the
+    width limit.  One flat draw of scalars is far cheaper than st.recursive."""
+    scalars = draw(st.lists(_SCALARS, max_size=60))
+    plan = draw(
+        st.lists(
+            st.tuples(st.integers(0, 10), st.sampled_from((list, tuple, dict)), st.integers(0, 10)),
+            max_size=20,
+        )
+    )
+    stack = []
+    for push, kind, k in plan:
+        stack += scalars[:push]
+        del scalars[:push]
+        k = min(k, len(stack), 8 if kind is dict else 10)
+        items = stack[len(stack) - k :]
+        del stack[len(stack) - k :]
+        if kind is dict:
+            items = zip(draw(st.lists(st.text(max_size=12), min_size=k, max_size=k)), items)
+        stack.append(kind(items))
+    if stack:
+        return stack[-1]
+    return scalars[0] if scalars else None
+
+
+_DOCUMENTS = _documents()
 
 
 @settings(max_examples=300, deadline=None)

@@ -222,8 +222,9 @@ def test_both_allows_elements_unitary_only_within_tolerance():
 
 
 def test_verify_design_needs_qubits():
-    with pytest.raises(DimensionMismatch):
-        verify_design(UnitarySet([np.eye(3)]), 1)
+    # a set of any other dimension cannot be built, so verify_design never sees one
+    with pytest.raises(DimensionMismatch, match=r"^element 0 has shape \(3, 3\), expected \(2, 2\)$"):
+        UnitarySet([np.eye(3)])
 
 
 def test_verify_design_single_methods():
@@ -588,7 +589,7 @@ def test_a_relabeled_set_and_the_extension_reuse_the_stored_frame(monkeypatch):
     extended = extend_to_2design(S)
     # nothing of the classification itself runs again
     monkeypatch.setattr(designs, "rotation_quaternion", lambda *a: pytest.fail("classified again"))
-    assert classify_min_1design(S.relabeled("abcd")) is frame
+    assert classify_min_1design(S.relabeled(list("abcd"))) is frame
     assert np.array_equal(extend_to_2design(S).stack, extended.stack)
 
 
@@ -671,7 +672,7 @@ def test_classify_refuses_a_nan_tol():
 
 
 def test_classify_rejects_wrong_size():
-    with pytest.raises(NotOrthogonalBasis):
+    with pytest.raises(NotOrthogonalBasis, match="^a minimal 1-design has four elements, got 2$"):
         classify_min_1design([pauli(0), pauli(1)])
 
 

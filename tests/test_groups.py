@@ -423,8 +423,9 @@ def test_closure_reports_the_first_proportional_pair_in_row_order():
 
 
 def test_closure_rejects_non_qubit_sets():
-    with pytest.raises(DimensionMismatch):
-        su2_closure(UnitarySet([np.eye(3), np.diag([1.0, 1.0, -1.0])]))
+    # a set of any other dimension cannot be built, so su2_closure never sees one
+    with pytest.raises(DimensionMismatch, match=r"^element 0 has shape \(3, 3\), expected \(2, 2\)$"):
+        UnitarySet([np.eye(3), np.diag([1.0, 1.0, -1.0])])
 
 
 def test_closure_points_are_computed_once_and_read_only():
@@ -449,8 +450,9 @@ def test_closure_measures_proportionality_at_every_scale(eps, scale):
     assert len(su2_closure(S, tol=tol * (1 - 1e-6))) == 6
 
 
-def test_closure_finds_the_first_proportional_pair_across_row_blocks():
-    elems = list(su2_batch(HaarSampler(6).quaternions(200)))  # three row blocks
+def test_closure_finds_the_first_proportional_pair_among_200_elements():
+    # both pairs sit in the last rows of the Gram matrix; (100, 199) comes first
+    elems = list(su2_batch(HaarSampler(6).quaternions(200)))
     elems[190] = 1j * elems[150]
     elems[199] = -elems[100]
     with pytest.raises(ProportionalElements, match="^elements 100 and 199 "):

@@ -16,7 +16,7 @@ from udes.errors import (
     NotUnitary,
     UnsupportedOrder,
 )
-from udes.linalg import EQ_TOL, as_matrix, hs_norm, kron, kron_power
+from udes.linalg import EQ_TOL, hs_norm, kron, kron_power
 from udes.qubit import bell_diagonal_part, pauli, singlet_triplet
 from udes import twirl
 from udes.su2 import UNIT_BASIS
@@ -79,9 +79,26 @@ def test_relabeled_shares_the_validated_set():
         S.relabeled(["a", "b", "c"])
 
 
+@pytest.mark.parametrize("d", [1, 3, 4, 16])
+def test_unitary_set_holds_2x2_elements_only(d):
+    with pytest.raises(DimensionMismatch, match=rf"^element 0 has shape \({d}, {d}\), expected \(2, 2\)$"):
+        UnitarySet([np.eye(d), -np.eye(d)])
+
+
 def test_unitary_set_rejects_mixed_dimensions():
-    with pytest.raises(DimensionMismatch):
-        UnitarySet([np.eye(2), np.eye(4)])
+    # the first element that is not 2x2 is named, in either order
+    for elems, k in [([np.eye(2), np.eye(4)], 1), ([np.eye(4), np.eye(2)], 0)]:
+        with pytest.raises(DimensionMismatch, match=rf"^element {k} has shape \(4, 4\), expected \(2, 2\)$"):
+            UnitarySet(elems)
+
+
+def test_labels_must_not_be_one_string():
+    # a bare string would be split into one label per character
+    S = UnitarySet([np.eye(2), pauli(1)])
+    with pytest.raises(ValueError, match="^labels must be one string per element, not the string '1X'$"):
+        UnitarySet([np.eye(2), pauli(1)], labels="1X")
+    with pytest.raises(ValueError, match="^labels must be one string per element, not the string 'ab'$"):
+        S.relabeled("ab")
 
 
 def test_unitary_set_rejects_non_unitary():
@@ -108,15 +125,17 @@ def test_unitary_set_rejects_duplicates():
             NotUnitary,
             "element 2: matrix is not unitary: ||U^H U - 1|| = 3.000e+00 > 1.0e-10",
         ),
+        # shapes are checked before unitarity, so the 4x4 element is named
+        # wherever the non-unitary one stands
         (
             [np.eye(2), np.diag([1.0, 2.0]), np.eye(4)],
-            NotUnitary,
-            "element 1: matrix is not unitary: ||U^H U - 1|| = 3.000e+00 > 1.0e-10",
+            DimensionMismatch,
+            "element 2 has shape (4, 4), expected (2, 2)",
         ),
         (
             [np.eye(2), np.eye(4), np.diag([1.0, 2.0])],
             DimensionMismatch,
-            "element 1 is 4x4, expected 2x2",
+            "element 1 has shape (4, 4), expected (2, 2)",
         ),
         # (0, 4) comes before (1, 3) in the order a double loop over pairs visits them
         (
@@ -129,6 +148,17 @@ def test_unitary_set_rejects_duplicates():
             DuplicateElements,
             "elements 0 and 2 coincide within 1e-10",
         ),
+        (
+            [np.eye(2), np.diag([1.0, 2.0]), np.ones((2, 3))],
+            DimensionMismatch,
+            "element 2 has shape (2, 3), expected (2, 2)",
+        ),
+        ([np.eye(2), np.ones(2)], DimensionMismatch, "element 1 has shape (2,), expected (2, 2)"),
+        (
+            [np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, np.nan])],
+            DimensionMismatch,
+            "element 2: matrix entries must be finite",
+        ),
     ],
 )
 def test_unitary_set_names_the_first_offending_element(elems, error, message):
@@ -137,8 +167,9 @@ def test_unitary_set_names_the_first_offending_element(elems, error, message):
     assert str(err.value) == message
 
 
-def test_unitary_set_finds_the_first_duplicate_pair_across_row_blocks():
-    elems = list(su2_batch(HaarSampler(6).quaternions(200)))  # three row blocks
+def test_unitary_set_finds_the_first_duplicate_pair_among_200_elements():
+    # both pairs sit in the last rows of the Gram matrix; (100, 199) comes first
+    elems = list(su2_batch(HaarSampler(6).quaternions(200)))
     elems[190] = elems[150].copy()
     elems[199] = elems[100].copy()
     with pytest.raises(DuplicateElements, match="^elements 100 and 199 coincide"):
@@ -158,22 +189,21 @@ def _reference_first_duplicate(X, tol=EQ_TOL):
     return None
 
 
-def _random_unitaries(g, n, d):
-    q, r = np.linalg.qr(g.normal(size=(n, d, d)) + 1j * g.normal(size=(n, d, d)))
+def _random_unitaries(g, n):
+    q, r = np.linalg.qr(g.normal(size=(n, 2, 2)) + 1j * g.normal(size=(n, 2, 2)))
     return q * (np.diagonal(r, axis1=1, axis2=2) / np.abs(np.diagonal(r, axis1=1, axis2=2)))[:, None]
 
 
-def _planted(seed, n, d, plants):
-    """n random unitaries of dimension d, of which `plants` copies of
-    earlier ones are moved by exp(i H) to a distance from 1e-13 to 1e-9,
-    around tol = 1e-10."""
+def _planted(seed, n, plants):
+    """n random 2x2 unitaries, of which `plants` copies of earlier ones are
+    moved by exp(i H) to a distance from 1e-13 to 1e-9, around tol = 1e-10."""
     g = np.random.default_rng(seed)
-    U = _random_unitaries(g, n, d)
+    U = _random_unitaries(g, n)
     for _ in range(plants):
         a, b = sorted(g.choice(n, 2, replace=False))
         if g.random() < 0.5:
             a, b = b, a
-        H = g.normal(size=(d, d)) + 1j * g.normal(size=(d, d))
+        H = g.normal(size=(2, 2)) + 1j * g.normal(size=(2, 2))
         H = (H + H.conj().T) / 2
         w, v = np.linalg.eigh(H)
         step = np.exp(1j * w)  # exp(i H) moves U by ||(exp(i H) - 1) U|| = ||exp(i w) - 1||
@@ -183,10 +213,10 @@ def _planted(seed, n, d, plants):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 16]), st.integers(2, 12), st.integers(1, 3))
-def test_gram_screen_finds_the_first_pair_of_the_exact_scan(seed, d, n, plants):
-    U = _planted(seed, n, d, plants)
-    want = _reference_first_duplicate(U.reshape(n, d * d))
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 3))
+def test_gram_screen_finds_the_first_pair_of_the_exact_scan(seed, n, plants):
+    U = _planted(seed, n, plants)
+    want = _reference_first_duplicate(U.reshape(n, 4))
     if want is None:
         assert len(UnitarySet(U)) == n
     else:
@@ -195,16 +225,14 @@ def test_gram_screen_finds_the_first_pair_of_the_exact_scan(seed, d, n, plants):
         assert str(exc.value) == f"elements {want[0]} and {want[1]} coincide within {EQ_TOL}"
 
 
-@pytest.mark.parametrize("d", [2, 16])
 @pytest.mark.parametrize("seed", range(3))
-def test_gram_screen_finds_the_first_pair_across_row_blocks(d, seed):
-    # 200 elements make three Gram blocks of 81 rows; the near pairs sit in
-    # the later blocks, around tol
-    U = _planted(seed, 200, d, 0)
-    g = np.random.default_rng(seed)
+def test_gram_screen_finds_the_first_pair_among_200_elements(seed):
+    # the near pairs, around tol, sit in the last rows of the Gram matrix,
+    # and the first of them in row-major order is not the first planted
+    U = _planted(seed, 200, 0)
     for a, b, dist in [(150, 190, 2e-10), (100, 199, 5e-11), (120, 170, 1e-13)][seed:]:
-        U[b] = U[a] * np.exp(1j * dist / np.sqrt(d))  # ||U_b - U_a|| = |e^(i x) - 1| sqrt(d) ~ dist
-    want = _reference_first_duplicate(U.reshape(200, d * d))
+        U[b] = U[a] * np.exp(1j * dist / np.sqrt(2))  # ||U_b - U_a|| = |e^(i x) - 1| sqrt(2) ~ dist
+    want = _reference_first_duplicate(U.reshape(200, 4))
     with pytest.raises(DuplicateElements) as exc:
         UnitarySet(U)
     assert str(exc.value) == f"elements {want[0]} and {want[1]} coincide within {EQ_TOL}"
@@ -216,14 +244,13 @@ def _defects(U):
 
 
 def _off_unitary(U, tol, target, sign):
-    """sqrt(c) U for a stack U of unitaries, c = 1 + sign s tol / sqrt(d),
+    """sqrt(c) U for a stack U of 2x2 unitaries, c = 1 + sign s tol / sqrt(2),
     with s in [0, 2] bisected to the largest computed defect <= target: off
-    unitary with tr(U^H U - 1) = sign sqrt(d) ||U^H U - 1||, the extremes
+    unitary with tr(U^H U - 1) = sign sqrt(2) ||U^H U - 1||, the extremes
     the Gram screen's bound allows."""
-    d = U.shape[-1]
 
     def scaled(s):
-        return np.sqrt(np.maximum(1.0 + sign * s * tol / np.sqrt(d), 0.0))[:, None, None] * U
+        return np.sqrt(np.maximum(1.0 + sign * s * tol / np.sqrt(2), 0.0))[:, None, None] * U
 
     lo, hi = np.zeros(len(U)), np.full(len(U), 2.0)
     for _ in range(45):
@@ -233,8 +260,8 @@ def _off_unitary(U, tol, target, sign):
     return scaled(lo)
 
 
-def _edge_of_tol(seed, n, d, tol, plants):
-    """n random unitaries of dimension d, _off_unitary with either sign: a
+def _edge_of_tol(seed, n, tol, plants):
+    """n random 2x2 unitaries, _off_unitary with either sign: a
     third at the largest computed defect <= tol, most of the rest just below
     it.  Then `plants` phased copies exp(i theta) U_a replace other elements,
     at distance tol (1 +- 1e-6) from U_a (or as far as a phase reaches, when
@@ -242,7 +269,7 @@ def _edge_of_tol(seed, n, d, tol, plants):
     g = np.random.default_rng(seed)
     f = g.choice([0.0, 1.0, 2.0], n, p=[0.25, 0.35, 0.4])
     f[f == 2.0] = 1.0 - 10.0 ** -g.uniform(0, 9, np.count_nonzero(f == 2.0))
-    U = _off_unitary(_random_unitaries(g, n, d), tol, f * tol, g.choice([-1.0, 1.0], n))
+    U = _off_unitary(_random_unitaries(g, n), tol, f * tol, g.choice([-1.0, 1.0], n))
     for _ in range(plants):
         a, b = g.choice(n, 2, replace=False)
         dist = tol * (1.0 + g.choice([-1e-6, 1e-6]))
@@ -259,20 +286,19 @@ def _edge_of_tol(seed, n, d, tol, plants):
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from([2, 4, 16]),
-    st.sampled_from([128, 129]),  # one Gram block, and two
+    st.sampled_from([128, 129]),  # sets far larger than a design: thousands of pairs
     st.sampled_from([1e-12, 1e-10, 1e-6, 1e-2, 1.0, 3.0]),
     st.integers(1, 3),
 )
-def test_gram_screen_keeps_every_pair_at_the_edge_of_tol(seed, d, n, tol, plants):
-    U = _edge_of_tol(seed, n, d, tol, plants)
+def test_gram_screen_keeps_every_pair_at_the_edge_of_tol(seed, n, tol, plants):
+    U = _edge_of_tol(seed, n, tol, plants)
     defects = _defects(U)
     if not (defects <= tol).all():
         k = np.flatnonzero(~(defects <= tol))[0]
         with pytest.raises(NotUnitary, match=f"^element {k}: matrix is not unitary: "):
             UnitarySet(U, tol=tol)
         return
-    want = _reference_first_duplicate(U.reshape(n, d * d), tol)
+    want = _reference_first_duplicate(U.reshape(n, 4), tol)
     if want is None:
         assert len(UnitarySet(U, tol=tol)) == n
     else:
@@ -281,16 +307,15 @@ def test_gram_screen_keeps_every_pair_at_the_edge_of_tol(seed, d, n, tol, plants
         assert str(exc.value) == f"elements {want[0]} and {want[1]} coincide within {tol}"
 
 
-@pytest.mark.parametrize("d", [2, 4, 16])
 @pytest.mark.parametrize("tol", [1e-10, 1e-6, 1e-2])
-def test_gram_screen_keeps_pairs_whose_margin_is_rounding(d, tol):
+def test_gram_screen_keeps_pairs_whose_margin_is_rounding(tol):
     # 100 pairs: A shrunk to the largest computed defect <= tol, and B =
     # exp(i theta) A at the largest theta with computed ||A - B|| <= tol and
-    # defect <= tol.  Re G_AB then meets d - sqrt(d) tol - tol^2 / 2 only up
+    # defect <= tol.  Re G_AB then meets 2 - sqrt(2) tol - tol^2 / 2 only up
     # to rounding, below it in some pairs: the floor's allowance keeps them
-    g = np.random.default_rng(int(-np.log10(tol)) * 100 + d)
-    A = _off_unitary(_random_unitaries(g, 100, d), tol, tol, -1.0)
-    lo, hi = np.zeros(100), np.full(100, 4.0 * tol / np.sqrt(d))
+    g = np.random.default_rng(int(-np.log10(tol)) * 100 + 2)
+    A = _off_unitary(_random_unitaries(g, 100), tol, tol, -1.0)
+    lo, hi = np.zeros(100), np.full(100, 4.0 * tol / np.sqrt(2))
     for _ in range(60):
         mid = (lo + hi) / 2
         B = np.exp(1j * mid)[:, None, None] * A
@@ -303,7 +328,7 @@ def test_gram_screen_keeps_pairs_whose_margin_is_rounding(d, tol):
 
 @pytest.mark.parametrize("n", [128, 129, 200])
 def test_the_gram_matrix_is_built_with_the_set_and_shared_by_relabeled_copies(n):
-    S = UnitarySet(_random_unitaries(np.random.default_rng(n), n, 2))
+    S = UnitarySet(_random_unitaries(np.random.default_rng(n), n))
     assert "gram" in vars(S)  # set by the constructor, not on first use
     X = S.stack.reshape(n, 4)
     assert S.gram.tobytes() == (X.conj() @ X.T).tobytes()
@@ -316,14 +341,6 @@ def test_unitary_set_refuses_a_nan_tol():
         UnitarySet([np.eye(2), pauli(1)], tol=np.nan)
 
 
-@pytest.mark.parametrize("first", ["copy", "original"])
-def test_relabeled_copies_share_a_gram_built_on_first_use(first):
-    S = UnitarySet(_random_unitaries(np.random.default_rng(3), 200, 2))  # past one Gram block
-    T = S.relabeled([str(k) for k in range(200)])
-    a, b = (T, S) if first == "copy" else (S, T)
-    assert a.gram is b.gram
-
-
 def test_unitary_set_stack_is_read_only():
     S = UnitarySet([pauli(m) for m in range(4)])
     for a in (S.stack, S[0], S.gram):
@@ -333,7 +350,7 @@ def test_unitary_set_stack_is_read_only():
 
 @pytest.mark.parametrize("n", [4, 12, 48, 200])
 def test_cached_gram_and_frame_potential_match_the_einsum_reference(n):
-    S = UnitarySet(_random_unitaries(np.random.default_rng(n), n, 2))
+    S = UnitarySet(_random_unitaries(np.random.default_rng(n), n))
     gram = np.einsum("aij,bij->ab", S.stack.conj(), S.stack)
     assert S.gram is S.gram
     assert np.abs(S.gram - gram).max() <= 1e-15
@@ -343,7 +360,7 @@ def test_cached_gram_and_frame_potential_match_the_einsum_reference(n):
 
 @pytest.mark.parametrize("n", [4, 12, 48])
 def test_a_stored_frame_potential_is_np_mean_bitwise(n):
-    S = UnitarySet(_random_unitaries(np.random.default_rng(n), n, 2))
+    S = UnitarySet(_random_unitaries(np.random.default_rng(n), n))
     for t in (1, 2, 3):
         want = float(np.mean(np.abs(S.gram) ** (2 * t)))
         first = frame_potential(S, t)
@@ -362,26 +379,26 @@ def test_unitary_set_rejects_empty():
 
 
 def _reference_unitary_set(elems, tol=EQ_TOL):
-    """UnitarySet's validation as it was written element by element; the
-    reference for its stacked path.  Returns (stack, unitarity_defect)."""
-    mats = [as_matrix(m) for m in elems]
-    if not mats:
+    """UnitarySet's validation written element by element; the reference
+    for its stacked path.  Returns (stack, unitarity_defect)."""
+    for k, m in enumerate(elems):
+        m = np.asarray(m, dtype=complex)
+        if m.shape != (2, 2):
+            raise DimensionMismatch(f"element {k} has shape {m.shape}, expected (2, 2)")
+        if not np.isfinite(m).all():
+            raise DimensionMismatch(f"element {k}: matrix entries must be finite")
+    if not len(elems):
         raise ValueError("a unitary set must be nonempty")
-    d = mats[0].shape[0]
-    same = next((k for k, m in enumerate(mats) if m.shape[0] != d), len(mats))
-    stack = np.stack(mats[:same])
+    stack = np.array(elems, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        defects = np.linalg.norm(stack.conj().swapaxes(1, 2) @ stack - np.eye(d), axis=(1, 2))
+        defects = np.linalg.norm(stack.conj().swapaxes(1, 2) @ stack - np.eye(2), axis=(1, 2))
     bad = np.flatnonzero(~(defects <= tol))
     if bad.size:
         k = bad[0]
         raise NotUnitary(
             f"element {k}: matrix is not unitary: ||U^H U - 1|| = {defects[k]:.3e} > {tol:.1e}"
         )
-    if same < len(mats):
-        m = mats[same].shape[0]
-        raise DimensionMismatch(f"element {same} is {m}x{m}, expected {d}x{d}")
-    n = len(mats)
+    n = len(stack)
     for a in range(n):
         for b in range(a + 1, n):
             if np.linalg.norm(stack[a].ravel() - stack[b].ravel()) <= tol:
@@ -538,7 +555,6 @@ def random_unitaries(d, n, seed):
 
 
 RANDOM_SET = UnitarySet(random_unitaries(2, 7, 1))
-QUTRIT_SET = UnitarySet(random_unitaries(3, 5, 2))
 
 
 def reference_superop(S, t):
@@ -559,8 +575,7 @@ def reference_twirl(S, t, A):
 
 @pytest.mark.parametrize(
     "S,t",
-    [(PAULI_SET, 1), (PAULI_SET, 2), (PAULI_SET, 3), (RANDOM_SET, 1), (RANDOM_SET, 2), (RANDOM_SET, 3),
-     (QUTRIT_SET, 1), (QUTRIT_SET, 2)],
+    [(PAULI_SET, 1), (PAULI_SET, 2), (PAULI_SET, 3), (RANDOM_SET, 1), (RANDOM_SET, 2), (RANDOM_SET, 3)],
 )
 def test_moment_operator_matches_per_element_kron_loops(S, t):
     assert hs_norm(superop_of_twirl(S, t) - reference_superop(S, t)) < 1e-13
@@ -570,9 +585,10 @@ def test_moment_operator_matches_per_element_kron_loops(S, t):
 
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_tensor_batch_takes_the_element_dimension(t):
-    M = _tensor_batch(QUTRIT_SET.stack, t)
-    assert M.shape == (len(QUTRIT_SET), 3**t, 3**t)
-    for k, U in enumerate(QUTRIT_SET):
+    qutrits = np.array(random_unitaries(3, 5, 2))
+    M = _tensor_batch(qutrits, t)
+    assert M.shape == (5, 3**t, 3**t)
+    for k, U in enumerate(qutrits):
         assert np.array_equal(M[k], kron_power(U, t))
 
 
@@ -664,13 +680,14 @@ def test_frame_potential_is_translation_invariant(seed):
 
 
 def test_frame_potential_has_no_haar_reference_off_the_qubit():
-    # the reference table holds U(2) values; other dimensions get none
-    S = UnitarySet([np.eye(3), np.diag([1.0, -1.0, 1.0])])
-    for t in (1, 2):
-        fp = frame_potential(S, t)
-        assert fp.haar_value is None and fp.gap is None
-        with pytest.raises(UnsupportedOrder):
-            fp.is_design()
+    # no set off the qubit can be built; on it, the U(2) reference table
+    # ends at t = 2
+    with pytest.raises(DimensionMismatch, match=r"^element 0 has shape \(3, 3\), expected \(2, 2\)$"):
+        UnitarySet([np.eye(3), np.diag([1.0, -1.0, 1.0])])
+    fp = frame_potential(PAULI_SET, 3)
+    assert fp.haar_value is None and fp.gap is None
+    with pytest.raises(UnsupportedOrder):
+        fp.is_design()
 
 
 def test_frame_potential_never_below_haar():
