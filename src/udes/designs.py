@@ -115,6 +115,7 @@ def verify_design(S: UnitarySet, t: int, tol: float = EQ_TOL, method: str = "bot
     the identity's error for elements unitary only to within
     delta = S.unitarity_defect, with h the Haar frame potential.
     """
+    check_tol(tol)
     if t not in (1, 2):
         raise UnsupportedOrder(f"design verification implements t in {{1, 2}}, got {t}")
     if method not in ("twirl", "frame", "both"):
@@ -141,6 +142,7 @@ def verify_rotation_sum(S: UnitarySet, tol: float = EQ_TOL) -> bool:
     This is the phase-blind 1-design criterion: it holds for S exactly when
     the twirl over S (at t = 1) is completely depolarizing.
     """
+    check_tol(tol)
     return hs_norm(rotation_batch(S.stack).sum(axis=0)) <= tol
 
 

@@ -6,22 +6,24 @@ Vectorization is column-stacking throughout: vec(A) = A.reshape(-1,
 order="F"), so vec(M A M^H) = kron(conj(M), M) vec(A) and the standard
 basis operator E(i, j) vectorizes to the unit vector at index j*D + i.
 
-Every twirl reads one moment operator.  For a finite set it is the twirl
-superoperator Phi_S = (1/N) sum_a conj(M_a) (x) M_a with M_a = U_a^{(x)t}:
-for the stacked tensor powers flattened to X = M.reshape(N, D*D) it is the
-Gram matrix X^H X, permuted.  The Haar twirls are the read-only constants
-SUPEROP_HAAR.  Twirls of operators and Choi matrices are read off Phi, and
-design checks use Delta = Phi_S - Phi_Haar, whose largest column norm is the
-worst twirl error on a basis operator and whose squared norm is the
-frame-potential gap (Gross, Audenaert & Eisert, JMP 48, 052104 (2007)).
-
-The Monte Carlo check of the Haar oracle sums its first moment over
-monomials of the Haar quaternion q instead of the entries of U^{(x)t}; see
-mc_oracle_check.
+Every twirl reads one moment: the Hermitian Gram matrix G of the degree-t
+monomials of the four entries of U (10 x 10 at t = 2), each entry of
+U^{(x)t} being one of them.  The twirl superoperator Phi_S = (1/N) sum_a
+conj(M_a) (x) M_a, M_a = U_a^{(x)t}, is a fixed gather of G's entries,
+Phi[(a,c),(b,d)] = G[(a,b),(c,d)] / N (_moment_index).  The Monte Carlo
+check sums the same Gram matrix in the monomials of the Haar quaternion q,
+maps it to the entries' by one exact change of coordinates, and ends in the
+same gather.  The Haar twirls are the read-only constants SUPEROP_HAAR.
+Twirls of operators and Choi matrices are read off Phi, and design checks
+use Delta = Phi_S - Phi_Haar, whose largest column norm is the worst twirl
+error on a basis operator and whose squared norm is the frame-potential gap
+(Gross, Audenaert & Eisert, JMP 48, 052104 (2007)).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 import threading
@@ -195,6 +197,7 @@ class FramePotentialReport(NamedTuple):
     gap: float | None
 
     def is_design(self, tol: float = EQ_TOL) -> bool:
+        check_tol(tol)
         if self.gap is None:
             raise UnsupportedOrder(f"no Haar reference for t={self.t}; one exists for U(2), t <= 2")
         return self.gap <= tol
@@ -226,9 +229,10 @@ for _Phi in SUPEROP_HAAR.values():
 
 
 def twirl_finite(S: UnitarySet, t: int, A) -> np.ndarray:
-    """(1/N) sum_a U_a^{(x)t} A (U_a^H)^{(x)t} — the order-t twirl over S."""
-    if t < 1:
-        raise UnsupportedOrder(f"twirl order must be >= 1, got {t}")
+    """(1/N) sum_a U_a^{(x)t} A (U_a^H)^{(x)t} — the order-t twirl over S,
+    for t = 1 to 4: A is at most 16 x 16, as_matrix's bound."""
+    if not 1 <= t <= 4:
+        raise UnsupportedOrder(f"twirl order must be in 1..4 (operators up to 16 x 16), got {t}")
     A = as_matrix(A, 2**t)
     return unvec(superop_of_twirl(S, t) @ vec(A))
 
@@ -253,9 +257,10 @@ def superop_of_twirl(source, t: int) -> np.ndarray:
         return SUPEROP_HAAR[t]
     if t < 1:
         raise UnsupportedOrder(f"twirl order must be >= 1, got {t}")
-    D = 2**t
-    X = _tensor_batch(source.stack, t).reshape(len(source), D * D)
-    return _superop_layout(X.conj().T @ X, D) / len(source)
+    n = len(source)
+    Y = _monomials(source.stack.reshape(n, 4).T, t)
+    G = np.dot(Y.conj(), Y.T) / n  # np.dot: less overhead than @ on matrices this small
+    return G.ravel()[_moment_index(t)]
 
 
 def choi(Phi) -> np.ndarray:
@@ -385,46 +390,58 @@ def haar_sample(h: HaarSampler) -> np.ndarray:
     return su2_batch(h.quaternions(1))[0]
 
 
-def _tensor_batch(U: np.ndarray, t: int) -> np.ndarray:
-    """The t-fold tensor powers of an (n, d, d) stack, as an (n, d^t, d^t) stack."""
-    M, d = U, U.shape[1]
-    for _ in range(t - 1):
-        n, a, _ = M.shape
-        M = (M[:, :, None, :, None] * U[:, None, :, None, :]).reshape(n, a * d, a * d)
-    return M
-
-
-def _superop_layout(G: np.ndarray, D: int) -> np.ndarray:
-    """Permute a moment matrix indexed [(a,b),(c,d)] to the superoperator's
-    [(a,c),(b,d)] = kron(conj(M), M) layout."""
-    return G.reshape((D,) * 4).swapaxes(1, 2).reshape(D * D, D * D)
-
-
 def _monomials(W: np.ndarray, t: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Rows of the degree-t monomials of the columns of a (k, m) array:
-    W at t = 1, W_a W_b for a <= b in row-major order at t = 2, written
-    into `out` when given."""
+    """Rows of the degree-t monomials of the rows of a (k, m) array, in
+    itertools.combinations_with_replacement order: W itself at t = 1, else
+    written into `out` when given, a (C(k + t - 1, t), m) array, with no
+    other array made."""
     if t == 1:
         return W
-    k, m = W.shape
-    Y = np.empty((k * (k + 1) // 2, m)) if out is None else out
-    row = 0
-    for a in range(k):
-        np.multiply(W[a], W[a:], out=Y[row : row + k - a])
-        row += k - a
+    k = len(W)
+    Y = np.empty((math.comb(k + t - 1, t), W.shape[1]), W.dtype) if out is None else out
+    # Raise the degree one at a time: the degree-d rows that start with W[a]
+    # are W[a] times the last C(k - a + d - 2, d - 1) rows P of degree d - 1.
+    # P is W, then the first rows of Y, which those that start with W[0] take
+    # over last.
+    P = W
+    for d in range(2, t + 1):
+        row = len(P)
+        for a in range(1, k):
+            tail = P[len(P) - math.comb(k - a + d - 2, d - 1) :]
+            np.multiply(W[a], tail, out=Y[row : row + len(tail)])
+            row += len(tail)
+        np.multiply(W[0], P, out=Y[: len(P)])
+        P = Y[:row]
     return Y
 
 
-def _power_map(E: np.ndarray, t: int) -> np.ndarray:
-    """T with _tensor_batch(w . E, t).reshape(m, -1) = _monomials(w.T, t).T @ T
-    for a (k, d, d) stack E.  At t = 2, w_a w_b carries the bilinear form
-    (X(a + b) - X(a - b)) / 4 of the quadratic X at (e_a, e_b), doubled off
-    the diagonal; at these integer points it is exact."""
-    if t == 1:
-        return E.reshape(len(E), -1)
-    a, b = np.triu_indices(len(E))
-    X = _tensor_batch(np.concatenate([E[a] + E[b], E[a] - E[b]]), 2).reshape(2, len(a), -1)
-    return (X[0] - X[1]) * np.where(a == b, 0.25, 0.5)[:, None]
+@functools.cache
+def _moment_index(t: int) -> np.ndarray:
+    """Phi = G.ravel()[this] / N lays the Gram matrix G = conj(Y) Y^T of the
+    monomials Y of N unitaries' four entries out as their twirl
+    superoperator: Phi[(a,c),(b,d)] = G[(a,b),(c,d)], where (a,b) is the
+    monomial that is entry [a, b] of U^{(x)t}, the product over the factors
+    s of U[a_s, b_s], entry 2 a_s + b_s of the four."""
+    row = {j: r for r, j in enumerate(itertools.combinations_with_replacement(range(4), t))}
+    bits = list(itertools.product((0, 1), repeat=t))  # the bits a_1 ... a_t of each index a
+    rank = {(a, b): row[tuple(sorted(2 * x + y for x, y in zip(a, b)))] for a in bits for b in bits}
+    index = [[rank[a, b] * len(row) + rank[c, d] for b in bits for d in bits] for a in bits for c in bits]
+    return _read_only(np.array(index))
+
+
+@functools.cache
+def _entry_map(t: int) -> np.ndarray:
+    """L_t with _monomials(u, t) = L_t @ _monomials(q, t) for the four
+    entries u_j = sum_k q_k B[k, j] of U = sum_k q_k UNIT_BASIS[k]: the row
+    of j_1 <= ... <= j_t expands prod_s u_{j_s} over the monomials of q.
+    Its entries are sums of products of 0, +-1 and +-i, so exact."""
+    B = UNIT_BASIS.reshape(4, 4)
+    row = {j: r for r, j in enumerate(itertools.combinations_with_replacement(range(4), t))}
+    L = np.zeros((len(row), len(row)), dtype=complex)
+    for j, r in row.items():
+        for k in itertools.product(range(4), repeat=t):
+            L[r, row[tuple(sorted(k))]] += math.prod(B[k_s, j_s] for k_s, j_s in zip(k, j))
+    return _read_only(L)
 
 
 #: the Monte Carlo gate: a report is ok when every deviation is within this
@@ -474,11 +491,12 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int) -> McOracleReport:
 
     Estimates the twirl superoperator, whose column j*D+i is the vectorized
     twirl of E(i,j), and scores every basis element against the exact Haar
-    oracle.  For a block's tensor powers flattened to X = Y C_t, with Y the
-    (m, n_t) monomials of the quaternions (n_t = 4 at t = 1, 10 at t = 2)
-    and C_t read off su2_batch, the moment X^H X is C_t^H (Y^T Y) C_t,
-    indexed [(a,b),(c,d)]; it is permuted to the superoperator's
-    [(a,c),(b,d)] = kron(conj(M), M) layout once, after the last block.
+    oracle.  Each block sums the real Gram matrix Y Y^T of the (n_t, m)
+    monomials Y of its quaternions (n_t = 4 at t = 1, 10 at t = 2).  The
+    monomials of U's entries are L_t Y, for the exact, constant L_t of
+    _entry_map, so after the last block conj(L_t) (sum Y Y^T) L_t^T is the
+    Gram matrix that superop_of_twirl forms from a set, and the same gather
+    (_moment_index) lays it out as the superoperator.
     Every column of kron(conj(M), M) is a unit vector for unitary M, so the
     entry variances of a column sum to 1 - ||mean column||^2, and that sum
     over n gives the column's squared standard error.
@@ -518,8 +536,8 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int) -> McOracleReport:
 
     gram = _sum_in_order(block, starts, workers)
     h.counter = stop
-    C = _power_map(UNIT_BASIS, t)
-    phi = _superop_layout(C.conj().T @ gram @ C, 2**t) / n
+    L = _entry_map(t)
+    phi = (L.conj() @ gram @ L.T / n).ravel()[_moment_index(t)]
     deviations = np.linalg.norm(phi - SUPEROP_HAAR[t], axis=0)
     # a mean column of samples that all agree can round to norm 1 + ulp
     std_errors = np.sqrt(np.maximum(1.0 - (np.abs(phi) ** 2).sum(axis=0), 0.0) / n)

@@ -859,13 +859,16 @@ GOLDEN = (
     [(cmd, name, fmt) for cmd in ("group", "geometry") for name in BUILTIN_NAMES for fmt in ("json", "text")]
     + [("table", None, "json"), ("table", None, "text")]
     + [("construct", name, fmt) for name in ("pauli", "B", "B0") for fmt in ("json", "text")]
+    # the 2-design D and its normalizations, which verify passes (exit 0)
+    + [("verify", name, fmt) for name in ("D", "D0", "D1", "D2") for fmt in ("json", "text")]
 )
 
 
 @pytest.mark.parametrize("cmd,name,fmt", GOLDEN)
 def test_structure_reports_match_their_golden_files(capsys, cmd, name, fmt):
-    # the files hold the reports of the matrix-based groups layer and of the
-    # loop-based classification; the paper's tables must not move by one byte
+    # the files hold the reports of the matrix-based groups layer, of the
+    # loop-based classification and of the twirl check down to its last
+    # bit; the paper's tables must not move by one byte
     argv = [cmd] + (["--builtin", name] if name else []) + ["--format", fmt]
     code, out, err = run(capsys, *argv)
     stem = f"{cmd}_{name}" if name else cmd

@@ -671,6 +671,18 @@ def test_classify_refuses_a_nan_tol():
         classify_min_1design(UnitarySet([pauli(0), pauli(1), pauli(2), H]), tol=math.nan)
 
 
+def test_verify_design_refuses_a_nan_tol():
+    # both criteria <= nan are False: "not a design", with the methods agreeing
+    with pytest.raises(ValueError, match="^tol must be a number, got nan$"):
+        verify_design(named_design("D").set, 2, tol=math.nan)
+
+
+def test_verify_rotation_sum_refuses_a_nan_tol():
+    # a zero rotation sum <= nan is False, which read as "no 1-design"
+    with pytest.raises(ValueError, match="^tol must be a number, got nan$"):
+        verify_rotation_sum(named_design("D").set, math.nan)
+
+
 def test_classify_rejects_wrong_size():
     with pytest.raises(NotOrthogonalBasis, match="^a minimal 1-design has four elements, got 2$"):
         classify_min_1design([pauli(0), pauli(1)])

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import pathlib
 import subprocess
@@ -19,12 +20,9 @@ from udes.errors import (
 from udes.linalg import EQ_TOL, hs_norm, kron, kron_power
 from udes.qubit import bell_diagonal_part, pauli, singlet_triplet
 from udes import twirl
-from udes.su2 import UNIT_BASIS
 from udes.twirl import (
     _haar_block,
     _monomials,
-    _power_map,
-    _tensor_batch,
     HaarSampler,
     UnitarySet,
     choi,
@@ -539,10 +537,19 @@ def test_finite_twirl_rejects_nonpositive_order(t):
 
 
 def test_finite_twirl_works_beyond_oracle_orders():
-    # finite averaging is well-defined at any order, oracle or not
-    out = twirl_finite(PAULI_SET, 3, np.eye(8))
-    assert out.shape == (8, 8)
-    assert hs_norm(out - np.eye(8)) < 1e-14  # identity is always a fixed point
+    # finite averaging needs no Haar oracle: it runs at t = 3 and 4 too
+    for t in (3, 4):
+        out = twirl_finite(PAULI_SET, t, np.eye(2**t))
+        assert out.shape == (2**t, 2**t)
+        assert hs_norm(out - np.eye(2**t)) < 1e-14  # identity is always a fixed point
+
+
+@pytest.mark.parametrize("t", [0, 5])
+def test_finite_twirl_refuses_orders_outside_1_to_4(t):
+    # a 32 x 32 operator at t = 5 is past as_matrix's 16 x 16: refused up front
+    message = rf"^twirl order must be in 1\.\.4 \(operators up to 16 x 16\), got {t}$"
+    with pytest.raises(UnsupportedOrder, match=message):
+        twirl_finite(PAULI_SET, t, np.eye(2 ** max(t, 1)))
 
 
 # ---- the moment operator against per-element Kronecker loops -----------------
@@ -575,7 +582,7 @@ def reference_twirl(S, t, A):
 
 @pytest.mark.parametrize(
     "S,t",
-    [(PAULI_SET, 1), (PAULI_SET, 2), (PAULI_SET, 3), (RANDOM_SET, 1), (RANDOM_SET, 2), (RANDOM_SET, 3)],
+    [(S, t) for S in (PAULI_SET, RANDOM_SET) for t in (1, 2, 3)] + [(PAULI_SET, 4), (RANDOM_SET, 4)],
 )
 def test_moment_operator_matches_per_element_kron_loops(S, t):
     assert hs_norm(superop_of_twirl(S, t) - reference_superop(S, t)) < 1e-13
@@ -583,13 +590,21 @@ def test_moment_operator_matches_per_element_kron_loops(S, t):
     assert hs_norm(twirl_finite(S, t, A) - reference_twirl(S, t, A)) < 1e-13 * hs_norm(A)
 
 
-@pytest.mark.parametrize("t", [1, 2, 3])
-def test_tensor_batch_takes_the_element_dimension(t):
-    qutrits = np.array(random_unitaries(3, 5, 2))
-    M = _tensor_batch(qutrits, t)
-    assert M.shape == (5, 3**t, 3**t)
-    for k, U in enumerate(qutrits):
-        assert np.array_equal(M[k], kron_power(U, t))
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_monomials_follow_combinations_with_replacement(dtype, t):
+    # Gaussian-integer entries keep every product exact, so the rows must match
+    W = rng.integers(-3, 4, size=(4, 9)).astype(dtype)
+    if dtype is complex:
+        W += 1j * rng.integers(-3, 4, size=(4, 9))
+    rows = itertools.combinations_with_replacement(range(4), t)
+    expect = np.array([np.prod(W[list(j)], axis=0) for j in rows])
+    Y = _monomials(W, t)
+    assert Y.dtype == W.dtype and np.array_equal(Y, expect)
+    if t > 1:
+        out = np.empty_like(expect)
+        assert _monomials(W, t, out=out) is out
+        assert np.array_equal(out, expect)
 
 
 # ---- superoperators and Choi matrices ---------------------------------------
@@ -665,6 +680,14 @@ def test_frame_potential_reference_values():
     assert fp.haar_value == 2.0
     assert fp.gap == pytest.approx(2.0, abs=1e-14)
     assert not fp.is_design(1e-10)
+
+
+def test_frame_potential_is_design_refuses_a_nan_tol():
+    # a gap <= nan is False, which read as "not a design" even for a 2-design
+    fp = frame_potential(UnitarySet([pauli(m) for m in range(4)]), 1)
+    assert fp.gap == pytest.approx(0.0, abs=1e-14)
+    with pytest.raises(ValueError, match="^tol must be a number, got nan$"):
+        fp.is_design(np.nan)
 
 
 @settings(max_examples=20, deadline=None)
@@ -813,14 +836,23 @@ def test_sampler_stream_is_pinned(seed, counter, n):
     assert hashlib.sha256(q.tobytes()).hexdigest() == HAAR_STREAM_SHA256[seed, counter, n]
 
 
-@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_moment_maps_reproduce_the_tensor_power(t):
-    q = rng.normal(size=(500, 4))
+    # L_t takes the monomials of q to those of U's entries, exactly: its
+    # entries are Gaussian integers; and the gather lays each sample's Gram
+    # matrix out as kron(conj(M), M), M = U^{(x)t}
+    L = twirl._entry_map(t)
+    assert L.shape == (len(_monomials(np.eye(4), t)),) * 2
+    assert np.array_equal(L, np.round(L))
+    q = rng.normal(size=(40, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    X = _tensor_batch(su2_batch(q), t).reshape(500, 4**t)
-    Y = _monomials(q.T, t).T
-    assert Y.shape == (500, (4, 10)[t - 1])
-    assert np.max(np.abs(Y @ _power_map(UNIT_BASIS, t) - X)) < 1e-12
+    U = su2_batch(q)
+    Y = L @ _monomials(q.T, t)
+    assert np.max(np.abs(Y - _monomials(U.reshape(40, 4).T, t))) < 1e-14
+    for y, u in zip(Y.T, U):
+        M = kron_power(u, t)
+        phi = np.outer(y.conj(), y).ravel()[twirl._moment_index(t)]
+        assert np.max(np.abs(phi - np.kron(M.conj(), M))) < 1e-14
 
 
 @settings(max_examples=200, deadline=None)
