@@ -395,9 +395,8 @@ def cmd_construct(S, args) -> tuple[dict, int]:
 
 
 def cmd_frame_potential(S, args) -> tuple[dict, int]:
-    # is_design needs the Haar reference; refuse before the sum can overflow
-    if args.t not in twirl.FRAME_POTENTIAL_HAAR:
-        raise UnsupportedOrder(f"no Haar reference for t={args.t}; one exists for U(2), t <= 2")
+    # the library has a reference at every order; the CLI offers the oracle's
+    twirl.superop_of_twirl(twirl.HAAR, args.t)
     fp = twirl.frame_potential(S, args.t)
     result = {
         "value": fp.value,
@@ -428,7 +427,7 @@ def cmd_geometry(S, args) -> tuple[dict, int]:
     C = groups.su2_closure(S, args.tol)
     pid = groups.polytope_identify(C.points(), args.tol)
     rotations = [
-        {"axis": list(aa.axis), "angle": aa.angle, "vector": aa.vector().tolist()}
+        {"axis": list(aa.axis), "angle": aa.angle, "vector": [aa.angle * a for a in aa.axis]}
         for aa in groups.so3_image_table(C)
     ]
     result = {

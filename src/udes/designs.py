@@ -33,7 +33,6 @@ from .errors import (
     NotUnitaryElements,
     DuplicateElements,
     UnknownName,
-    UnsupportedOrder,
 )
 from .linalg import EQ_TOL, UNITARITY_TOL, check_tol, hs_norm, norms
 from .qubit import pauli
@@ -46,7 +45,7 @@ from .su2 import (
     rotation_quaternion,
     su2_batch,
 )
-from .twirl import SUPEROP_HAAR, UnitarySet, _read_only, frame_potential, superop_of_twirl
+from .twirl import HAAR, UnitarySet, _read_only, frame_potential, superop_of_twirl
 
 #: order-6 special unitary whose covering rotation is the cyclic axis shift
 #: x -> y -> z -> x; all four entries are exact dyadic rationals
@@ -116,14 +115,13 @@ def verify_design(S: UnitarySet, t: int, tol: float = EQ_TOL, method: str = "bot
     delta = S.unitarity_defect, with h the Haar frame potential.
     """
     check_tol(tol)
-    if t not in (1, 2):
-        raise UnsupportedOrder(f"design verification implements t in {{1, 2}}, got {t}")
+    oracle = superop_of_twirl(HAAR, t)  # refuses the orders it lacks
     if method not in ("twirl", "frame", "both"):
         raise ValueError(f"unknown method {method!r}")
-    delta = superop_of_twirl(S, t) - SUPEROP_HAAR[t]
+    delta = superop_of_twirl(S, t) - oracle
     max_dev = float(norms(delta, 0).max())
     fp = frame_potential(S, t)
-    gap = float(fp.gap)
+    gap = fp.gap
     if method == "both":
         dist_sq = np.vdot(delta, delta).real
         bound = 1e-12 * 4**t + 2 * fp.haar_value * ((1 + S.unitarity_defect) ** t - 1)

@@ -38,7 +38,7 @@ class NotRotation(UdesError):
 
 
 class UnsupportedOrder(UdesError):
-    """The requested moment order t has no closed-form Haar oracle here."""
+    """The moment order t has no closed-form Haar oracle here, or would overflow."""
 
 
 class DuplicateElements(UdesError):

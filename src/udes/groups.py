@@ -229,14 +229,15 @@ def group_profile(C: Su2Closure, tol: float = _MEMBER_TOL) -> GroupProfile:
                 left = prod[:, idx]
                 starts = np.flatnonzero(left.min(axis=1) == np.arange(n))
                 cosets = tuple(tuple(sorted(left[r].tolist())) for r in starts)
-                semidirect = _has_cyclic_complement(prod, set(idx.tolist()), e)
+                semidirect = _has_cyclic_complement(prod.tolist(), set(idx.tolist()), e)
                 break
     return GroupProfile(is_group, histogram, center, cosets, semidirect)
 
 
-def _has_cyclic_complement(prod: np.ndarray, members: set, e: int) -> bool:
+def _has_cyclic_complement(prod: list, members: set, e: int) -> bool:
     """Whether some cyclic subgroup of order n/|members| meets the normal
-    subgroup only in e, so that the two together cover the group."""
+    subgroup only in e, so that the two together cover the group; `prod` is
+    the product table as nested lists, faster to walk than an array."""
     n = len(prod)
     want = n // len(members)
     for g in range(n):
@@ -244,9 +245,9 @@ def _has_cyclic_complement(prod: np.ndarray, members: set, e: int) -> bool:
         cur = g
         while cur != e and len(powers) <= want:
             powers.append(cur)
-            cur = int(prod[cur, g])
+            cur = prod[cur][g]
         if cur == e and len(powers) == want and set(powers) & members == {e}:
-            if len({prod[h, k] for h in members for k in powers}) == n:
+            if len({prod[h][k] for h in members for k in powers}) == n:
                 return True
     return False
 

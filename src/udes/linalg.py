@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small matrices.
 
-Everything downstream works with square numpy arrays of complex128, at most
-16x16.  This module fixes the conventions once: row-major tensor products,
-the Hilbert-Schmidt inner product tr(A^H B), numerical rank by singular
-values, and unitary change of basis T A T^H.
+Everything downstream works with square numpy arrays of complex128.  This
+module fixes the conventions once: row-major tensor products, the
+Hilbert-Schmidt inner product tr(A^H B), numerical rank by singular values,
+and unitary change of basis T A T^H.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ RANK_TOL = 1e-10
 #: default tolerance for matrix equality in HS norm
 EQ_TOL = 1e-10
 
-MAX_DIM = 16
-
 _EPS = float(np.finfo(float).eps)
 
 
@@ -33,8 +31,6 @@ def as_matrix(a, dim: int | None = None) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > MAX_DIM:
-        raise DimensionMismatch(f"dimension {m.shape[0]} exceeds the supported maximum {MAX_DIM}")
     if dim is not None and m.shape[0] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {m.shape[0]}")
     if not np.isfinite(m).all():

@@ -13,7 +13,7 @@ conj(M_a) (x) M_a, M_a = U_a^{(x)t}, is a fixed gather of G's entries,
 Phi[(a,c),(b,d)] = G[(a,b),(c,d)] / N (_moment_index).  The Monte Carlo
 check sums the same Gram matrix in the monomials of the Haar quaternion q,
 maps it to the entries' by one exact change of coordinates, and ends in the
-same gather.  The Haar twirls are the read-only constants SUPEROP_HAAR.
+same gather.  SUPEROP_HAAR holds the read-only Haar twirls, by order.
 Twirls of operators and Choi matrices are read off Phi, and design checks
 use Delta = Phi_S - Phi_Haar, whose largest column norm is the worst twirl
 error on a basis operator and whose squared norm is the frame-potential gap
@@ -47,8 +47,6 @@ from .qubit import singlet_triplet
 from .su2 import UNIT_BASIS, su2_batch
 
 HAAR = "haar"
-
-FRAME_POTENTIAL_HAAR = {1: 1.0, 2: 2.0}  # Haar values for U(2), by order t
 
 
 class UnitarySet:
@@ -193,13 +191,11 @@ def _qubit_stack(elems) -> np.ndarray:
 class FramePotentialReport(NamedTuple):
     t: int
     value: float
-    haar_value: float | None  # None when no exact reference is implemented
-    gap: float | None
+    haar_value: float  # the U(2) Haar value, the Catalan number C_t
+    gap: float
 
     def is_design(self, tol: float = EQ_TOL) -> bool:
         check_tol(tol)
-        if self.gap is None:
-            raise UnsupportedOrder(f"no Haar reference for t={self.t}; one exists for U(2), t <= 2")
         return self.gap <= tol
 
 
@@ -230,11 +226,8 @@ for _Phi in SUPEROP_HAAR.values():
 
 def twirl_finite(S: UnitarySet, t: int, A) -> np.ndarray:
     """(1/N) sum_a U_a^{(x)t} A (U_a^H)^{(x)t} — the order-t twirl over S,
-    for t = 1 to 4: A is at most 16 x 16, as_matrix's bound."""
-    if not 1 <= t <= 4:
-        raise UnsupportedOrder(f"twirl order must be in 1..4 (operators up to 16 x 16), got {t}")
-    A = as_matrix(A, 2**t)
-    return unvec(superop_of_twirl(S, t) @ vec(A))
+    for any t >= 1."""
+    return unvec(superop_of_twirl(S, t) @ vec(as_matrix(A, 2**t)))
 
 
 def haar_twirl(t: int, A) -> np.ndarray:
@@ -246,14 +239,14 @@ def superop_of_twirl(source, t: int) -> np.ndarray:
     """The (D^2, D^2) matrix of the order-t twirl channel on vectorized operators.
 
     `source` is either a UnitarySet or the string "haar" for the exact
-    Haar-average channel (t in {1, 2} only in that case), which returns the
-    read-only SUPEROP_HAAR[t] itself.
+    Haar-average channel, which returns the read-only SUPEROP_HAAR[t]
+    itself: the one check of the Haar oracle's orders, SUPEROP_HAAR's keys.
     """
     if isinstance(source, str):
         if source != HAAR:
             raise ValueError(f"unknown twirl source {source!r}")
         if t not in SUPEROP_HAAR:
-            raise UnsupportedOrder(f"haar superoperator implements t in {{1, 2}}, got {t}")
+            raise UnsupportedOrder(f"the Haar oracle implements t in {set(SUPEROP_HAAR)}, got {t}")
         return SUPEROP_HAAR[t]
     if t < 1:
         raise UnsupportedOrder(f"twirl order must be >= 1, got {t}")
@@ -283,18 +276,27 @@ def choi_rank(Phi, tol: float = RANK_TOL) -> int:
 
 def frame_potential(S: UnitarySet, t: int) -> FramePotentialReport:
     """(1/N^2) sum_{a,b} |tr(U_a^H U_b)|^(2t), read off the set's Gram
-    matrix once per t and then stored on the set, with the U(2) Haar
-    reference for t in {1, 2}; the reference (and the gap) is None for other
-    orders."""
+    matrix once per t and then stored on the set, with its U(2) Haar value
+    C_t, the Catalan number that counts the spin-0 states of 2t spin-1/2
+    particles (Diaconis & Shahshahani, J. Appl. Probab. 31A (1994)).  Each
+    |tr(U_a^H U_b)| is at most 2 + sqrt(2) S.unitarity_defect (see
+    UnitarySet), so the sum, and C_t < 4^t, stay in the float range while
+    N^2 times that to the power 2t is below 2^1022; higher orders are refused."""
     if t < 1:
         raise UnsupportedOrder(f"frame potential order must be >= 1, got {t}")
     key = ("frame_potential", t)
     value = S._derived.get(key)
     if value is None:
+        if math.log2(len(S)) + t * math.log2(2 + math.sqrt(2) * S.unitarity_defect) >= 511:
+            raise UnsupportedOrder(f"the order-{t} frame potential of {len(S)} elements may overflow")
         value = S._derived[key] = float(mean(np.abs(S.gram) ** (2 * t)))
-    haar_value = FRAME_POTENTIAL_HAAR.get(t)
-    gap = None if haar_value is None else value - haar_value
-    return FramePotentialReport(t, value, haar_value, gap)
+    haar_value = _haar_frame_potential(t)
+    return FramePotentialReport(t, value, haar_value, value - haar_value)
+
+
+@functools.cache
+def _haar_frame_potential(t: int) -> float:
+    return math.comb(2 * t, t) / (t + 1)  # C_t, an int over an int: correctly rounded
 
 
 # --------------------------------------------------------------------------
@@ -512,8 +514,7 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int) -> McOracleReport:
     the number of workers; a different CHUNK moves it only by
     floating-point summation order.  h.counter advances by n.
     """
-    if t not in (1, 2):
-        raise UnsupportedOrder(f"oracle check implements t in {{1, 2}}, got {t}")
+    oracle = superop_of_twirl(HAAR, t)
     if not _is_int(n):
         raise ValueError(f"n must be an int, got {type(n).__name__}")
     if n < 2:
@@ -538,7 +539,7 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int) -> McOracleReport:
     h.counter = stop
     L = _entry_map(t)
     phi = (L.conj() @ gram @ L.T / n).ravel()[_moment_index(t)]
-    deviations = np.linalg.norm(phi - SUPEROP_HAAR[t], axis=0)
+    deviations = np.linalg.norm(phi - oracle, axis=0)
     # a mean column of samples that all agree can round to norm 1 + ulp
     std_errors = np.sqrt(np.maximum(1.0 - (np.abs(phi) ** 2).sum(axis=0), 0.0) / n)
     return McOracleReport(t, n, h.seed, deviations, std_errors)
@@ -555,19 +556,23 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-#: rows of m floats that _mc_block uses at order t: g and u, then the monomials
-_MC_ROWS = {1: 8, 2: 18}
+#: rows of m floats that _mc_block uses at each oracle order t: g and u, then
+#: the degree-t monomials of g's four rows, which at t = 1 are g itself
+_MC_ROWS = {t: 8 if t == 1 else 8 + math.comb(t + 3, t) for t in SUPEROP_HAAR}
 
 
 def _mc_block(seed: int, start: int, m: int, t: int, work: np.ndarray) -> np.ndarray:
     """The Gram matrix Y Y^T of the monomials of quaternions start, ...,
     start + m - 1 of the stream `seed`, for mc_oracle_check, computed in
     `work`, a flat float array of at least _MC_ROWS[t] * m entries.  It calls
-    no traced name and allocates only its small result, so that it can run
-    on helper threads."""
+    no traced name and makes no array but its small result, so that it can
+    run on helper threads.  numpy still buffers the broadcasts of a short
+    block: under tracemalloc a call peaks at 34 KB for m = 999 and 68 KB for
+    m = 4096, at t = 1 and 2 (_haar_block's divide; at t = 2 also
+    _monomials' multiplies), against 2.2 KB, the Philox generator, at 8192."""
     g, u = work[: 8 * m].reshape(2, 4, m)
     _haar_block(seed, start, g, u)
-    Y = _monomials(g, t, out=work[8 * m : 18 * m].reshape(10, m) if t == 2 else None)
+    Y = _monomials(g, t, out=work[8 * m : _MC_ROWS[t] * m].reshape(-1, m))
     return np.dot(Y, Y.T)  # not Y @ Y.T, which holds the GIL for the whole product
 
 

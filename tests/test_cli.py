@@ -778,11 +778,25 @@ def test_frame_potential_command(capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("t", ["600", "0", "-5"])
+@pytest.mark.parametrize("t", ["600", "0", "-5", "3"])
 def test_frame_potential_refuses_an_order_without_reference_in_one_line(capsys, t):
+    # the library has a Haar reference at every order; the CLI offers the
+    # orders of the Haar oracle, so t = 3 keeps its exit 3
     code, out, err = run(capsys, "frame-potential", "--builtin", "D", "--t", t)
     assert code == 3 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert err == f"error: the Haar oracle implements t in {{1, 2}}, got {t}\n"
+
+
+@pytest.mark.parametrize("cmd", ["verify", "frame-potential", "mc"])
+def test_the_oracle_orders_are_the_keys_of_superop_haar(monkeypatch, capsys, cmd):
+    # every order check reads SUPEROP_HAAR: without its t = 2, t = 2 exits 3
+    from udes import twirl
+
+    monkeypatch.delitem(twirl.SUPEROP_HAAR, 2)
+    source = ["--samples", "100"] if cmd == "mc" else ["--builtin", "D"]
+    code, out, err = run(capsys, cmd, *source, "--t", "2")
+    assert (code, out) == (3, "")
+    assert err == "error: the Haar oracle implements t in {1}, got 2\n"
 
 
 @pytest.mark.parametrize("argv", [["verify", "--builtin", "D"], ["construct", "--from", "pauli"]])
@@ -861,6 +875,7 @@ GOLDEN = (
     + [("construct", name, fmt) for name in ("pauli", "B", "B0") for fmt in ("json", "text")]
     # the 2-design D and its normalizations, which verify passes (exit 0)
     + [("verify", name, fmt) for name in ("D", "D0", "D1", "D2") for fmt in ("json", "text")]
+    + [("frame-potential", "D", "json"), ("frame-potential", "D", "text")]
 )
 
 
@@ -871,7 +886,7 @@ def test_structure_reports_match_their_golden_files(capsys, cmd, name, fmt):
     # bit; the paper's tables must not move by one byte
     argv = [cmd] + (["--builtin", name] if name else []) + ["--format", fmt]
     code, out, err = run(capsys, *argv)
-    stem = f"{cmd}_{name}" if name else cmd
+    stem = (f"{cmd}_{name}" if name else cmd).replace("-", "_")
     assert code == 0 and err == ""
     assert out.encode("utf-8") == (DATA / f"{stem}.{'json' if fmt == 'json' else 'txt'}").read_bytes()
 

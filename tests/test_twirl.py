@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import os
 import pathlib
 import subprocess
@@ -17,7 +18,8 @@ from udes.errors import (
     NotUnitary,
     UnsupportedOrder,
 )
-from udes.linalg import EQ_TOL, hs_norm, kron, kron_power
+from udes.designs import named_design
+from udes.linalg import EQ_TOL, RANK_TOL, hs_norm, kron, kron_power
 from udes.qubit import bell_diagonal_part, pauli, singlet_triplet
 from udes import twirl
 from udes.twirl import (
@@ -532,24 +534,17 @@ def test_haar_oracle_orders_are_restricted(t):
 
 @pytest.mark.parametrize("t", [0, -1])
 def test_finite_twirl_rejects_nonpositive_order(t):
-    with pytest.raises(UnsupportedOrder):
+    with pytest.raises(UnsupportedOrder, match=rf"^twirl order must be >= 1, got {t}$"):
         twirl_finite(PAULI_SET, t, np.eye(2))
 
 
 def test_finite_twirl_works_beyond_oracle_orders():
-    # finite averaging needs no Haar oracle: it runs at t = 3 and 4 too
-    for t in (3, 4):
+    # finite averaging needs no Haar oracle and has no size cap: at t = 5 the
+    # operator is 32 x 32 and the superoperator 1024 x 1024
+    for t in (3, 4, 5):
         out = twirl_finite(PAULI_SET, t, np.eye(2**t))
         assert out.shape == (2**t, 2**t)
         assert hs_norm(out - np.eye(2**t)) < 1e-14  # identity is always a fixed point
-
-
-@pytest.mark.parametrize("t", [0, 5])
-def test_finite_twirl_refuses_orders_outside_1_to_4(t):
-    # a 32 x 32 operator at t = 5 is past as_matrix's 16 x 16: refused up front
-    message = rf"^twirl order must be in 1\.\.4 \(operators up to 16 x 16\), got {t}$"
-    with pytest.raises(UnsupportedOrder, match=message):
-        twirl_finite(PAULI_SET, t, np.eye(2 ** max(t, 1)))
 
 
 # ---- the moment operator against per-element Kronecker loops -----------------
@@ -628,6 +623,20 @@ def test_choi_ranks_of_the_three_reference_channels():
     assert choi_rank(superop_of_twirl(PAULI_SET, 2)) == 4
 
 
+@pytest.mark.parametrize("name", ["B", "D", "haar7"])
+@pytest.mark.parametrize("t", [3, 4])
+def test_choi_rank_past_16_x_16_is_numpys_rank(name, t):
+    # 64 x 64 and 256 x 256 Choi matrices, at choi_rank's relative threshold
+    S = UnitarySet(random_unitaries(2, 7, 3)) if name == "haar7" else named_design(name).set
+    C = choi(superop_of_twirl(S, t))
+    assert choi_rank(superop_of_twirl(S, t)) == np.linalg.matrix_rank(C, tol=RANK_TOL * np.linalg.norm(C, 2))
+
+
+def test_choi_rank_of_the_pauli_twirl_at_order_5():
+    # a 1024 x 1024 Choi matrix: the four vec(P^(x)5) stay independent
+    assert choi_rank(superop_of_twirl(PAULI_SET, 5)) == 4
+
+
 def test_choi_is_hermitian_and_positive():
     C = choi(superop_of_twirl("haar", 2))
     assert hs_norm(C - C.conj().T) < 1e-13
@@ -702,15 +711,50 @@ def test_frame_potential_is_translation_invariant(seed):
         assert frame_potential(right, t).value == pytest.approx(base, abs=1e-12)
 
 
-def test_frame_potential_has_no_haar_reference_off_the_qubit():
-    # no set off the qubit can be built; on it, the U(2) reference table
-    # ends at t = 2
-    with pytest.raises(DimensionMismatch, match=r"^element 0 has shape \(3, 3\), expected \(2, 2\)$"):
-        UnitarySet([np.eye(3), np.diag([1.0, -1.0, 1.0])])
-    fp = frame_potential(PAULI_SET, 3)
-    assert fp.haar_value is None and fp.gap is None
-    with pytest.raises(UnsupportedOrder):
-        fp.is_design()
+def clifford_group() -> UnitarySet:
+    """The 24 single-qubit Cliffords: the binary octahedral group modulo -1,
+    quaternions with coordinates 0, +-1/2, +-1 and +-1/sqrt(2) of one
+    modulus, the first nonzero one positive."""
+    r = 1 / math.sqrt(2)
+    Q = [
+        q
+        for q in itertools.product((0.0, 0.5, -0.5, 1.0, -1.0, r, -r), repeat=4)
+        if abs(sum(x * x for x in q) - 1) < 1e-12
+        and len({abs(x) for x in q if x}) == 1
+        and next(x for x in q if x) > 0
+    ]
+    assert len(Q) == 24
+    return UnitarySet(su2_batch(np.array(Q)))
+
+
+def test_frame_potential_reference_is_catalan_and_separates_known_designs():
+    # the U(2) Haar value of |tr U|^(2t) is C_t = 1, 2, 5, 14, ...: the
+    # Clifford group is a 3-design and not a 4-design, the paper's D a
+    # 2-design and not a 3-design, exactly (its FP_t are integers)
+    C = clifford_group()
+    for t, value in ((1, 1.0), (2, 2.0), (3, 5.0), (4, 15.0)):
+        fp = frame_potential(C, t)
+        assert fp.value == pytest.approx(value, abs=1e-12)
+        assert fp.is_design(1e-12) == (t <= 3)
+    D = named_design("D").set
+    assert [frame_potential(D, t)[1:] for t in (1, 2, 3, 4)] == [(1, 1, 0), (2, 2, 0), (6, 5, 1), (22, 14, 8)]
+    assert not frame_potential(D, 3).is_design()
+
+
+@pytest.mark.filterwarnings("error")
+def test_frame_potential_reference_is_exact_up_to_the_float_range():
+    # D's 12 exact elements: N^2 4^t stays below 2^1022 up to t = 507
+    D = named_design("D").set
+    for t in range(1, 508):
+        fp = frame_potential(D, t)
+        assert fp.haar_value == float(math.comb(2 * t, t) // (t + 1))  # correctly rounded
+        assert math.isfinite(fp.value) and fp.gap >= 0
+    assert frame_potential(D, 20).haar_value == 6564120420  # exact below 2^53
+    # 508: past that bound; 511: the sum would be inf; 520: C_t would overflow
+    for t in (508, 511, 520, 10**6):
+        message = rf"^the order-{t} frame potential of 12 elements may overflow$"
+        with pytest.raises(UnsupportedOrder, match=message):
+            frame_potential(D, t)
 
 
 def test_frame_potential_never_below_haar():
@@ -718,7 +762,7 @@ def test_frame_potential_never_below_haar():
     h = HaarSampler(123)
     for n in (2, 5, 9):
         S = UnitarySet([haar_sample(h) for _ in range(n)])
-        for t in (1, 2):
+        for t in (1, 2, 3, 4):
             fp = frame_potential(S, t)
             assert fp.value >= fp.haar_value - 1e-12
 
