@@ -36,8 +36,6 @@ from .errors import (
 )
 from .linalg import EQ_TOL
 
-DEFAULT_TOL = EQ_TOL
-
 BUILTIN_NAMES = ("pauli", *designs.NAMED_DESIGNS)
 
 
@@ -256,7 +254,7 @@ def _add_source_args(sub) -> None:
     sub.add_argument("--builtin", choices=BUILTIN_NAMES, help="use a named builtin set")
     sub.add_argument("--file", help="load a unitary-set JSON file")
     positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite positive number")
-    sub.add_argument("--tol", type=positive, default=DEFAULT_TOL, help="numerical tolerance")
+    sub.add_argument("--tol", type=positive, default=EQ_TOL, help="numerical tolerance")
     sub.add_argument("--strict", action="store_true", help="reject unknown file fields")
 
 

@@ -34,7 +34,7 @@ from .errors import (
     DuplicateElements,
     UnknownName,
 )
-from .linalg import EQ_TOL, UNITARITY_TOL, check_tol, hs_norm, norms
+from .linalg import EQ_TOL, check_tol, hs_norm, norms
 from .qubit import pauli
 from .su2 import (
     _UNIT_COORDINATES,
@@ -245,8 +245,8 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
     # its matrix VR has VR^H VR = det(VR) 1 = |q|^2 1: assert_unitary's
     # check, which also holds det(VR) to within EQ_TOL of 1
     defect = math.sqrt(2.0) * abs(_dot(q, q) - 1.0)
-    if not defect <= UNITARITY_TOL:
-        message = f"||U^H U - 1|| = {defect:.3e} > {UNITARITY_TOL:.1e}"
+    if not defect <= EQ_TOL:
+        message = f"||U^H U - 1|| = {defect:.3e} > {EQ_TOL:.1e}"
         fail("the lifted rotation is not special unitary", NotUnitary(f"matrix is not unitary: {message}"))
     q = _canonical(q)
     v, qc = _product(p0, q), _conjugate(q)

@@ -12,11 +12,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotUnitary
 
-#: default tolerance for unitarity certification
-UNITARITY_TOL = 1e-10
 #: default threshold for numerical rank, relative to the largest singular value
 RANK_TOL = 1e-10
-#: default tolerance for matrix equality in HS norm
+#: default tolerance for matrix equality and unitarity, ||A - B|| and
+#: ||U^H U - 1|| in HS norm
 EQ_TOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
@@ -146,7 +145,7 @@ def rank(A, tol: float = RANK_TOL) -> int:
     return int(np.count_nonzero(s > tol * s.max(initial=0.0)))
 
 
-def assert_unitary(U, tol: float = UNITARITY_TOL, what: str = "matrix") -> np.ndarray:
+def assert_unitary(U, tol: float = EQ_TOL, what: str = "matrix") -> np.ndarray:
     """Validate ||U^H U - 1||_HS <= tol and return U as an array."""
     U = as_matrix(U)
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf or nan, refused

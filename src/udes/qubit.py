@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InternalConsistencyError, NotSpecialUnitary
+from .errors import InternalConsistencyError
 from .linalg import EQ_TOL, as_matrix, assert_unitary, change_of_basis, kron
-from .su2 import PAULI_BASIS, _euler_args
+from .su2 import PAULI_BASIS, _euler_args, assert_special_unitary
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
 
@@ -183,10 +183,7 @@ def adapted_bell_block(U, tol: float = EQ_TOL) -> np.ndarray:
     For special unitary U this is exactly the covering rotation so3_rep(U):
     the two-qubit action of U (x) U, seen in the right basis, is Cartesian.
     """
-    U = assert_unitary(as_matrix(U, 2))
-    det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
-    if not abs(det - 1.0) <= tol:  # not <=, so that a NaN tol fails
-        raise NotSpecialUnitary(f"det = {det}, expected 1")
+    U = assert_special_unitary(U, tol)
     T = adapted_bell_matrix()
     M = change_of_basis(kron(U, U), T.conj().T)
     corner = np.zeros(4, dtype=complex)

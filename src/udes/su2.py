@@ -320,13 +320,18 @@ def assert_rotation(R, tol: float = EQ_TOL) -> np.ndarray:
     return R
 
 
-def quaternion_of(U, tol: float = EQ_TOL) -> Quaternion:
-    """Coordinates (s, x, y, z) of a special unitary, U = s 1 - i (x,y,z).sigma."""
+def assert_special_unitary(U, tol: float = EQ_TOL) -> np.ndarray:
+    """Validate a 2x2 unitary with det within `tol` of 1 and return it as an array."""
     U = assert_unitary(as_matrix(U, 2))
     det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
     if not abs(det - 1.0) <= tol:  # not <=, so that a NaN tol fails
         raise NotSpecialUnitary(f"det = {det}, expected 1")
-    return Quaternion(*quaternion_batch(U).tolist())
+    return U
+
+
+def quaternion_of(U, tol: float = EQ_TOL) -> Quaternion:
+    """Coordinates (s, x, y, z) of a special unitary, U = s 1 - i (x,y,z).sigma."""
+    return Quaternion(*quaternion_batch(assert_special_unitary(U, tol)).tolist())
 
 
 def su2_of_quaternion(q, tol: float = EQ_TOL) -> np.ndarray:

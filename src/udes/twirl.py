@@ -418,17 +418,23 @@ def _monomials(W: np.ndarray, t: int, out: np.ndarray | None = None) -> np.ndarr
 
 
 @functools.cache
+def _monomial_rows(t: int) -> dict:
+    """The row in _monomials of the degree-t monomial of entries j_1 <= ... <= j_t."""
+    return {j: r for r, j in enumerate(itertools.combinations_with_replacement(range(4), t))}
+
+
+@functools.cache
 def _moment_index(t: int) -> np.ndarray:
     """Phi = G.ravel()[this] / N lays the Gram matrix G = conj(Y) Y^T of the
     monomials Y of N unitaries' four entries out as their twirl
     superoperator: Phi[(a,c),(b,d)] = G[(a,b),(c,d)], where (a,b) is the
     monomial that is entry [a, b] of U^{(x)t}, the product over the factors
     s of U[a_s, b_s], entry 2 a_s + b_s of the four."""
-    row = {j: r for r, j in enumerate(itertools.combinations_with_replacement(range(4), t))}
+    row = _monomial_rows(t)
     bits = list(itertools.product((0, 1), repeat=t))  # the bits a_1 ... a_t of each index a
-    rank = {(a, b): row[tuple(sorted(2 * x + y for x, y in zip(a, b)))] for a in bits for b in bits}
-    index = [[rank[a, b] * len(row) + rank[c, d] for b in bits for d in bits] for a in bits for c in bits]
-    return _read_only(np.array(index))
+    rank = np.array([[row[tuple(sorted(2 * x + y for x, y in zip(a, b)))] for b in bits] for a in bits])
+    index = rank[:, None, :, None] * len(row) + rank[None, :, None, :]  # [a, c, b, d]
+    return _read_only(index.reshape(rank.size, rank.size))
 
 
 @functools.cache
@@ -438,7 +444,7 @@ def _entry_map(t: int) -> np.ndarray:
     of j_1 <= ... <= j_t expands prod_s u_{j_s} over the monomials of q.
     Its entries are sums of products of 0, +-1 and +-i, so exact."""
     B = UNIT_BASIS.reshape(4, 4)
-    row = {j: r for r, j in enumerate(itertools.combinations_with_replacement(range(4), t))}
+    row = _monomial_rows(t)
     L = np.zeros((len(row), len(row)), dtype=complex)
     for j, r in row.items():
         for k in itertools.product(range(4), repeat=t):
@@ -504,15 +510,15 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int) -> McOracleReport:
     over n gives the column's squared standard error.
 
     The samples h.counter, ..., h.counter + n - 1 of h's stream are split
-    into blocks of CHUNK = 8192 (the last may be shorter).  Each block is
-    drawn and reduced to its Gram matrix on its own, in one of `workers`
-    work arrays.  The calling thread takes blocks, and so does one helper
-    thread per further CPU this process may use (os.sched_getaffinity;
-    os.cpu_count outside Linux), up to one thread per block; their Gram
-    matrices are added in block order (_sum_in_order).  The partition
-    depends on n and CHUNK alone, so the report is bit-identical whatever
-    the number of workers; a different CHUNK moves it only by
-    floating-point summation order.  h.counter advances by n.
+    into blocks of CHUNK = 8192 (the last may be shorter), each drawn and
+    reduced to its Gram matrix on its own, in its thread's work array.  The
+    calling thread takes blocks, and so does one helper thread per further
+    CPU this process may use (os.sched_getaffinity; os.cpu_count outside
+    Linux), up to one thread per block (_map_in_threads).  The Gram matrices,
+    one slot per block, are added in block order at the end.  The partition
+    depends on n and CHUNK alone, so the report is bit-identical on any
+    number of CPUs; a different CHUNK moves it only by floating-point
+    summation order.  h.counter advances by n once every block has succeeded.
     """
     oracle = superop_of_twirl(HAAR, t)
     if not _is_int(n):
@@ -523,19 +529,11 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int) -> McOracleReport:
     _check_stream_end(h.counter, n)
     seed, start, stop = h.seed, h.counter, h.counter + n
     starts = range(start, stop, chunk)
-    workers = min(_usable_cpus(), len(starts))
-    # one work array per worker, made on this thread: workers allocate no
+    # one work array per thread, made on this thread: the threads allocate no
     # array, so no per-thread heap holds on to their memory
-    spare = [np.empty(_MC_ROWS[t] * min(chunk, n)) for _ in range(workers)]
-
-    def block(lo):
-        work = spare.pop()  # atomic; at most `workers` blocks run at once
-        try:
-            return _mc_block(seed, lo, min(chunk, stop - lo), t, work)
-        finally:
-            spare.append(work)
-
-    gram = _sum_in_order(block, starts, workers)
+    scratch = [np.empty(_MC_ROWS[t] * min(chunk, n)) for _ in range(min(_usable_cpus(), len(starts)))]
+    grams = _map_in_threads(lambda lo, s: _mc_block(seed, lo, min(chunk, stop - lo), t, s), starts, scratch)
+    gram = sum(grams)  # the left fold in block order, on any number of threads
     h.counter = stop
     L = _entry_map(t)
     phi = (L.conj() @ gram @ L.T / n).ravel()[_moment_index(t)]
@@ -576,64 +574,42 @@ def _mc_block(seed: int, start: int, m: int, t: int, work: np.ndarray) -> np.nda
     return np.dot(Y, Y.T)  # not Y @ Y.T, which holds the GIL for the whole product
 
 
-def _sum_in_order(fn, items, workers: int):
-    """The left fold 0 + fn(items[0]) + fn(items[1]) + ..., as sum() gives it,
-    with fn run on the calling thread and workers - 1 helper threads.
+def _map_in_threads(fn, items, scratch) -> list:
+    """[fn(item, s) for item in items], with s the work array of the thread
+    that makes the call: scratch[0] is the calling thread's, and each further
+    one a helper thread's, so with one work array no thread starts.  Each
+    thread takes the next item under a lock and writes fn's result into the
+    item's slot.  Once a call raises, no thread takes another item; once
+    every started helper is joined, the exception of the earliest item that
+    raised propagates unchanged.  No thread outlives the call."""
+    slots, todo, lock = [None] * len(items), enumerate(items), threading.Lock()
+    failed = {}  # item index -> exception; -1 for one raised outside fn
 
-    Each thread takes the next item under a lock and runs fn on it.  A
-    result is added to the total once every earlier item's result has been;
-    one that comes early waits in `parked` while its thread goes on, and a
-    thread takes an item only while at most `workers` taken items wait to be
-    added, so at most `workers` results wait.  An exception from fn stops
-    the taking of items; once every helper is joined, the one raised by the
-    earliest item propagates unchanged, as it would from
-    sum(map(fn, items)).  No thread outlives the call."""
-    if workers <= 1:
-        return sum(map(fn, items))
-    todo = enumerate(items)
-    turn = threading.Condition()
-    total, added, taken, parked = 0, 0, 0, {}
-    failed = None  # (index, exception) once anything raised
-
-    def work():
-        nonlocal total, added, taken, failed
+    def work(s):
         while True:
-            with turn:
-                turn.wait_for(lambda: taken - added <= workers or failed)
-                k, item = next(todo, (None, None))
-                if k is None or failed:
-                    return
-                taken += 1
-            try:
-                value = fn(item)
-            except BaseException as exc:
-                with turn:
-                    if not failed or k < failed[0]:
-                        failed = (k, exc)
-                    turn.notify_all()
+            with lock:
+                k, item = (None, None) if failed else next(todo, (None, None))
+            if k is None:
                 return
-            with turn:
-                parked[k] = value
-                while added in parked:
-                    total = total + parked.pop(added)
-                    added += 1
-                turn.notify_all()
+            try:
+                slots[k] = fn(item, s)
+            except BaseException as exc:
+                failed[k] = exc
+                return
 
     helpers = []
     try:
-        for _ in range(workers - 1):
-            helper = threading.Thread(target=work)
+        for s in scratch[1:]:
+            helper = threading.Thread(target=work, args=(s,))
             helper.start()
             helpers.append(helper)
-        work()
-    except BaseException as exc:  # an interrupt, or no thread to start: stop the helpers
-        with turn:
-            failed = (-1, exc)
-            turn.notify_all()
+        work(scratch[0])
+    except BaseException as exc:  # no thread to start, or an interrupt outside fn
+        failed[-1] = exc
         raise
     finally:
         for helper in helpers:
             helper.join()
     if failed:
-        raise failed[1]
-    return total
+        raise failed[min(failed)]
+    return slots

@@ -570,7 +570,7 @@ def test_every_report_opens_with_one_header_in_text_and_json(tmp_path, capsys, a
     assert [label for label, _ in header] == [label for label, _ in expected]
     for (_, shown), (_, value) in zip(header, expected):
         assert type(value)(shown) == value
-    tol = float(argv[argv.index("--tol") + 1]) if "--tol" in argv else cli.DEFAULT_TOL
+    tol = float(argv[argv.index("--tol") + 1]) if "--tol" in argv else cli.EQ_TOL
     assert doc.get("tolerance", tol) == tol
 
 

@@ -330,8 +330,8 @@ def _numpy_classify(S, tol=1e-9):
         )
     q = np.array(rotation_quaternion(R.tolist()))
     defect = math.sqrt(2.0) * abs(q @ q - 1.0)
-    if not defect <= designs.UNITARITY_TOL:
-        message = f"||U^H U - 1|| = {defect:.3e} > {designs.UNITARITY_TOL:.1e}"
+    if not defect <= designs.EQ_TOL:
+        message = f"||U^H U - 1|| = {defect:.3e} > {designs.EQ_TOL:.1e}"
         fail("the lifted rotation is not special unitary", NotUnitary(f"matrix is not unitary: {message}"))
     VR = su2_batch(q)
     if canonical_signs(q) < 0:
@@ -400,7 +400,7 @@ _SCALED = [(1 + 1e-11) * pauli(0), pauli(1), pauli(2), pauli(3)]
         (random_frame(3), {"_FIRST_ORDER_TOL": -1.0}, InternalConsistencyError),
         (_tilted(1e-10), {"_FIRST_ORDER_TOL": 0.0}, NotRotation),
         ([pauli(m) for m in range(4)], {"_FRAME_TOL": -1.0}, NotOrthogonalBasis),
-        ([pauli(m) for m in range(4)], {"UNITARITY_TOL": -1.0}, NotUnitary),
+        ([pauli(m) for m in range(4)], {"EQ_TOL": -1.0}, NotUnitary),
         (_SCALED, {"_FRAME_TOL": 0.0}, NotOrthogonalBasis),
         (_SCALED, {"_FIRST_ORDER_TOL": 0.0}, InternalConsistencyError),
     ],

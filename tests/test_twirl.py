@@ -1065,46 +1065,50 @@ def test_mc_oracle_check_blocks_never_share_a_work_array(monkeypatch):
     assert threaded.std_errors.tobytes() == serial.std_errors.tobytes()
 
 
+# mc_oracle_check sums its blocks' Gram matrices in block order from the
+# slots of twirl._map_in_threads, which the sum_in_order tests check
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_sum_in_order_is_the_left_fold_on_any_number_of_workers(k):
     # terms whose sum depends on their order, each returned after a random
     # sleep so that the threads finish out of order
     values = [1e16, 1.0, -1e16, 1.0, 3.0, -1e16, 0.5, 1e16] * 5
     pauses = np.random.default_rng(k).uniform(0, 2e-3, len(values))
-    calls, running, most = [0] * len(values), [0], [0]
-    started, finished, events = {}, {}, iter(range(10**6))
+    calls, running, most, busy = [0] * len(values), [0], [0], set()
+    scratch = [object() for _ in range(k)]
     lock = threading.Lock()
 
-    def fn(i):
+    def fn(i, s):
         with lock:
             calls[i] += 1
             running[0] += 1
             most[0] = max(most[0], running[0])
-            started[i] = next(events)
+            assert s in scratch and id(s) not in busy  # no two calls share a work array
+            busy.add(id(s))
         time.sleep(pauses[i])
         with lock:
             running[0] -= 1
-            finished[i] = next(events)
+            busy.remove(id(s))
         return values[i]
 
     before = threading.active_count()
-    total = twirl._sum_in_order(fn, range(len(values)), k)
+    slots = twirl._map_in_threads(fn, range(len(values)), scratch)
     assert threading.active_count() == before
+    assert slots == values
+    total = sum(slots)
     assert total == sum(values) and type(total) is float
     assert calls == [1] * len(values)
     assert 1 <= most[0] <= k
-    # at most k results wait: item i starts once every item before i - k is added
-    for i in range(k + 1, len(values)):
-        assert started[i] > max(finished[j] for j in range(i - k)), i
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_sum_in_order_raises_the_earliest_items_error(k):
     # item 12 fails while item 5, which fails too, is still running: the
-    # error of item 5 propagates, as it would from sum(map(fn, items))
+    # error of item 5 propagates, as it would from the list comprehension
     errors = {5: ValueError("item 5"), 12: KeyError("item 12")}
 
-    def fn(i):
+    def fn(i, s):
         if i == 5:
             time.sleep(0.05)
         if i in errors:
@@ -1113,7 +1117,7 @@ def test_sum_in_order_raises_the_earliest_items_error(k):
 
     before = threading.active_count()
     with pytest.raises(ValueError) as caught:
-        twirl._sum_in_order(fn, range(20), k)
+        twirl._map_in_threads(fn, range(20), [None] * k)
     assert caught.value is errors[5]
     assert threading.active_count() == before
 
@@ -1131,10 +1135,52 @@ def test_sum_in_order_joins_its_helpers_when_one_cannot_start(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", start_one)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as caught:
-        twirl._sum_in_order(lambda i: time.sleep(1e-3) or 1.0, range(50), 3)
+        twirl._map_in_threads(lambda i, s: time.sleep(1e-3) or 1.0, range(50), [None] * 3)
     assert caught.value is err
     assert len(started) == 1 and not started[0].is_alive()
     assert threading.active_count() == before
+
+
+def test_map_in_threads_starts_no_thread_with_one_work_array(monkeypatch):
+    def no_thread(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    main, work = threading.current_thread(), object()
+
+    def fn(i, s):
+        assert threading.current_thread() is main and s is work
+        return 2 * i
+
+    assert twirl._map_in_threads(fn, range(7), [work]) == [0, 2, 4, 6, 8, 10, 12]
+
+
+def test_map_in_threads_joins_its_helpers_on_an_interrupt():
+    # Ctrl-C lands in fn on the calling thread while both helpers are inside
+    # an item: the interrupt propagates once they are joined, and the items
+    # not yet taken never are
+    interrupt, main = KeyboardInterrupt(), threading.current_thread()
+    lock, calls, running = threading.Lock(), [], [0]
+
+    def fn(i, s):
+        with lock:
+            calls.append(i)
+            running[0] += 1
+        try:
+            time.sleep(0.02)
+            if threading.current_thread() is main:
+                raise interrupt
+            return float(i)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt) as caught:
+        twirl._map_in_threads(fn, range(100), [None] * 3)
+    assert caught.value is interrupt
+    assert threading.active_count() == before and running[0] == 0
+    assert len(calls) < 100
 
 
 @pytest.mark.parametrize("k", [1, 2])
