@@ -8,7 +8,7 @@ problem, 3 unsupported averaging order, 4 precondition failure in the
 math (non-unitary input, classification failure, ...), 5 proportional
 elements where a closure needs distinct antipodal pairs, 6 internal
 consistency failure (two mathematically equivalent checks disagreed: a bug
-in this package, not in the input).
+in this package, not in the input), 130 interrupted (Ctrl-C).
 
 All numbers are serialized with 17 significant digits (%.17g), enough to
 round-trip IEEE doubles exactly, and JSON and text renderings of a report
@@ -655,6 +655,9 @@ def main(argv=None) -> int:
     except (OSError, UdesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+    except KeyboardInterrupt:  # mc's helper threads are joined by now
+        print("error: interrupted", file=sys.stderr)
+        return 130
     sys.stdout.write(rendered)
     return code
 

@@ -488,6 +488,8 @@ class McOracleReport(NamedTuple):
         return bool(np.all(self.deviations <= self.nsigma * self.std_errors))
 
 
+_KEPT = threading.local()  # each calling thread's mc_oracle_check work arrays
+
 #: the samples per block of mc_oracle_check: a block's work array holds at
 #: most 18 rows of CHUNK floats, 1.2 MB, which stays in a 2 MB L2 cache, and
 #: a call has enough blocks that a helper thread starting late still finds some
@@ -511,14 +513,16 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int) -> McOracleReport:
 
     The samples h.counter, ..., h.counter + n - 1 of h's stream are split
     into blocks of CHUNK = 8192 (the last may be shorter), each drawn and
-    reduced to its Gram matrix on its own, in its thread's work array.  The
-    calling thread takes blocks, and so does one helper thread per further
-    CPU this process may use (os.sched_getaffinity; os.cpu_count outside
-    Linux), up to one thread per block (_map_in_threads).  The Gram matrices,
-    one slot per block, are added in block order at the end.  The partition
-    depends on n and CHUNK alone, so the report is bit-identical on any
-    number of CPUs; a different CHUNK moves it only by floating-point
-    summation order.  h.counter advances by n once every block has succeeded.
+    reduced to its Gram matrix on its own, in its thread's work array, which
+    the calling thread keeps for its next call until it ends (~1.2 MB per
+    thread at t = 2).  The calling thread takes blocks, and so does one
+    helper thread per further CPU this process may use (os.sched_getaffinity;
+    os.cpu_count outside Linux), up to one thread per block (_map_in_threads).
+    The Gram matrices, one slot per block, are added in block order at the
+    end.  The partition depends on n and CHUNK alone, so the report is
+    bit-identical on any number of CPUs; a different CHUNK moves it only by
+    floating-point summation order.  h.counter advances by n once every block
+    has succeeded.
     """
     oracle = superop_of_twirl(HAAR, t)
     if not _is_int(n):
@@ -529,10 +533,16 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int) -> McOracleReport:
     _check_stream_end(h.counter, n)
     seed, start, stop = h.seed, h.counter, h.counter + n
     starts = range(start, stop, chunk)
-    # one work array per thread, made on this thread: the threads allocate no
-    # array, so no per-thread heap holds on to their memory
-    scratch = [np.empty(_MC_ROWS[t] * min(chunk, n)) for _ in range(min(_usable_cpus(), len(starts)))]
-    grams = _map_in_threads(lambda lo, s: _mc_block(seed, lo, min(chunk, stop - lo), t, s), starts, scratch)
+    size, k = _MC_ROWS[t] * min(chunk, n), min(_usable_cpus(), len(starts))
+    # one work array per thread, all this thread's and kept in _KEPT between
+    # calls; taken out while in use, so a nested call makes its own, and put
+    # back only once every helper is joined (an interrupt can cut a join short)
+    kept = [a if a.size >= size else np.empty(size) for a in vars(_KEPT).pop("arrays", [])]
+    kept += [np.empty(size) for _ in range(k - len(kept))]
+    grams = _map_in_threads(
+        lambda lo, s: _mc_block(seed, lo, min(chunk, stop - lo), t, s), starts, kept[:k]
+    )
+    _KEPT.arrays = kept
     gram = sum(grams)  # the left fold in block order, on any number of threads
     h.counter = stop
     L = _entry_map(t)
@@ -562,11 +572,12 @@ _MC_ROWS = {t: 8 if t == 1 else 8 + math.comb(t + 3, t) for t in SUPEROP_HAAR}
 def _mc_block(seed: int, start: int, m: int, t: int, work: np.ndarray) -> np.ndarray:
     """The Gram matrix Y Y^T of the monomials of quaternions start, ...,
     start + m - 1 of the stream `seed`, for mc_oracle_check, computed in
-    `work`, a flat float array of at least _MC_ROWS[t] * m entries.  It calls
-    no traced name and makes no array but its small result, so that it can
-    run on helper threads.  numpy still buffers the broadcasts of a short
-    block: under tracemalloc a call peaks at 34 KB for m = 999 and 68 KB for
-    m = 4096, at t = 1 and 2 (_haar_block's divide; at t = 2 also
+    the first _MC_ROWS[t] * m entries of `work`, a flat float array kept for
+    block after block and call after call: it reads no entry it did not write.
+    It calls no traced name and makes no array but its small result, so that
+    it can run on helper threads.  numpy still buffers the broadcasts of a
+    short block: under tracemalloc a call peaks at 34 KB for m = 999 and 68 KB
+    for m = 4096, at t = 1 and 2 (_haar_block's divide; at t = 2 also
     _monomials' multiplies), against 2.2 KB, the Philox generator, at 8192."""
     g, u = work[: 8 * m].reshape(2, 4, m)
     _haar_block(seed, start, g, u)

@@ -601,6 +601,20 @@ def test_internal_consistency_failure_has_its_own_exit_code(monkeypatch, capsys)
     assert err.splitlines() == ["error: checks disagree"]
 
 
+def test_an_interrupt_exits_130_in_one_line(monkeypatch, capsys):
+    # Ctrl-C in a long mc run: no traceback, one error line, the shell's 128 + SIGINT
+    from udes import twirl
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(twirl, "mc_oracle_check", interrupted)
+    code, out, err = run(capsys, "mc", "--samples", "1000")
+    assert code == 130
+    assert out == ""
+    assert err.splitlines() == ["error: interrupted"]
+
+
 def test_verify_requires_exactly_one_source(capsys):
     code, _, err = run(capsys, "verify", "--t", "2")
     assert code == 2

@@ -1065,6 +1065,118 @@ def test_mc_oracle_check_blocks_never_share_a_work_array(monkeypatch):
     assert threaded.std_errors.tobytes() == serial.std_errors.tobytes()
 
 
+def blockwise_report(seed, t, n, chunk):
+    """mc_oracle_check's deviations and standard errors with a fresh work
+    array for every block, the blocks' Gram matrices summed in block order."""
+    gram = 0
+    for lo in range(0, n, chunk):
+        m = min(chunk, n - lo)
+        gram = gram + twirl._mc_block(seed, lo, m, t, np.empty(twirl._MC_ROWS[t] * m))
+    L = twirl._entry_map(t)
+    phi = (L.conj() @ gram @ L.T / n).ravel()[twirl._moment_index(t)]
+    deviations = np.linalg.norm(phi - superop_of_twirl("haar", t), axis=0)
+    std_errors = np.sqrt(np.maximum(1.0 - (np.abs(phi) ** 2).sum(axis=0), 0.0) / n)
+    return deviations.tobytes(), std_errors.tobytes()
+
+
+def report_bytes(rep):
+    return rep.deviations.tobytes(), rep.std_errors.tobytes()
+
+
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("n", [2, 8193, 70000])
+def test_mc_oracle_check_on_kept_work_arrays_matches_fresh_ones(monkeypatch, t, n):
+    # each call runs on the arrays the calls before it left, of whatever size,
+    # here filled with NaN first: a block that read an entry it did not write
+    # would show in the bits
+    expected = blockwise_report(2**64 - 1, t, n, twirl.CHUNK)
+    for k in (1, 2, 3, 2, 1):
+        workers(monkeypatch, k)
+        for a in vars(twirl._KEPT).get("arrays", []):
+            a.fill(np.nan)
+        assert report_bytes(mc_oracle_check(HaarSampler(2**64 - 1), t, n)) == expected
+
+
+def test_a_second_call_on_a_thread_makes_no_work_array(monkeypatch):
+    # 65,536 samples on 2 workers at t = 2: two 1.2 MB work arrays, made by
+    # the first call only
+    import tracemalloc
+
+    monkeypatch.setattr(twirl, "_KEPT", threading.local())
+    workers(monkeypatch, 2)
+    peaks = []
+    for seed in (1, 2):
+        tracemalloc.start()
+        try:
+            mc_oracle_check(HaarSampler(seed), 2, 65536)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] >= 1_000_000 and peaks[1] < 100_000, peaks
+
+
+def test_threads_calling_at_once_each_keep_their_own_work_arrays(monkeypatch):
+    # two callers, each with a helper, switching as often as the interpreter
+    # can: shared work arrays would corrupt each other's Gram sums
+    monkeypatch.setattr(twirl, "CHUNK", 7)
+    workers(monkeypatch, 2)
+    seeds = (13, 14)
+    serial = {s: report_bytes(mc_oracle_check(HaarSampler(s), 2, 3001)) for s in seeds}
+    reports = {s: [] for s in seeds}
+
+    def caller(s):
+        for _ in range(2):  # the second call on the arrays the first kept
+            reports[s].append(report_bytes(mc_oracle_check(HaarSampler(s), 2, 3001)))
+
+    threads = [threading.Thread(target=caller, args=(s,)) for s in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert reports == {s: [serial[s]] * 2 for s in seeds}
+
+
+def test_a_nested_call_gets_its_own_work_arrays(monkeypatch):
+    # a call made from inside a block on the calling thread, as a signal
+    # handler could, while the outer call's helper is still at work
+    monkeypatch.setattr(twirl, "CHUNK", 1000)
+    workers(monkeypatch, 2)
+    outer_serial = report_bytes(mc_oracle_check(HaarSampler(15), 2, 20000))
+    inner_serial = report_bytes(mc_oracle_check(HaarSampler(16), 1, 5000))
+    block, main = twirl._mc_block, threading.current_thread()
+    used, inner = {15: [], 16: []}, []
+
+    def nesting(seed, start, m, t, work):
+        used[seed].append(work)
+        if seed == 15 and not inner and threading.current_thread() is main:
+            inner.append(report_bytes(mc_oracle_check(HaarSampler(16), 1, 5000)))
+        return block(seed, start, m, t, work)
+
+    monkeypatch.setattr(twirl, "_mc_block", nesting)
+    assert report_bytes(mc_oracle_check(HaarSampler(15), 2, 20000)) == outer_serial
+    assert inner == [inner_serial]
+    assert not any(np.shares_memory(a, b) for a in used[15] for b in used[16])
+
+
+def test_a_larger_block_or_more_workers_regrow_the_kept_arrays(monkeypatch):
+    # the arrays only grow: to the most workers and the largest block so far
+    monkeypatch.setattr(twirl, "_KEPT", threading.local())
+    for chunk, k, count in ((100, 1, 1), (5000, 2, 2), (100, 3, 3), (8192, 1, 3)):
+        monkeypatch.setattr(twirl, "CHUNK", chunk)
+        workers(monkeypatch, k)
+        rep = mc_oracle_check(HaarSampler(17), 2, 20000)
+        assert report_bytes(rep) == blockwise_report(17, 2, 20000, chunk)
+        kept = twirl._KEPT.arrays
+        assert len(kept) == count
+        assert all(a.size >= twirl._MC_ROWS[2] * chunk for a in kept)
+
+
 # mc_oracle_check sums its blocks' Gram matrices in block order from the
 # slots of twirl._map_in_threads, which the sum_in_order tests check
 
