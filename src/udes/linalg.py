@@ -116,14 +116,26 @@ def gram_floor(low: float, high: float, radius: float) -> float:
     return low - r2 / 2.0 - 28.0 * _EPS * (high + r2)
 
 
+#: near_pairs' answer when no entry off the diagonal reaches the floor
+_NO_PAIRS = np.empty(0, np.intp)
+_NO_PAIRS.flags.writeable = False
+
+
 def near_pairs(overlap: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (i, j), j > i, in row-major order, of the entries of the
-    strict upper triangle of `overlap` at or above `floor`: a Gram matrix
-    reduced to its real part or its modulus.  With a floor from gram_floor
-    these include every pair of rows (i, j) within its radius, for an exact
-    distance to decide: the Gram form cannot resolve the distance itself,
-    since radius^2 lies below its rounding floor near 0."""
-    i, j = np.nonzero(overlap >= floor)
+    strict upper triangle of `overlap` at or above `floor`: a square Gram
+    matrix reduced to its real part or its modulus.  With a floor from
+    gram_floor these include every pair of rows (i, j) within its radius,
+    for an exact distance to decide: the Gram form cannot resolve the
+    distance itself, since radius^2 lies below its rounding floor near 0.
+    When no entry off the diagonal reaches the floor, as for a set whose
+    rows all lie well apart, both are one shared, read-only empty array,
+    and no index array is formed."""
+    near = overlap >= floor
+    near.reshape(-1)[:: len(near) + 1] = False  # the diagonal
+    if not np.count_nonzero(near):
+        return _NO_PAIRS, _NO_PAIRS
+    i, j = np.nonzero(near)
     later = j > i
     return i[later], j[later]
 

@@ -61,7 +61,11 @@ class UnitarySet:
     The elements are copied into one read-only (N, 2, 2) complex stack,
     which never aliases the caller's arrays.  The first offending element
     decides the error, checked in this order: shape and finiteness, in
-    input order (DimensionMismatch), then unitarity, then duplicates.
+    input order (DimensionMismatch), then unitarity, then duplicates.  A
+    stack that numpy forms in one pass is not scanned for finiteness up
+    front: a non-finite entry makes its element's defect nan or inf, so the
+    one test of the largest defect against `tol` fails, and only then are
+    the entries checked, before the element that fails is named.
 
     The duplicate scan screens pairs on the Gram matrix and measures the few
     it passes on as differences, in row-major order.  Once every element
@@ -88,18 +92,23 @@ class UnitarySet:
         check_tol(tol)
         stack = _qubit_stack(elems)
         n = len(stack)
-        with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf or nan, refused
-            E = stack.conj().swapaxes(1, 2) @ stack
-            E.reshape(n, 4)[:, ::3] -= 1  # U^H U - 1
-            defects = norms(E, (1, 2))
-        unitary = defects <= tol
-        if not unitary.all():
-            k = np.flatnonzero(~unitary)[0]
-            raise NotUnitary(
-                f"element {k}: matrix is not unitary: ||U^H U - 1|| = {defects[k]:.3e} > {tol:.1e}"
-            )
         X = stack.reshape(n, 4)
-        defect = float(defects.max())
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite or huge entries: inf or nan
+            E = stack.conj().swapaxes(1, 2) @ stack
+            E -= _EYE  # U^H U - 1
+            defects = norms(E, (1, 2))
+        defect = float(defects.max())  # nan if any defect is
+        # a non-finite entry makes its element's defect nan or inf, which fails
+        # this gate; with tol = inf an inf defect passes it, so inf is looked at
+        if not defect <= tol or defect == math.inf:
+            finite = np.isfinite(X).all(1)
+            if not finite.all():
+                raise DimensionMismatch(f"element {np.flatnonzero(~finite)[0]}: matrix entries must be finite")
+            if not defect <= tol:
+                k = np.flatnonzero(~(defects <= tol))[0]
+                raise NotUnitary(
+                    f"element {k}: matrix is not unitary: ||U^H U - 1|| = {defects[k]:.3e} > {tol:.1e}"
+                )
         gram = X.conj() @ X.T
         # every ||x_a||^2 is within sqrt(2) defect of 2 now: see the docstring
         spread = math.sqrt(2) * defect
@@ -155,25 +164,23 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+_EYE = _read_only(np.eye(2, dtype=complex))
+
+
 def _qubit_stack(elems) -> np.ndarray:
     """The elements of a would-be UnitarySet as one (N, 2, 2) complex copy.
 
-    Elements that numpy stacks into one (N, 2, 2) array of finite entries
-    are copied in one pass.  Otherwise each goes through in input order, and
-    the first that is not a 2x2 matrix of finite entries raises
-    DimensionMismatch naming it.
+    Elements that numpy stacks into one (N, 2, 2) array are copied in one
+    pass, and their entries are not checked here: a non-finite one fails
+    UnitarySet's unitarity gate, which then names the first such element.
+    Otherwise each goes through in input order, and the first that is not a
+    2x2 matrix of finite entries raises DimensionMismatch naming it.
     """
     try:
         stack = np.array(elems, dtype=complex)
     except (TypeError, ValueError, OverflowError):  # ragged, or entries that are no numbers
         stack = None
-    if (
-        stack is not None
-        and stack.ndim == 3
-        and 0 < len(stack)
-        and stack.shape[1:] == (2, 2)
-        and np.isfinite(stack).all()
-    ):
+    if stack is not None and stack.ndim == 3 and 0 < len(stack) and stack.shape[1:] == (2, 2):
         return stack
     mats = []
     for k, m in enumerate(elems):
@@ -226,7 +233,7 @@ for _Phi in SUPEROP_HAAR.values():
 
 def twirl_finite(S: UnitarySet, t: int, A) -> np.ndarray:
     """(1/N) sum_a U_a^{(x)t} A (U_a^H)^{(x)t} — the order-t twirl over S,
-    for any t >= 1."""
+    for t = 1 to 5 (superop_of_twirl)."""
     return unvec(superop_of_twirl(S, t) @ vec(as_matrix(A, 2**t)))
 
 
@@ -235,12 +242,19 @@ def haar_twirl(t: int, A) -> np.ndarray:
     return unvec(superop_of_twirl(HAAR, t) @ vec(as_matrix(A, 2**t)))
 
 
+#: the highest order superop_of_twirl takes for a set: the gather index of
+#: order t has 4^{2t} entries, 8.4 MB at t = 5, then 134 MB at t = 6 and 2.1 GB
+#: at t = 7, so a higher order is refused before its index is built
+_MAX_ORDER = 5
+
+
 def superop_of_twirl(source, t: int) -> np.ndarray:
     """The (D^2, D^2) matrix of the order-t twirl channel on vectorized operators.
 
-    `source` is either a UnitarySet or the string "haar" for the exact
-    Haar-average channel, which returns the read-only SUPEROP_HAAR[t]
-    itself: the one check of the Haar oracle's orders, SUPEROP_HAAR's keys.
+    `source` is either a UnitarySet, for t = 1 to 5, or the string "haar"
+    for the exact Haar-average channel, which returns the read-only
+    SUPEROP_HAAR[t] itself: the one check of the Haar oracle's orders,
+    SUPEROP_HAAR's keys.
     """
     if isinstance(source, str):
         if source != HAAR:
@@ -250,6 +264,10 @@ def superop_of_twirl(source, t: int) -> np.ndarray:
         return SUPEROP_HAAR[t]
     if t < 1:
         raise UnsupportedOrder(f"twirl order must be >= 1, got {t}")
+    if t > _MAX_ORDER:
+        raise UnsupportedOrder(
+            f"twirl order must be <= {_MAX_ORDER}, got {t}: its superoperator would have 4^{2 * t} entries"
+        )
     n = len(source)
     Y = _monomials(source.stack.reshape(n, 4).T, t)
     G = np.dot(Y.conj(), Y.T) / n  # np.dot: less overhead than @ on matrices this small

@@ -32,7 +32,7 @@ from udes.groups import (
     su2_closure,
 )
 from udes.qubit import pauli
-from udes.linalg import hs_norm
+from udes.linalg import hs_norm, near_pairs
 from udes.su2 import hamilton, quaternion_of, rodrigues, so3_rep, su2_batch
 from udes.twirl import (
     FramePotentialReport,
@@ -448,6 +448,24 @@ def test_closure_measures_proportionality_at_every_scale(eps, scale):
     with pytest.raises(ProportionalElements, match="^elements 1 and 2 "):
         su2_closure(S, tol=tol * (1 + 1e-6))
     assert len(su2_closure(S, tol=tol * (1 - 1e-6))) == 6
+
+
+def test_closure_measures_the_one_pair_its_screen_passes(monkeypatch):
+    # of the 10 pairs only (2, 4) reaches the floor, so the screen goes on
+    # to measure it, and it is proportional
+    screened = []
+
+    def screen(overlap, floor):
+        screened.append(near_pairs(overlap, floor))
+        return screened[-1]
+
+    monkeypatch.setattr("udes.groups.near_pairs", screen)
+    S = UnitarySet([pauli(0), pauli(1), pauli(2), pauli(3), -1j * pauli(2)])
+    with pytest.raises(ProportionalElements) as exc:
+        su2_closure(S)
+    assert str(exc.value) == "elements 2 and 4 are proportional and share normalizations"
+    [(i, j)] = screened
+    assert i.tolist() == [2] and j.tolist() == [4]
 
 
 def test_closure_finds_the_first_proportional_pair_among_200_elements():

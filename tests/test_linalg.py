@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from udes.errors import DimensionMismatch, NotUnitary
 from udes.linalg import (
@@ -12,6 +12,7 @@ from udes.linalg import (
     kron,
     kron_power,
     mean,
+    near_pairs,
     norms,
     rank,
 )
@@ -146,3 +147,43 @@ def test_norms_and_mean_are_numpys_bitwise(shape, axis):
         assert norms(A, axis).tobytes() == np.linalg.norm(A, axis=axis).tobytes()
         x = np.abs(A) ** 4
         assert mean(x) == np.mean(x) and type(mean(x)) is type(np.mean(x))
+
+
+def _plain_near_pairs(overlap, floor):
+    i, j = np.nonzero(overlap >= floor)
+    later = j > i
+    return i[later], j[later]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.sampled_from(["gram", "random", "view", "below", "above", "nan", "nan floor"]),
+)
+def test_near_pairs_is_the_plain_scan_of_the_upper_triangle(seed, n, kind):
+    g = np.random.default_rng(seed)
+    A = g.normal(size=(n, n))
+    floor = float(np.quantile(A, g.uniform(0.5, 1.0)))
+    if kind == "gram":  # a real Gram matrix with a few rows repeated
+        X = g.normal(size=(n, 4))
+        X[g.integers(n, size=n // 3)] = X[g.integers(n, size=n // 3)]
+        A = X @ X.T / 4
+    elif kind == "view":  # the real part of a complex Gram matrix, a strided view
+        X = g.normal(size=(n, 4)) + 1j * g.normal(size=(n, 4))
+        A = (X.conj() @ X.T).real
+    elif kind == "below":
+        floor = float(A.max()) + 1.0
+    elif kind == "above":
+        floor = float(A.min())
+    elif kind == "nan":
+        A[g.random((n, n)) < 0.3] = np.nan
+    elif kind == "nan floor":
+        floor = np.nan
+    before = A.copy()
+    got, want, again = near_pairs(A, floor), _plain_near_pairs(A, floor), near_pairs(A, floor)
+    np.testing.assert_array_equal(A, before)
+    for a, b, c in zip(got, want, again):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        if a is c:  # one shared array: no caller may write to it
+            assert not a.flags.writeable

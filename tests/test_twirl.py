@@ -19,7 +19,7 @@ from udes.errors import (
     UnsupportedOrder,
 )
 from udes.designs import named_design
-from udes.linalg import EQ_TOL, RANK_TOL, hs_norm, kron, kron_power
+from udes.linalg import EQ_TOL, RANK_TOL, gram_floor, hs_norm, kron, kron_power
 from udes.qubit import bell_diagonal_part, pauli, singlet_triplet
 from udes import twirl
 from udes.twirl import (
@@ -455,6 +455,115 @@ def test_unitary_set_paths_agree_with_the_elementwise_reference(spec, as_array):
     assert S.unitarity_defect == want[1]
 
 
+def _stepwise_unitary_set(elems, tol):
+    """UnitarySet's validation in the steps it used to take, the reference
+    for the one gate: a finiteness pass over any stack numpy forms, the
+    identity subtracted from the strided diagonal of U^H U, every defect
+    tested against tol, and the plain nonzero scan of the Gram screen.
+    Returns (stack, gram, unitarity_defect)."""
+    try:
+        stack = np.array(elems, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        stack = None
+    if not (
+        stack is not None
+        and stack.ndim == 3
+        and 0 < len(stack)
+        and stack.shape[1:] == (2, 2)
+        and np.isfinite(stack).all()
+    ):
+        mats = []
+        for k, m in enumerate(elems):
+            m = np.asarray(m, dtype=complex)
+            if m.shape != (2, 2):
+                raise DimensionMismatch(f"element {k} has shape {m.shape}, expected (2, 2)")
+            if not np.isfinite(m).all():
+                raise DimensionMismatch(f"element {k}: matrix entries must be finite")
+            mats.append(m)
+        if not mats:
+            raise ValueError("a unitary set must be nonempty")
+        stack = np.stack(mats)
+    n = len(stack)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = stack.conj().swapaxes(1, 2) @ stack
+        E.reshape(n, 4)[:, ::3] -= 1
+        defects = np.sqrt(np.add.reduce((E.conj() * E).real, (1, 2)))
+    unitary = defects <= tol
+    if not unitary.all():
+        k = np.flatnonzero(~unitary)[0]
+        raise NotUnitary(
+            f"element {k}: matrix is not unitary: ||U^H U - 1|| = {defects[k]:.3e} > {tol:.1e}"
+        )
+    X = stack.reshape(n, 4)
+    defect = float(defects.max())
+    gram = X.conj() @ X.T
+    spread = math.sqrt(2) * defect
+    i, j = np.nonzero(gram.real >= gram_floor(2 - spread, 2 + spread, tol))
+    later = j > i
+    i, j = i[later], j[later]
+    D = X[i] - X[j]
+    hit = np.flatnonzero(np.sqrt(np.add.reduce((D.conj() * D).real, 1)) <= tol)
+    if hit.size:
+        raise DuplicateElements(f"elements {i[hit[0]]} and {j[hit[0]]} coincide within {tol}")
+    return stack, gram, defect
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a fault may land on a non-finite element
+def _faulty_set(seed, n, faults, tol):
+    """n random 2x2 unitaries with each (position, kind) fault applied in
+    turn: a non-finite or huge (1e200) entry, a random non-unitary element,
+    one scaled to a defect of tol (1 +- 1e-6), or a phased copy of another
+    element at distance tol (1 +- 1e-6), an exact copy when tol is inf."""
+    g = np.random.default_rng(seed)
+    U = _random_unitaries(g, n)
+    for pos, kind in faults:
+        k = pos % n
+        edge = tol * (1.0 + g.choice([-1e-6, 1e-6]))
+        if kind == "duplicate":
+            a = g.integers(n)
+            # ||exp(i theta) U_a - U_a|| = 2 sin(theta / 2) ||U_a||
+            theta = 2.0 * np.arcsin(edge / 2.0 / np.linalg.norm(U[a])) if edge < 1.0 else 0.0
+            U[k] = np.exp(1j * theta) * U[a]
+        elif kind == "off-tol":  # ||c^2 U^H U - 1|| = |c^2 - 1| sqrt(2) for unitary U
+            U[k] *= np.sqrt(1.0 + g.choice([-1.0, 1.0]) * min(edge, 1.0) / np.sqrt(2))
+        elif kind == "non-unitary":
+            U[k] = g.normal(size=(2, 2))
+        else:
+            bad = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "infj": complex(0, np.inf)}
+            U[k][divmod(int(g.integers(4)), 2)] = bad.get(kind, 1e200 * g.choice([1, -1, 1j]))
+    return U
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 60),
+    st.lists(
+        st.tuples(
+            st.integers(0, 59),
+            st.sampled_from(["nan", "inf", "-inf", "infj", "huge", "non-unitary", "off-tol", "duplicate"]),
+        ),
+        max_size=4,
+    ),
+    st.sampled_from([1e-10, 1e-6, 1e-2, math.inf]),
+    st.sampled_from(["array", "list", "nested"]),
+)
+def test_unitary_set_is_bitwise_the_stepwise_validation(seed, n, faults, tol, form):
+    U = _faulty_set(seed, n, faults, tol)
+    elems = {"array": U, "list": list(U), "nested": U.tolist()}[form]
+    try:
+        want = _stepwise_unitary_set(elems, tol)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as err:
+            UnitarySet(elems, tol=tol)
+        assert str(err.value) == str(exc)
+        return
+    S = UnitarySet(elems, tol=tol)
+    for got, ref in [(S.stack, want[0]), (S.gram, want[1])]:
+        assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    assert np.float64(S.unitarity_defect).tobytes() == np.float64(want[2]).tobytes()
+
+
 def test_unitary_set_copies_the_callers_array():
     A = su2_batch(HaarSampler(4).quaternions(5))
     S = UnitarySet(A)
@@ -539,12 +648,37 @@ def test_finite_twirl_rejects_nonpositive_order(t):
 
 
 def test_finite_twirl_works_beyond_oracle_orders():
-    # finite averaging needs no Haar oracle and has no size cap: at t = 5 the
-    # operator is 32 x 32 and the superoperator 1024 x 1024
+    # finite averaging needs no Haar oracle; t = 5, the highest order it
+    # takes, has a 32 x 32 operator and a 1024 x 1024 superoperator
     for t in (3, 4, 5):
         out = twirl_finite(PAULI_SET, t, np.eye(2**t))
         assert out.shape == (2**t, 2**t)
         assert hs_norm(out - np.eye(2**t)) < 1e-14  # identity is always a fixed point
+
+
+@pytest.mark.parametrize("t", [6, 7])
+def test_finite_twirl_refuses_an_order_past_5_before_building_its_index(t):
+    # the gather index alone would be 134 MB at t = 6 and 2.1 GB at t = 7
+    import tracemalloc
+
+    A = np.eye(2**t)
+    calls = [
+        lambda: superop_of_twirl(PAULI_SET, t),
+        lambda: twirl_finite(PAULI_SET, t, A),
+        lambda: choi_rank(superop_of_twirl(PAULI_SET, t)),
+    ]
+    cached = twirl._moment_index.cache_info().currsize
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(UnsupportedOrder) as err:
+                call()
+            assert str(err.value) == f"twirl order must be <= 5, got {t}: its superoperator would have 4^{2 * t} entries"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert twirl._moment_index.cache_info().currsize == cached
+    assert peak < 2**20
 
 
 # ---- the moment operator against per-element Kronecker loops -----------------
