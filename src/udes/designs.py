@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +33,7 @@ from .errors import (
     DuplicateElements,
     UnknownName,
 )
-from .linalg import EQ_TOL, check_tol, hs_norm, norms
+from .linalg import EQ_TOL, check_tol, hs_norm
 from .qubit import pauli
 from .su2 import (
     _UNIT_COORDINATES,
@@ -119,7 +118,9 @@ def verify_design(S: UnitarySet, t: int, tol: float = EQ_TOL, method: str = "bot
     if method not in ("twirl", "frame", "both"):
         raise ValueError(f"unknown method {method!r}")
     delta = superop_of_twirl(S, t) - oracle
-    max_dev = float(norms(delta, 0).max())
+    # the largest of norms(delta, 0) as the root of the largest squared column
+    # norm, one sqrt: sqrt is correctly rounded and monotone, so the same float
+    max_dev = math.sqrt(np.add.reduce((delta.conj() * delta).real, 0).max())
     fp = frame_potential(S, t)
     gap = fp.gap
     if method == "both":
@@ -208,11 +209,31 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
         raise internal
 
     alpha = (X @ _UNIT_COORDINATES).tolist()
-    p0 = _canonical(_special(alpha[0]))
-    # relative to the anchor each element is T = -i n.X, with quaternion (0, n)
-    anchor = _conjugate(p0)
-    rel = [_canonical(_product(anchor, _special(a))) for a in alpha[1:]]
-    if max(abs(r[0]) for r in rel) > _FIRST_ORDER_TOL:
+    # From here on, local float arithmetic on quaternions.  Each Hamilton
+    # product (a, b, c, d)(e, f, g, h) is written out as
+    #   (ae - bf - cg - dh, af + be + ch - dg, ag - bh + ce + df, ah + bg - cf + de),
+    # and each dot product adds from the int 0, left to right, so that a
+    # total of -0.0 reads +0.0.
+    specials = []  # the quaternion of conj(omega) U, omega = sqrt(det U), det U = alpha . alpha
+    for c0, c1, c2, c3 in alpha:
+        w = cmath.sqrt(0 + c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3).conjugate()
+        specials.append(((w * c0).real, (w * c1).real, (w * c2).real, (w * c3).real))
+    p0 = specials[0]
+    if canonical_sign(p0) < 0:
+        p0 = (-p0[0], -p0[1], -p0[2], -p0[3])
+    # relative to the anchor each element is T = -i n.X, with quaternion (0, n):
+    # conj(p0) times its quaternion, with the canonical sign
+    a, b, c, d = p0[0], -p0[1], -p0[2], -p0[3]
+    rel = []
+    for e, f, g, h in specials[1:]:
+        r = (
+            a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e,
+        )
+        rel.append(r if canonical_sign(r) > 0 else (-r[0], -r[1], -r[2], -r[3]))
+    if max(abs(rel[0][0]), abs(rel[1][0]), abs(rel[2][0])) > _FIRST_ORDER_TOL:
         fail(
             "a relative element is not traceless",
             InternalConsistencyError("relative element is not traceless"),
@@ -221,16 +242,22 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
     for _, x, y, z in rel:
         norm = math.sqrt(x * x + y * y + z * z)
         ns.append((x / norm, y / norm, z / norm))
-    a, b, c = ns
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = ns
     triple = (  # det of the axes as columns, a . (b x c)
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        + a[1] * (b[2] * c[0] - b[0] * c[2])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
+        ax * (by * cz - bz * cy)
+        + ay * (bz * cx - bx * cz)
+        + az * (bx * cy - by * cx)
     )
     perm = (1, 2, 3) if triple > 0 else (1, 3, 2)
     # ||R^T R - 1||, from the axes' squared norms and dot products
-    ab, ac, bc = _dot(a, b), _dot(a, c), _dot(b, c)
-    diagonal = (_dot(a, a) - 1.0) ** 2 + (_dot(b, b) - 1.0) ** 2 + (_dot(c, c) - 1.0) ** 2
+    ab = 0 + ax * bx + ay * by + az * bz
+    ac = 0 + ax * cx + ay * cy + az * cz
+    bc = 0 + bx * cx + by * cy + bz * cz
+    diagonal = (
+        (0 + ax * ax + ay * ay + az * az - 1.0) ** 2
+        + (0 + bx * bx + by * by + bz * bz - 1.0) ** 2
+        + (0 + cx * cx + cy * cy + cz * cz - 1.0) ** 2
+    )
     if math.sqrt(diagonal + 2.0 * (ab * ab + ac * ac + bc * bc)) > _FIRST_ORDER_TOL:
         fail(
             "the relative axes are not orthonormal",
@@ -241,24 +268,45 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
             f"the relative axes span volume {abs(triple)}",
             NotRotation(f"determinant {abs(triple)} != 1"),
         )
-    q = rotation_quaternion(zip(*(ns[k - 1] for k in perm)))  # R's columns are the axes
+    a, b, c = ns
+    q = rotation_quaternion(zip(a, b, c) if triple > 0 else zip(a, c, b))  # R's columns are the axes
+    e, f, g, h = q
     # its matrix VR has VR^H VR = det(VR) 1 = |q|^2 1: assert_unitary's
     # check, which also holds det(VR) to within EQ_TOL of 1
-    defect = math.sqrt(2.0) * abs(_dot(q, q) - 1.0)
+    defect = math.sqrt(2.0) * abs(0 + e * e + f * f + g * g + h * h - 1.0)
     if not defect <= EQ_TOL:
         message = f"||U^H U - 1|| = {defect:.3e} > {EQ_TOL:.1e}"
         fail("the lifted rotation is not special unitary", NotUnitary(f"matrix is not unitary: {message}"))
-    q = _canonical(q)
-    v, qc = _product(p0, q), _conjugate(q)
+    if canonical_sign(q) < 0:
+        e, f, g, h = -e, -f, -g, -h
+    a, b, c, d = p0
+    vs, vx, vy, vz = (  # v = p0 q
+        a * e - b * f - c * g - d * h,
+        a * f + b * e + c * h - d * g,
+        a * g - b * h + c * e + d * f,
+        a * h + b * g - c * f + d * e,
+    )
+    qs, qx, qy, qz = e, -f, -g, -h  # conj(q)
     # perm maps Pauli slot k -> input position perm[k-1]; both candidates are
     # their own inverse, so position mu plays slot sigma[mu]
     sigma = (0, *perm)
     phases, worst = [], 0.0
-    for coords, k in zip(alpha, sigma):
-        # the rebuilt element is P = i^[k > 0] times the special unitary of w,
-        # so tr(P^H U)/2 is the phase, and ||phase P - U|| = sqrt(2) |z w - coords|
-        w = _product(_product(v, _UNITS[k]), qc)
-        z = _dot(w, coords)
+    for (c0, c1, c2, c3), k in zip(alpha, sigma):
+        # the rebuilt element is P = i^[k > 0] times the special unitary of
+        # w = v u_k conj(q), u_k the unit 1, I, J or K, so tr(P^H U)/2 is the
+        # phase, and ||phase P - U|| = sqrt(2) |z w - coords|
+        e, f, g, h = _UNITS[k]
+        a, b, c, d = (
+            vs * e - vx * f - vy * g - vz * h,
+            vs * f + vx * e + vy * h - vz * g,
+            vs * g - vx * h + vy * e + vz * f,
+            vs * h + vx * g - vy * f + vz * e,
+        )
+        w0 = a * qs - b * qx - c * qy - d * qz
+        w1 = a * qx + b * qs + c * qz - d * qy
+        w2 = a * qy - b * qz + c * qs + d * qx
+        w3 = a * qz + b * qy - c * qx + d * qs
+        z = 0 + w0 * c0 + w1 * c1 + w2 * c2 + w3 * c3
         phase = z if k == 0 else -1j * z
         if abs(abs(phase) - 1.0) > _FRAME_TOL:
             fail(
@@ -266,16 +314,22 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
                 InternalConsistencyError("extracted phase is not a unit complex"),
             )
         phases.append(phase)
-        worst = max(worst, math.sqrt(2.0) * math.hypot(*(abs(z * wj - cj) for wj, cj in zip(w, coords))))
+        worst = max(
+            worst,
+            math.sqrt(2.0) * math.hypot(abs(z * w0 - c0), abs(z * w1 - c1), abs(z * w2 - c2), abs(z * w3 - c3)),
+        )
     if worst > _FIRST_ORDER_TOL:
         fail(
             f"the frame reconstruction misses by {worst:.3e}",
             InternalConsistencyError(f"frame reconstruction misses by {worst:.3e}"),
         )
     # read-only: the stored frame goes to every later caller
-    # su2_batch((v, qc)) as one array: the same float expressions, a fraction of the calls
+    # su2_batch((v, conj(q))) as one array: the same float expressions, a fraction of the calls
     V, Vp = _read_only(
-        np.array([[[s - 1j * z, -y - 1j * x], [y - 1j * x, s + 1j * z]] for s, x, y, z in (v, qc)])
+        np.array(
+            [vs - 1j * vz, -vy - 1j * vx, vy - 1j * vx, vs + 1j * vz,
+             qs - 1j * qz, -qy - 1j * qx, qy - 1j * qx, qs + 1j * qz]
+        ).reshape(2, 2, 2)
     )
     frame = S._derived[key] = OneDesignFrame(V, Vp, tuple(phases), sigma)
     return frame
@@ -285,39 +339,6 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
 _UNITS = tuple(map(tuple, np.eye(4).tolist()))
 #: the strict upper triangle of a 4x4 Gram matrix: the pairs a < b
 _UPPER = np.triu(np.ones((4, 4), dtype=bool), 1)
-
-
-def _special(alpha) -> tuple:
-    """The quaternion of conj(omega) U, omega = sqrt(det U), for U with
-    coordinates alpha (det U = alpha . alpha); its sign is the one the
-    principal root gives."""
-    w = cmath.sqrt(_dot(alpha, alpha)).conjugate()
-    return tuple((w * c).real for c in alpha)
-
-
-def _canonical(q) -> tuple:
-    return q if canonical_sign(q) > 0 else tuple(map(operator.neg, q))
-
-
-def _conjugate(q) -> tuple:
-    s, x, y, z = q
-    return (s, -x, -y, -z)
-
-
-def _dot(u, v):
-    return sum(map(operator.mul, u, v))
-
-
-def _product(p, q) -> tuple:
-    """The Hamilton product of two quaternions as tuples of floats."""
-    a, b, c, d = p
-    e, f, g, h = q
-    return (
-        a * e - b * f - c * g - d * h,
-        a * f + b * e + c * h - d * g,
-        a * g - b * h + c * e + d * f,
-        a * h + b * g - c * f + d * e,
-    )
 
 
 def extend_to_2design(S, frame: OneDesignFrame | None = None) -> UnitarySet:
@@ -335,9 +356,13 @@ def extend_to_2design(S, frame: OneDesignFrame | None = None) -> UnitarySet:
             raise NotMinimal1Design(str(exc)) from exc
     G = frame.V @ AXIS_CYCLE @ frame.V.conj().T
     X = S.stack if isinstance(S, UnitarySet) else np.array(list(S), dtype=complex)
-    GX = np.stack([G, G.conj().T])[:, None] @ X
+    n = len(X)
+    Y = np.empty((3 * n, 2, 2), complex)
+    Y[:n] = X
+    np.matmul(G, X, out=Y[n : 2 * n])
+    np.matmul(G.conj().T, X, out=Y[2 * n :])
     # DuplicateElements would flag a degenerate input
-    return UnitarySet(np.concatenate([X, GX.reshape(-1, *X.shape[1:])]))
+    return UnitarySet(Y)
 
 
 #: each built-in as its labels: an optional sign "-", an optional factor W or

@@ -266,6 +266,7 @@ _TEMPLATES = (
     ("hexagon", 6, ((1.0, 2), (_SQ3, 2), (2.0, 1))),
     ("tetrahedron-pair", 8, ((1.0, 3), (_SQ2, 3), (_SQ3, 1))),
 )
+_TEMPLATE_SIZES = frozenset(size for _, size, _ in _TEMPLATES)
 
 
 def _expand(template) -> np.ndarray:
@@ -291,7 +292,12 @@ def polytope_identify(points, tol: float = _MEMBER_TOL) -> PolytopeId:
     if bad.size:
         raise NonUnitPoint(f"point {bad[0]} has norm {float(norms[bad[0]])!r}")
     n = P.shape[0]
-    dists = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)
+    if n < 2:
+        return PolytopeId("other", ())
+    # the distances each vertex sees; when no template has n vertices, only
+    # the first vertex's, whose spectrum is all that is read
+    seen = P if n in _TEMPLATE_SIZES else P[:1]
+    dists = np.linalg.norm(seen[:, None, :] - P[None, :, :], axis=2)
     rows = np.sort(dists, axis=1)[:, 1:]  # drop each vertex's zero self-distance
     for kind, size, template in _TEMPLATES:
         if n != size:
@@ -299,8 +305,7 @@ def polytope_identify(points, tol: float = _MEMBER_TOL) -> PolytopeId:
         want = _expand(template)
         if np.all(np.abs(rows - want[None, :]) <= tol):
             return PolytopeId(kind, template)
-    spectrum = _spectrum_of(rows[0], tol) if n > 1 else ()
-    return PolytopeId("other", spectrum)
+    return PolytopeId("other", _spectrum_of(rows[0], tol))
 
 
 def _spectrum_of(row: np.ndarray, tol: float) -> tuple:

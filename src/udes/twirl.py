@@ -412,13 +412,26 @@ def haar_sample(h: HaarSampler) -> np.ndarray:
 
 def _monomials(W: np.ndarray, t: int, out: np.ndarray | None = None) -> np.ndarray:
     """Rows of the degree-t monomials of the rows of a (k, m) array, in
-    itertools.combinations_with_replacement order: W itself at t = 1, else
-    written into `out` when given, a (C(k + t - 1, t), m) array, with no
-    other array made."""
+    itertools.combinations_with_replacement order: W itself at t = 1.
+
+    The row of j_1 <= ... <= j_d is W[j_1] times the degree-(d - 1) row of
+    j_2 ... j_d, one IEEE product in either layout.  Without `out` (a finite
+    set's few columns) each degree is one cached gather, W[first] * Y[rest].
+    With `out`, a (C(k + t - 1, t), m) array (a Monte Carlo block's 8,192
+    columns), the rows are written into it by slices, with no other array
+    made: a gather there would copy two block-sized temporaries.  One
+    column also takes the slices: numpy forms a one-element broadcast
+    product, as the slices make for the last row, without the fused
+    multiply-add of its vector loops, so a gather would move last bits."""
     if t == 1:
         return W
-    k = len(W)
-    Y = np.empty((math.comb(k + t - 1, t), W.shape[1]), W.dtype) if out is None else out
+    k, m = W.shape
+    if out is None and m > 1:
+        Y = W
+        for first, rest in _monomial_gathers(k, t):
+            Y = W[first] * Y[rest]
+        return Y
+    Y = np.empty((math.comb(k + t - 1, t), m), W.dtype) if out is None else out
     # Raise the degree one at a time: the degree-d rows that start with W[a]
     # are W[a] times the last C(k - a + d - 2, d - 1) rows P of degree d - 1.
     # P is W, then the first rows of Y, which those that start with W[0] take
@@ -433,6 +446,21 @@ def _monomials(W: np.ndarray, t: int, out: np.ndarray | None = None) -> np.ndarr
         np.multiply(W[0], P, out=Y[: len(P)])
         P = Y[:row]
     return Y
+
+
+@functools.cache
+def _monomial_gathers(k: int, t: int) -> tuple:
+    """For d = 2, ..., t, the index arrays (first, rest) with which the
+    degree-d monomial rows of k variables are W[first] * Y[rest], Y the
+    degree-(d - 1) rows: each row's first variable and the row of the rest."""
+    gathers = []
+    for d in range(2, t + 1):
+        rank = {j: r for r, j in enumerate(itertools.combinations_with_replacement(range(k), d - 1))}
+        rows = list(itertools.combinations_with_replacement(range(k), d))
+        first = np.array([j[0] for j in rows], np.intp)
+        rest = np.array([rank[j[1:]] for j in rows], np.intp)
+        gathers.append((_read_only(first), _read_only(rest)))
+    return tuple(gathers)
 
 
 @functools.cache

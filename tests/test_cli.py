@@ -905,6 +905,19 @@ def test_structure_reports_match_their_golden_files(capsys, cmd, name, fmt):
     assert out.encode("utf-8") == (DATA / f"{stem}.{'json' if fmt == 'json' else 'txt'}").read_bytes()
 
 
+@pytest.mark.parametrize("fmt, ext", [("json", "json"), ("text", "txt")])
+def test_construct_of_a_near_frame_matches_its_golden_file(capsys, monkeypatch, fmt, ext):
+    # the built-ins' entries are 0, +-1/2 and +-1, on which the last bits of
+    # classify, extend and verify rarely move; this off-lattice frame's
+    # phases, conjugator, twelve elements and twirl deviation pin them.  Run
+    # from the repository root, as CI runs it, so source.path is the same
+    monkeypatch.chdir(DATA.parent.parent)
+    argv = ["construct", "--from", "file", "tests/data/near_frame.json", "--tol", "1e-9", "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.encode("utf-8") == (DATA / f"construct_near_frame.{ext}").read_bytes()
+
+
 @pytest.fixture
 def near_design(tmp_path):
     """D with element 3 rotated by exp(-i 1e-8 X): a group and a 24-cell

@@ -149,6 +149,40 @@ def test_polytope_refuses_nan_points(shape):
         polytope_identify(np.full(shape, np.nan))
 
 
+def _full_matrix_identify(P, tol=1e-9):
+    """polytope_identify's answer from every vertex's sorted distances, as it
+    was formed for every n: the reference for the one-row path."""
+    from udes.groups import _TEMPLATES, _expand, _spectrum_of
+
+    n = P.shape[0]
+    rows = np.sort(np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2), axis=1)[:, 1:]
+    for kind, size, template in _TEMPLATES:
+        if n == size and np.all(np.abs(rows - _expand(template)[None, :]) <= tol):
+            return PolytopeId(kind, template)
+    return PolytopeId("other", _spectrum_of(rows[0], tol) if n > 1 else ())
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_polytope_reads_one_row_as_the_full_matrix_does(n):
+    # sizes without a template read the first vertex's row alone; kind and
+    # spectrum, down to each distance's bits, are the full matrix's, on
+    # random points and on the closure points of the built-ins cut to n
+    g = np.random.default_rng(n)
+    P = g.normal(size=(n, 4))
+    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    lattice = su2_closure(D).points()[:n] if n <= 24 else np.concatenate([P[: n - 24], su2_closure(D).points()])
+    for Q in (P, lattice):
+        got, want = polytope_identify(Q), _full_matrix_identify(Q)
+        assert got.kind == want.kind
+        assert np.array(got.distance_spectrum).tobytes() == np.array(want.distance_spectrum).tobytes()
+    # a NaN or non-unit point is refused before any distance is formed
+    for bad in (np.nan, 2.0):
+        Q = P.copy()
+        Q[n // 2] *= bad
+        with pytest.raises(NonUnitPoint, match=f"^point {n // 2} has norm "):
+            polytope_identify(Q)
+
+
 def test_polytope_recognition_is_rotation_invariant():
     # chord spectra are unchanged by any global 4d rotation
     g = np.random.default_rng(8)
