@@ -1,7 +1,7 @@
 """Unitary designs for single qubits: construction, verification, structure.
 
 The package provides finite averaging (twirls) over unitary sets together
-with exact Haar oracles for first and second order, frame potentials,
+with exact Haar oracles at orders 1 to 5, frame potentials,
 completion of orthogonal unitary bases into 12-element 2-designs, and the
 group/polytope structure of those designs on the quaternion 3-sphere.
 """

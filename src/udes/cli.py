@@ -288,17 +288,17 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("verify", "check the design property of a unitary set")
-    p.add_argument("--t", type=int, default=2, help="averaging order (1 or 2)")
+    p.add_argument("--t", type=int, default=2, help="averaging order, 1 to 5")
     p.add_argument("--method", choices=("twirl", "frame", "both"), default="both")
     p = command("construct", "complete an orthogonal unitary basis to a 2-design")
     p.add_argument("--from", dest="source_kind", choices=("pauli", "file"))
     p.add_argument("path", nargs="?", help="unitary-set file (with --from file)")
     p = command("frame-potential", "evaluate the order-t frame potential")
-    p.add_argument("--t", type=int, default=2)
+    p.add_argument("--t", type=int, default=2, help="order, >= 1; refused where the sum could overflow")
     command("group", "multiplicative structure of the determinant-1 closure")
     command("geometry", "polytope and rotation picture of the closure")
     p = command("mc", "Monte Carlo cross-check of the closed-form averaging", source=False)
-    p.add_argument("--t", type=int, default=2)
+    p.add_argument("--t", type=int, default=2, help="averaging order, 1 to 5")
     samples = _checked(int, lambda v: v >= 2, "an integer >= 2")
     seed = _checked(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
     p.add_argument("--samples", type=samples, default=100000)
@@ -393,8 +393,6 @@ def cmd_construct(S, args) -> tuple[dict, int]:
 
 
 def cmd_frame_potential(S, args) -> tuple[dict, int]:
-    # the library has a reference at every order; the CLI offers the oracle's
-    twirl.superop_of_twirl(twirl.HAAR, args.t)
     fp = twirl.frame_potential(S, args.t)
     result = {
         "value": fp.value,

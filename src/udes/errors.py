@@ -38,7 +38,7 @@ class NotRotation(UdesError):
 
 
 class UnsupportedOrder(UdesError):
-    """The moment order t has no closed-form Haar oracle here, or would overflow."""
+    """The moment order t is not an int >= 1, is past the twirl's size limit, or would overflow."""
 
 
 class DuplicateElements(UdesError):

@@ -1,6 +1,6 @@
-"""Twirling channels over finite unitary sets, closed-form Haar twirl
-oracles for one and two qubits, superoperator/Choi machinery, frame
-potentials, and a deterministic Monte-Carlo Haar sampler.
+"""Twirling channels over finite unitary sets, exact Haar twirl oracles
+at orders 1 to 5, superoperator/Choi machinery, frame potentials, and a
+deterministic Monte-Carlo Haar sampler.
 
 Vectorization is column-stacking throughout: vec(A) = A.reshape(-1,
 order="F"), so vec(M A M^H) = kron(conj(M), M) vec(A) and the standard
@@ -13,7 +13,7 @@ conj(M_a) (x) M_a, M_a = U_a^{(x)t}, is a fixed gather of G's entries,
 Phi[(a,c),(b,d)] = G[(a,b),(c,d)] / N (_moment_index).  The Monte Carlo
 check sums the same Gram matrix in the monomials of the Haar quaternion q,
 maps it to the entries' by one exact change of coordinates, and ends in the
-same gather.  SUPEROP_HAAR holds the read-only Haar twirls, by order.
+same gather; so does the exact Haar twirl, from S^3 moments (_haar_superop).
 Twirls of operators and Choi matrices are read off Phi, and design checks
 use Delta = Phi_S - Phi_Haar, whose largest column norm is the worst twirl
 error on a basis operator and whose squared norm is the frame-potential gap
@@ -43,7 +43,6 @@ from .linalg import (
     norms,
     rank,
 )
-from .qubit import singlet_triplet
 from .su2 import UNIT_BASIS, su2_batch
 
 HAAR = "haar"
@@ -219,18 +218,6 @@ def unvec(v) -> np.ndarray:
     return v.reshape(D, D, order="F")
 
 
-_vs, _vt = (vec(P) for P in singlet_triplet())
-#: The exact Haar twirls on qubits by order t, built once and read-only: t = 1
-#: is the completely depolarizing channel A -> tr(A) 1/2; t = 2 projects onto
-#: the span of the singlet and triplet projectors, A -> <P_s, A> P_s + <P_t, A> P_t / 3.
-SUPEROP_HAAR = {
-    1: np.outer(vec(np.eye(2) / 2.0), vec(np.eye(2)).conj()),
-    2: np.outer(_vs, _vs.conj()) + np.outer(_vt, _vt.conj()) / 3.0,
-}
-for _Phi in SUPEROP_HAAR.values():
-    _Phi.flags.writeable = False
-
-
 def twirl_finite(S: UnitarySet, t: int, A) -> np.ndarray:
     """(1/N) sum_a U_a^{(x)t} A (U_a^H)^{(x)t} — the order-t twirl over S,
     for t = 1 to 5 (superop_of_twirl)."""
@@ -238,36 +225,33 @@ def twirl_finite(S: UnitarySet, t: int, A) -> np.ndarray:
 
 
 def haar_twirl(t: int, A) -> np.ndarray:
-    """The Haar-average twirl on qubits: SUPEROP_HAAR[t] applied to A."""
+    """The Haar-average twirl on qubits, for t = 1 to 5: superop_of_twirl("haar", t) applied to A."""
     return unvec(superop_of_twirl(HAAR, t) @ vec(as_matrix(A, 2**t)))
 
 
-#: the highest order superop_of_twirl takes for a set: the gather index of
-#: order t has 4^{2t} entries, 8.4 MB at t = 5, then 134 MB at t = 6 and 2.1 GB
-#: at t = 7, so a higher order is refused before its index is built
+#: the highest order superop_of_twirl takes: the gather index of order t has
+#: 4^{2t} entries, 8.4 MB at t = 5, then 134 MB at t = 6 and 2.1 GB at t = 7,
+#: so a higher order is refused before its index is built
 _MAX_ORDER = 5
 
 
 def superop_of_twirl(source, t: int) -> np.ndarray:
     """The (D^2, D^2) matrix of the order-t twirl channel on vectorized operators.
 
-    `source` is either a UnitarySet, for t = 1 to 5, or the string "haar"
-    for the exact Haar-average channel, which returns the read-only
-    SUPEROP_HAAR[t] itself: the one check of the Haar oracle's orders,
-    SUPEROP_HAAR's keys.
+    `source` is either a UnitarySet or the string "haar" for the exact
+    Haar-average channel (_haar_superop, cached and read-only); for both, t
+    is an int from 1 to _MAX_ORDER = 5.
     """
-    if isinstance(source, str):
-        if source != HAAR:
-            raise ValueError(f"unknown twirl source {source!r}")
-        if t not in SUPEROP_HAAR:
-            raise UnsupportedOrder(f"the Haar oracle implements t in {set(SUPEROP_HAAR)}, got {t}")
-        return SUPEROP_HAAR[t]
-    if t < 1:
-        raise UnsupportedOrder(f"twirl order must be >= 1, got {t}")
+    if isinstance(source, str) and source != HAAR:
+        raise ValueError(f"unknown twirl source {source!r}")
+    if not _is_int(t) or t < 1:
+        raise UnsupportedOrder(f"twirl order must be an int >= 1, got {t!r}")
     if t > _MAX_ORDER:
         raise UnsupportedOrder(
             f"twirl order must be <= {_MAX_ORDER}, got {t}: its superoperator would have 4^{2 * t} entries"
         )
+    if isinstance(source, str):
+        return _haar_superop(t)
     n = len(source)
     Y = _monomials(source.stack.reshape(n, 4).T, t)
     G = np.dot(Y.conj(), Y.T) / n  # np.dot: less overhead than @ on matrices this small
@@ -299,13 +283,14 @@ def frame_potential(S: UnitarySet, t: int) -> FramePotentialReport:
     particles (Diaconis & Shahshahani, J. Appl. Probab. 31A (1994)).  Each
     |tr(U_a^H U_b)| is at most 2 + sqrt(2) S.unitarity_defect (see
     UnitarySet), so the sum, and C_t < 4^t, stay in the float range while
-    N^2 times that to the power 2t is below 2^1022; higher orders are refused."""
-    if t < 1:
-        raise UnsupportedOrder(f"frame potential order must be >= 1, got {t}")
+    N^2 times that to the power 2t is below 2^1022.  Higher orders are refused,
+    t >= 511 (which fails that test for any N) before t becomes a float."""
+    if not _is_int(t) or t < 1:
+        raise UnsupportedOrder(f"frame potential order must be an int >= 1, got {t!r}")
     key = ("frame_potential", t)
     value = S._derived.get(key)
     if value is None:
-        if math.log2(len(S)) + t * math.log2(2 + math.sqrt(2) * S.unitarity_defect) >= 511:
+        if t >= 511 or math.log2(len(S)) + t * math.log2(2 + math.sqrt(2) * S.unitarity_defect) >= 511:
             raise UnsupportedOrder(f"the order-{t} frame potential of {len(S)} elements may overflow")
         value = S._derived[key] = float(mean(np.abs(S.gram) ** (2 * t)))
     haar_value = _haar_frame_potential(t)
@@ -498,6 +483,23 @@ def _entry_map(t: int) -> np.ndarray:
     return _read_only(L)
 
 
+@functools.cache
+def _haar_superop(t: int) -> np.ndarray:
+    """The order-t Haar twirl from exact moments of a Haar quaternion q (Folland,
+    Amer. Math. Monthly 108 (2001) 446-448): N = 4^t (t + 1)! E[Y Y^T], for Y the
+    degree-t monomials of q, holds prod_i k_i! / (k_i / 2)!, or 0 if an exponent
+    k_i of the product is odd.  With _entry_map(t) = A + iB, conj(L) N L^T has
+    integer parts, laid out by a set's gather and divided once: correctly rounded."""
+    P = np.array([np.bincount(j, minlength=4) for j in _monomial_rows(t)])  # (n_t, 4) exponents
+    f = np.array([math.factorial(k) // math.factorial(k // 2) * (1 - k % 2) for k in range(2 * t + 1)])
+    N = f[P[:, None] + P].prod(axis=2)
+    L, scale = _entry_map(t), 4**t * math.factorial(t + 1)
+    A, B = L.real.astype(np.int64), L.imag.astype(np.int64)
+    Phi = ((A @ N @ A.T + B @ N @ B.T) / scale).astype(complex)
+    Phi.imag = (A @ N @ B.T - B @ N @ A.T) / scale
+    return _read_only(Phi.ravel()[_moment_index(t)])
+
+
 #: the Monte Carlo gate: a report is ok when every deviation is within this
 #: many standard errors
 NSIGMA = 5.0
@@ -536,9 +538,9 @@ class McOracleReport(NamedTuple):
 
 _KEPT = threading.local()  # each calling thread's mc_oracle_check work arrays
 
-#: the samples per block of mc_oracle_check: a block's work array holds at
-#: most 18 rows of CHUNK floats, 1.2 MB, which stays in a 2 MB L2 cache, and
-#: a call has enough blocks that a helper thread starting late still finds some
+#: the samples per block of mc_oracle_check: at t = 2 a block's work array,
+#: 18 rows of CHUNK floats (1.2 MB), stays in a 2 MB L2 cache, and a call
+#: has enough blocks that a helper thread starting late still finds some
 CHUNK = 8192
 
 
@@ -612,7 +614,7 @@ def _is_int(v) -> bool:
 
 #: rows of m floats that _mc_block uses at each oracle order t: g and u, then
 #: the degree-t monomials of g's four rows, which at t = 1 are g itself
-_MC_ROWS = {t: 8 if t == 1 else 8 + math.comb(t + 3, t) for t in SUPEROP_HAAR}
+_MC_ROWS = {t: 8 if t == 1 else 8 + math.comb(t + 3, t) for t in range(1, _MAX_ORDER + 1)}
 
 
 def _mc_block(seed: int, start: int, m: int, t: int, work: np.ndarray) -> np.ndarray:

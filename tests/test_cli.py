@@ -491,9 +491,16 @@ def test_verify_rejects_pauli_at_order_two(capsys):
 
 
 def test_verify_unsupported_order(capsys):
-    code, _, err = run(capsys, "verify", "--builtin", "D", "--t", "5")
-    assert code == 3
-    assert "t" in err
+    code, out, err = run(capsys, "verify", "--builtin", "D", "--t", "6")
+    assert (code, out) == (3, "")
+    assert err == "error: twirl order must be <= 5, got 6: its superoperator would have 4^12 entries\n"
+
+
+def test_verify_finds_d_no_3_design(capsys):
+    code, doc = run_json(capsys, "verify", "--builtin", "D", "--t", "3")
+    assert code == 1
+    assert doc["result"]["is_design"] is False
+    assert doc["result"]["frame_gap"] == 1 and doc["result"]["haar_value"] == 5
 
 
 def text_fields(text: str) -> dict:
@@ -791,26 +798,49 @@ def test_frame_potential_command(capsys):
     assert doc["result"]["is_design"] is False
 
 
+def test_frame_potential_command_past_the_twirl_orders(capsys):
+    # the frame potential has a Haar reference, C_t, at every order
+    for t, value, haar_value in (("3", 6, 5), ("7", 1366, 429)):
+        code, doc = run_json(capsys, "frame-potential", "--builtin", "D", "--t", t)
+        assert code == 0
+        assert (doc["result"]["value"], doc["result"]["haar_value"]) == (value, haar_value)
+        assert doc["result"]["is_design"] is False
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("t", ["600", "0", "-5", "3"])
-def test_frame_potential_refuses_an_order_without_reference_in_one_line(capsys, t):
-    # the library has a Haar reference at every order; the CLI offers the
-    # orders of the Haar oracle, so t = 3 keeps its exit 3
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        pytest.param("600", "the order-600 frame potential of 12 elements may overflow", id="600"),
+        pytest.param("0", "frame potential order must be an int >= 1, got 0", id="0"),
+        pytest.param("-5", "frame potential order must be an int >= 1, got -5", id="-5"),
+        pytest.param(str(10**400), f"the order-{10**400} frame potential of 12 elements may overflow", id="400-digits"),
+    ],
+)
+def test_frame_potential_refuses_an_order_without_reference_in_one_line(capsys, t, message):
+    # an order too large for a float is refused before it becomes one
     code, out, err = run(capsys, "frame-potential", "--builtin", "D", "--t", t)
     assert code == 3 and out == ""
-    assert err == f"error: the Haar oracle implements t in {{1, 2}}, got {t}\n"
+    assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("cmd", ["verify", "frame-potential", "mc"])
-def test_the_oracle_orders_are_the_keys_of_superop_haar(monkeypatch, capsys, cmd):
-    # every order check reads SUPEROP_HAAR: without its t = 2, t = 2 exits 3
+LIMIT_1 = "error: twirl order must be <= 1, got 2: its superoperator would have 4^4 entries\n"
+
+
+@pytest.mark.parametrize(
+    "cmd, code, err",
+    [("verify", 3, LIMIT_1), ("mc", 3, LIMIT_1), ("frame-potential", 0, "")],
+    ids=["verify", "mc", "frame-potential"],
+)
+def test_one_order_limit_serves_verify_and_mc(monkeypatch, capsys, cmd, code, err):
+    # sets and the Haar oracle share twirl._MAX_ORDER; the frame potential
+    # needs no twirl, so its orders do not follow it
     from udes import twirl
 
-    monkeypatch.delitem(twirl.SUPEROP_HAAR, 2)
+    monkeypatch.setattr(twirl, "_MAX_ORDER", 1)
     source = ["--samples", "100"] if cmd == "mc" else ["--builtin", "D"]
-    code, out, err = run(capsys, cmd, *source, "--t", "2")
-    assert (code, out) == (3, "")
-    assert err == "error: the Haar oracle implements t in {1}, got 2\n"
+    got, out, got_err = run(capsys, cmd, *source, "--t", "2")
+    assert (got, got_err) == (code, err) and (out == "") == bool(code)
 
 
 @pytest.mark.parametrize("argv", [["verify", "--builtin", "D"], ["construct", "--from", "pauli"]])

@@ -191,13 +191,13 @@ def test_both_takes_the_twirl_verdict_near_a_design(eps):
     assert verify_design(S, 2, method="frame").is_design
 
 
-def test_verification_reads_the_haar_operator_built_at_import(monkeypatch):
-    import udes.qubit as qubit
+def test_verification_reads_the_cached_haar_operator(monkeypatch):
     import udes.twirl as twirl
 
-    for module in (qubit, twirl):
-        monkeypatch.setattr(module, "singlet_triplet", lambda: pytest.fail("Haar operator rebuilt"))
-    assert verify_design(named_design("D").set, 2).is_design
+    D = named_design("D").set
+    assert verify_design(D, 2).is_design
+    monkeypatch.setattr(twirl, "_entry_map", lambda t: pytest.fail("Haar operator rebuilt"))
+    assert verify_design(D, 2).is_design
 
 
 def test_both_raises_only_when_the_frame_identity_fails(monkeypatch):
@@ -235,7 +235,7 @@ def test_verify_design_single_methods():
 
 def test_verify_design_unsupported_order():
     with pytest.raises(UnsupportedOrder):
-        verify_design(named_design("B").set, 3)
+        verify_design(named_design("B").set, 6)
 
 
 def test_rotation_sum_vanishes_for_designs_only():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from udes.errors import (
     NotUnitary,
     UnsupportedOrder,
 )
-from udes.designs import named_design
+from udes.designs import named_design, verify_design
 from udes.linalg import EQ_TOL, RANK_TOL, gram_floor, hs_norm, kron, kron_power
 from udes.qubit import bell_diagonal_part, pauli, singlet_triplet
 from udes import twirl
@@ -635,7 +636,7 @@ def test_haar_twirl_fixes_invariant_projectors():
     assert hs_norm(haar_twirl(2, P_t) - P_t) < 1e-14
 
 
-@pytest.mark.parametrize("t", [0, 3, -1])
+@pytest.mark.parametrize("t", [0, 6, -1])
 def test_haar_oracle_orders_are_restricted(t):
     with pytest.raises(UnsupportedOrder):
         haar_twirl(t, np.eye(2 ** max(t, 1)))
@@ -643,8 +644,28 @@ def test_haar_oracle_orders_are_restricted(t):
 
 @pytest.mark.parametrize("t", [0, -1])
 def test_finite_twirl_rejects_nonpositive_order(t):
-    with pytest.raises(UnsupportedOrder, match=rf"^twirl order must be >= 1, got {t}$"):
+    with pytest.raises(UnsupportedOrder, match=rf"^twirl order must be an int >= 1, got {t}$"):
         twirl_finite(PAULI_SET, t, np.eye(2))
+
+
+@pytest.mark.parametrize("t", [True, 2.5, 2.0, "2", None])
+def test_every_order_check_refuses_an_order_that_is_no_int(t):
+    # a bool would be reported as its int, and a float would be summed over
+    # the whole set before math.comb refused it
+    D = named_design("D").set
+    calls = [
+        lambda: superop_of_twirl("haar", t),
+        lambda: superop_of_twirl(D, t),
+        lambda: twirl_finite(D, t, np.eye(4)),
+        lambda: haar_twirl(t, np.eye(4)),
+        lambda: verify_design(D, t),
+    ]
+    for call in calls:
+        with pytest.raises(UnsupportedOrder, match=rf"^twirl order must be an int >= 1, got {t!r}$"):
+            call()
+    with pytest.raises(UnsupportedOrder, match=rf"^frame potential order must be an int >= 1, got {t!r}$"):
+        frame_potential(D, t)
+    assert ("frame_potential", t) not in D._derived
 
 
 def test_finite_twirl_works_beyond_oracle_orders():
@@ -798,12 +819,45 @@ def test_choi_rejects_a_matrix_off_a_square_operator_space():
         choi(np.zeros((4, 5)))
 
 
-@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
 def test_haar_superop_is_one_read_only_constant(t):
     Phi = superop_of_twirl("haar", t)
     assert superop_of_twirl("haar", t) is Phi
     with pytest.raises(ValueError):
         Phi[0, 0] = 0
+
+
+def test_haar_superop_at_order_1_is_the_depolarizing_formula_bit_for_bit():
+    # A -> tr(A) 1/2, the closed form the exact moments replaced
+    expect = np.outer(vec(np.eye(2) / 2.0), vec(np.eye(2)).conj())
+    assert superop_of_twirl("haar", 1).tobytes() == expect.tobytes()
+
+
+def test_haar_superop_at_order_2_is_the_singlet_triplet_projector_rounded_once():
+    # A -> <P_s, A> P_s + <P_t, A> P_t / 3, evaluated exactly: the projectors'
+    # entries 0, +-1/2 and 1 are exact floats
+    vs, vt = ([Fraction(x) for x in vec(P).real] for P in singlet_triplet())
+    exact = np.array([[float(a * b + c * d / 3) for b, d in zip(vs, vt)] for a, c in zip(vs, vt)])
+    Phi = superop_of_twirl("haar", 2)
+    assert np.array_equal(Phi.real, exact) and not Phi.imag.any()
+    # the same formula in floats, rounded at each step, misses 8 entries
+    fs, ft = (vec(P) for P in singlet_triplet())
+    floats = np.outer(fs, fs.conj()) + np.outer(ft, ft.conj()) / 3.0
+    miss = np.abs(floats - exact)
+    assert np.count_nonzero(miss) == 8 and miss.max() <= 5.6e-17
+
+
+@pytest.mark.parametrize("t,catalan", [(1, 1), (2, 2), (3, 5), (4, 14), (5, 42)])
+def test_haar_superop_is_a_hermitian_projector_of_catalan_rank(t, catalan):
+    # the twirl projects onto the operators that commute with every U^{(x)t}:
+    # C_t of them, the spin-0 states of 2t spin-1/2 particles
+    Phi = superop_of_twirl("haar", t)
+    assert Phi.shape == (4**t, 4**t)
+    assert np.array_equal(Phi, Phi.conj().T)  # exactly: each entry rounded once
+    assert not Phi.imag.any()  # its range is spanned by the real permutations of the t factors
+    assert np.abs(Phi @ Phi - Phi).max() <= 4 * np.finfo(float).eps
+    assert np.trace(Phi) == catalan
+    assert np.vdot(Phi, Phi).real == pytest.approx(catalan, rel=1e-13)  # a sum of 4^{2t} rounded squares
 
 
 def test_choi_of_haar_second_order_closed_form():
@@ -875,6 +929,29 @@ def test_frame_potential_reference_is_catalan_and_separates_known_designs():
     assert not frame_potential(D, 3).is_design()
 
 
+def test_the_twirl_alone_finds_d_a_2_design_and_the_cliffords_a_3_design():
+    # against the exact oracle, with no frame potential: D fails at t = 3 and
+    # the Cliffords at t = 4, by 1/sqrt(12) and sqrt(5/24) on the worst basis
+    # operator, as FP_3(D) = 6 > 5 and FP_4(Cliffords) = 15 > 14 say
+    D, C = named_design("D").set, clifford_group()
+    reports = {(name, t): verify_design(S, t, method="twirl") for name, S in (("D", D), ("C", C)) for t in (1, 2, 3, 4)}
+    assert [reports["D", t].is_design for t in (1, 2, 3, 4)] == [True, True, False, False]
+    assert [reports["C", t].is_design for t in (1, 2, 3, 4)] == [True, True, True, False]
+    assert reports["D", 3].max_twirl_deviation == pytest.approx(1 / math.sqrt(12), abs=1e-15)
+    assert reports["C", 4].max_twirl_deviation == pytest.approx(math.sqrt(5 / 24), abs=1e-15)
+    assert reports["C", 3].max_twirl_deviation < 1e-15
+
+
+def test_both_methods_agree_past_order_2():
+    # gap = ||Delta||_F^2 holds at every order, so "both" never raises
+    h = HaarSampler(5)
+    sets = [named_design("D").set, clifford_group()] + [UnitarySet([haar_sample(h) for _ in range(n)]) for n in (3, 12, 40)]
+    for S in sets:
+        for t in (3, 4, 5):
+            rep = verify_design(S, t)
+            assert rep == verify_design(S, t, method="twirl")
+
+
 @pytest.mark.filterwarnings("error")
 def test_frame_potential_reference_is_exact_up_to_the_float_range():
     # D's 12 exact elements: N^2 4^t stays below 2^1022 up to t = 507
@@ -884,8 +961,9 @@ def test_frame_potential_reference_is_exact_up_to_the_float_range():
         assert fp.haar_value == float(math.comb(2 * t, t) // (t + 1))  # correctly rounded
         assert math.isfinite(fp.value) and fp.gap >= 0
     assert frame_potential(D, 20).haar_value == 6564120420  # exact below 2^53
-    # 508: past that bound; 511: the sum would be inf; 520: C_t would overflow
-    for t in (508, 511, 520, 10**6):
+    # 508: past that bound; 511: the sum would be inf; 520: C_t would overflow;
+    # 10**400: too large for a float, and refused before it becomes one
+    for t in (508, 511, 520, 10**6, 10**400):
         message = rf"^the order-{t} frame potential of 12 elements may overflow$"
         with pytest.raises(UnsupportedOrder, match=message):
             frame_potential(D, t)
@@ -1080,6 +1158,7 @@ def reference_oracle_check(seed, t, n):
         (9, 2, 5, 3),
         (10, 1, 1000, 97),
         (11, 2, 777, 256),
+        (12, 3, 50, 16),
     ],
 )
 def test_mc_oracle_check_matches_per_sample_reference(monkeypatch, seed, t, n, chunk):
@@ -1110,6 +1189,13 @@ def test_mc_oracle_check_replays_bit_identically(t):
     b = mc_oracle_check(HaarSampler(2**64 - 1), t, 70000)
     assert a.deviations.tobytes() == b.deviations.tobytes()
     assert a.std_errors.tobytes() == b.std_errors.tobytes()
+
+
+@pytest.mark.parametrize("t", [3, 4, 5])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mc_oracle_check_passes_its_gate_past_order_2(t, seed):
+    rep = mc_oracle_check(HaarSampler(seed), t, 200000)
+    assert rep.ok and rep.deviations.shape == (4**t,)
 
 
 def test_mc_oracle_check_needs_samples():
