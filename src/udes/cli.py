@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -63,65 +64,48 @@ def emit_json(value, indent: int = 0) -> str:
     """Serialize with %.17g floats.  A collection stays on one line when that
     line fits in 100 - 2*indent columns, and is otherwise laid out one item
     per line, each item nested at indent + 1 by the same rule.  Each node is
-    rendered once, bottom-up."""
-    return _layout(value, indent)[0]
+    rendered once, bottom-up.  Keys must be strings."""
+    return _layout(value, indent)
 
 
 #: the types a list of numbers is made of, in reports and in set files
 _NUMBER_TYPES = frozenset((float, int))
 
 
-def _number_fields(value, indent: int) -> tuple[list[str], bool] | None:
-    """The items of a list at `indent` as _layout needs them, each number
-    formatted once, and whether they are all one-line, when the items are
-    all numbers or all lists of numbers; None otherwise, for the recursion
-    to lay out.  A row of numbers too wide for one line at indent + 1 is
-    laid out one number per line from the strings already formatted."""
-    kinds = {*map(type, value)}
-    if kinds <= _NUMBER_TYPES:
-        return list(map(format_number, value)), True
-    if kinds != {list} or not {*map(type, chain.from_iterable(value))} <= _NUMBER_TYPES:
-        return None
-    limit = 100 - 2 * (indent + 1)
-    rows, flat = [], True
-    for v in value:
-        numbers = list(map(format_number, v))
-        row = "[" + ", ".join(numbers) + "]"
-        if len(row) > limit:
-            row, flat = _block("[", numbers, "]", indent + 1), False
-        rows.append(row)
-    return rows, flat
+def _layout(value, indent: int) -> str:
+    """`value` rendered at `indent`.  JSON string encoding escapes every
+    newline, so a rendering spans several lines exactly when it holds one.
 
-
-def _layout(value, indent: int) -> tuple[str, bool]:
-    """`value` rendered at `indent`, and whether that rendering is one line.
-
-    A child that needs several lines at indent + 1 is too wide for one line
-    at indent too, since the parent's one-line form would contain it."""
+    A list of numbers, or of rows of numbers, formats each number once and
+    joins each row once; a row too wide for one line at indent + 1 is laid
+    out one number per line from the strings already formatted."""
     if isinstance(value, dict):
-        items = [_layout(v, indent + 1) for v in value.values()]
-        fields = [f"{json.dumps(k)}: {text}" for k, (text, _) in zip(value, items)]
-        flat = all(f for _, f in items)
+        fields = [f"{encode_basestring_ascii(k)}: {_layout(v, indent + 1)}" for k, v in value.items()]
         opening, closing = "{", "}"
     elif isinstance(value, (list, tuple)):
-        numbers = _number_fields(value, indent)
-        if numbers is None:
-            items = [_layout(v, indent + 1) for v in value]
-            fields, flat = [text for text, _ in items], all(f for _, f in items)
+        kinds = {*map(type, value)}
+        if kinds <= _NUMBER_TYPES:
+            fields = list(map(format_number, value))
+        elif kinds == {list} and {*map(type, chain.from_iterable(value))} <= _NUMBER_TYPES:
+            limit = 100 - 2 * (indent + 1)
+            fields = []
+            for v in value:
+                numbers = list(map(format_number, v))
+                row = "[" + ", ".join(numbers) + "]"
+                fields.append(row if len(row) <= limit else _block("[", numbers, "]", indent + 1))
         else:
-            fields, flat = numbers
+            fields = [_layout(v, indent + 1) for v in value]
         opening, closing = "[", "]"
     elif value is None:
-        return "null", True
+        return "null"
     elif isinstance(value, str):
-        return json.dumps(value), True
+        return encode_basestring_ascii(value)
     else:
-        return format_number(value), True
-    if flat:
-        line = opening + ", ".join(fields) + closing
-        if len(line) <= 100 - 2 * indent:
-            return line, True
-    return _block(opening, fields, closing, indent), False
+        return format_number(value)
+    line = opening + ", ".join(fields) + closing
+    if len(line) <= 100 - 2 * indent and "\n" not in line:
+        return line
+    return _block(opening, fields, closing, indent)
 
 
 def _block(opening: str, fields: list[str], closing: str, indent: int) -> str:
@@ -141,7 +125,7 @@ def matrix_payload(M: np.ndarray) -> list:
 
 
 def set_payload(S: twirl.UnitarySet) -> dict:
-    doc: dict = {"dim": S.dim, "unitaries": [matrix_payload(U) for U in S]}
+    doc: dict = {"dim": S.dim, "unitaries": matrix_payload(S.stack)}
     if S.labels is not None:
         doc["labels"] = list(S.labels)
     return doc

@@ -121,19 +121,17 @@ def _lookup(P: np.ndarray, Q: np.ndarray, tol: float) -> np.ndarray:
     or -1 where it is farther than tol in Hilbert-Schmidt distance
     ||U - V|| = sqrt(2) |p - q|.
 
-    The largest |p.r| over the representatives r = Q[0::2] picks the
-    candidate, in row blocks of at most 2^15 dot products (256 kB), and the
-    sign of p.r picks r or -r; the distance is then taken directly, because
-    2 - 2 |p.r| loses the 1e-9 scale to cancellation.
+    The largest p.q over Q picks the row, in row blocks of at most 2^15 dot
+    products (256 kB): Q holds -r right after each representative r, so
+    that is the largest |p.r| with the sign of p.r, the first on a tie.  The
+    distance is then taken directly, because 2 - 2 |p.r| loses the 1e-9
+    scale to cancellation.
     """
     flat = P.reshape(-1, 4)
-    R = Q[0::2]
     out = np.empty(len(flat), dtype=int)
-    step = max(1, 2**15 // len(R))
+    step = max(1, 2**15 // len(Q))
     for lo in range(0, len(flat), step):
-        dots = flat[lo : lo + step] @ R.T
-        c = np.argmax(np.abs(dots), axis=1)
-        out[lo : lo + step] = 2 * c + (dots[np.arange(len(c)), c] < 0)
+        out[lo : lo + step] = np.argmax(flat[lo : lo + step] @ Q.T, axis=1)
     out[_hs_distance(flat - Q[out]) > tol] = -1
     return out.reshape(P.shape[:-1])
 

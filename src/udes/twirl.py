@@ -473,13 +473,20 @@ def _entry_map(t: int) -> np.ndarray:
     """L_t with _monomials(u, t) = L_t @ _monomials(q, t) for the four
     entries u_j = sum_k q_k B[k, j] of U = sum_k q_k UNIT_BASIS[k]: the row
     of j_1 <= ... <= j_t expands prod_s u_{j_s} over the monomials of q.
-    Its entries are sums of products of 0, +-1 and +-i, so exact."""
+
+    Built by raising the degree: the row of (j_1, rest) is the sum over k of
+    B[k, j_1] times the row of rest, moved to the columns of the monomials
+    with one more factor q_k.  Its entries are sums of products of 0, +-1
+    and +-i, so exact, and those summed into the zeros stay +0.0."""
+    if t == 0:
+        return _read_only(np.ones((1, 1), dtype=complex))
     B = UNIT_BASIS.reshape(4, 4)
-    row = _monomial_rows(t)
-    L = np.zeros((len(row), len(row)), dtype=complex)
-    for j, r in row.items():
-        for k in itertools.product(range(4), repeat=t):
-            L[r, row[tuple(sorted(k))]] += math.prod(B[k_s, j_s] for k_s, j_s in zip(k, j))
+    rows, lower = _monomial_rows(t), _monomial_rows(t - 1)
+    first = [j[0] for j in rows]
+    P = _entry_map(t - 1)[[lower[j[1:]] for j in rows]]
+    L = np.zeros((len(rows), len(rows)), dtype=complex)
+    for k in range(4):
+        L[:, [rows[tuple(sorted((k, *m)))] for m in lower]] += B[k, first, None] * P
     return _read_only(L)
 
 

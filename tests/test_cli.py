@@ -153,6 +153,26 @@ def test_emit_json_width_limit_is_100_minus_twice_the_indent(indent, spare):
     assert emit_json(nested, indent) == emit_json_reference(nested, indent)
 
 
+@pytest.mark.parametrize("key", [3, None, 1.5, True])
+def test_emit_json_refuses_a_key_that_is_not_a_string(key):
+    # {3: 1} would be no JSON at all; no report has such a key
+    for doc in ({key: 1}, {"a": [{key: [1]}]}):
+        with pytest.raises(TypeError):
+            emit_json(doc)
+
+
+@pytest.mark.parametrize("s", ["a\nb", "\r", "x\u2028y", "\n\r\u2028" * 8])
+@pytest.mark.parametrize("indent", [0, 2])
+def test_emit_json_keeps_escaped_line_breaks_on_one_line(s, indent):
+    # JSON escapes them, so a node that holds them in a key or a value stays
+    # on one line exactly when its escaped form fits
+    for doc in ({s: s}, [s, 1.5], {"k": [s], s: {"n": None}}):
+        text = emit_json(doc, indent)
+        assert text == emit_json_reference(doc, indent)
+        assert json.loads(text) == doc
+        assert ("\n" in text) is (len(_inline_reference(doc)) > 100 - 2 * indent)
+
+
 @st.composite
 def _rows_near_the_width(draw):
     """(rows, indent): a list at `indent` of rows of numbers whose one-line
@@ -946,6 +966,22 @@ def test_construct_of_a_near_frame_matches_its_golden_file(capsys, monkeypatch, 
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out.encode("utf-8") == (DATA / f"construct_near_frame.{ext}").read_bytes()
+
+
+def test_construct_out_of_a_near_frame_matches_its_golden_file(capsys, monkeypatch, tmp_path):
+    # the set file --out writes, every entry to its last bit, and the labels;
+    # loading and saving it again gives the same bytes
+    monkeypatch.chdir(DATA.parent.parent)
+    out = tmp_path / "near_out.json"
+    argv = ["construct", "--from", "file", "tests/data/near_frame.json", "--tol", "1e-9", "--out", str(out)]
+    code, _, err = run(capsys, *argv)
+    golden = DATA / "construct_near_frame_out.json"
+    assert code == 0 and err == ""
+    assert out.read_bytes() == golden.read_bytes()
+    S, _ = load_unitary_set(str(golden))
+    assert len(S) == 12 and S.labels[4] == "GU0"
+    save_unitary_set(S, str(out))
+    assert out.read_bytes() == golden.read_bytes()
 
 
 @pytest.fixture

@@ -22,6 +22,8 @@ from udes.groups import (
     GroupProfile,
     PolytopeId,
     Su2Closure,
+    _UNITS,
+    _lookup,
     _orders,
     _product_table,
     axis_cycle_closure_table,
@@ -527,6 +529,62 @@ def _reference_table(Q, tol):
     prod[_hs_distance(P - Q[prod]) > tol] = -1
     commutes = _hs_distance(P - P.swapaxes(0, 1)) <= tol
     return prod, int(np.count_nonzero(commutes.all(axis=1)))
+
+
+def _reference_lookup(P, Q, tol):
+    """_lookup as it was: the largest |p.r| over the representatives
+    r = Q[0::2], then the sign of p.r picks r or -r, in the same blocks."""
+    flat = P.reshape(-1, 4)
+    R = Q[0::2]
+    out = np.empty(len(flat), dtype=int)
+    step = max(1, 2**15 // len(R))
+    for lo in range(0, len(flat), step):
+        dots = flat[lo : lo + step] @ R.T
+        c = np.argmax(np.abs(dots), axis=1)
+        out[lo : lo + step] = 2 * c + (dots[np.arange(len(c)), c] < 0)
+    out[_hs_distance(flat - Q[out]) > tol] = -1
+    return out.reshape(P.shape[:-1])
+
+
+def _lookup_points(Q, rng):
+    """Points to look up in the signed closure Q: the representatives'
+    products, the signed units, Q itself near and beyond tol, the midpoints
+    of every pair, the 81 points of {-1, 0, 1}^4 and their halves, whose
+    dot products with lattice rows tie exactly, and 2000 random quaternions,
+    enough for several row blocks."""
+    R = Q[0::2]
+    grid = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=4)))
+    noise = rng.standard_normal(Q.shape)
+    return [
+        hamilton(R[:, None, :], R[None, :, :]),
+        _UNITS,
+        Q,
+        Q + 1e-12 * noise,
+        Q + 1e-6 * noise,
+        1.5 * Q,
+        (Q[:, None, :] + Q[None, :, :]) / 2,
+        grid,
+        grid / 2,
+        rng.standard_normal((2000, 4)),
+    ]
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-9, 1e-8, 1e-3, 3.0])
+@pytest.mark.parametrize("source", [*BUILTIN_NAMES, "pauli-0", "design-1", "lattice-2", "union-3", "union-4"])
+def test_lookup_matches_the_representative_scan(source, tol):
+    # one argmax over the signed rows picks the row that |p.r| and the sign of
+    # p.r picked, and -1 beyond tol; at tol 3, past the largest distance
+    # 2 sqrt(2), no row is dropped and the exact ties show which row wins
+    if source in BUILTIN_NAMES:
+        S, rng = named_design(source).set, np.random.default_rng(0)
+    else:
+        kind, seed = source.split("-")
+        S, rng = _generated(kind, int(seed)), np.random.default_rng(int(seed))
+    Q = su2_closure(S).points()
+    for P in _lookup_points(Q, rng):
+        got = _lookup(P, Q, tol)
+        assert got.shape == P.shape[:-1]
+        assert np.array_equal(got, _reference_lookup(P, Q, tol))
 
 
 def _doubling_distances(Q):

@@ -1111,6 +1111,29 @@ def test_moment_maps_reproduce_the_tensor_power(t):
         assert np.max(np.abs(phi - np.kron(M.conj(), M))) < 1e-14
 
 
+def _entry_map_reference(t):
+    """_entry_map as it was built: every row j expands prod_s u_{j_s} over
+    all 4^t index tuples k, adding prod_s B[k_s, j_s] into the monomial of
+    sorted(k); kept as the oracle for the degree recursion."""
+    B = twirl.UNIT_BASIS.reshape(4, 4)
+    row = twirl._monomial_rows(t)
+    L = np.zeros((len(row), len(row)), dtype=complex)
+    for j, r in row.items():
+        for k in itertools.product(range(4), repeat=t):
+            L[r, row[tuple(sorted(k))]] += math.prod(B[k_s, j_s] for k_s, j_s in zip(k, j))
+    return L
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+def test_entry_map_matches_the_loop_bit_for_bit(t):
+    # the entries are small Gaussian integers, so every order of summation is
+    # exact; the zeros, -0.0 in three entries of UNIT_BASIS, must stay +0.0
+    L = twirl._entry_map(t)
+    assert L.tobytes() == _entry_map_reference(t).tobytes()
+    assert not np.signbit(L.view(float)[L.view(float) == 0]).any()
+    assert not L.flags.writeable
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.tuples(*(st.floats(-1, 1) for _ in range(4))).filter(lambda v: np.linalg.norm(v) > 1e-2),
