@@ -7,7 +7,8 @@ precisely a phased, two-sided-rotated copy of the Pauli basis
 frame, and `extend_to_2design` upgrades the set to a 12-element 2-design by
 adjoining its left translates under the conjugated axis-cycle generator
 V W V^H, where W is the order-6 special unitary whose covering rotation
-cyclically permutes the coordinate axes.
+cyclically permutes the coordinate axes.  The classification runs on Python
+floats through su2's four-coordinate formulas; no quaternion formula is here.
 
 The built-ins are one exact listing: their elements are the quaternion
 products {1, W, W*} x {1, I, J, K}, with all coordinates in {0, +-1/2, +-1},
@@ -37,12 +38,16 @@ from .linalg import EQ_TOL, check_tol, hs_norm
 from .qubit import pauli
 from .su2 import (
     _UNIT_COORDINATES,
+    QUATERNION_UNITS,
     W_QUATERNION,
-    canonical_sign,
+    canonical_quaternion,
     hamilton,
+    hamilton_product,
+    quaternion_conjugate,
     rotation_batch,
     rotation_quaternion,
     su2_batch,
+    su2_entries,
 )
 from .twirl import HAAR, UnitarySet, _read_only, frame_potential, superop_of_twirl
 
@@ -150,10 +155,10 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
 
     The input must be four pairwise HS-orthogonal 2x2 unitaries; the overlap
     scan reads them from the set's Gram matrix.  Everything after it is
-    float arithmetic on quaternions.  Each element is sum_k alpha_k
-    UNIT_BASIS[k] for complex coordinates alpha, and dividing by the square
-    root of det U = alpha . alpha leaves the quaternion of its special
-    unitary.  The first one, with the canonical sign, is the frame anchor;
+    float arithmetic on quaternions, through su2's formulas.  Each element
+    is sum_k alpha_k UNIT_BASIS[k] for complex coordinates alpha, and
+    dividing by the square root of det U = alpha . alpha leaves the
+    quaternion of its special unitary.  The first one, with the canonical sign, is the frame anchor;
     the other three, relative to it, are then traceless, (0, n) for unit
     vectors n that form an orthonormal triple.  Reordered to a positively
     oriented triple (lexicographically smallest such reordering), they
@@ -209,30 +214,18 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
         raise internal
 
     alpha = (X @ _UNIT_COORDINATES).tolist()
-    # From here on, local float arithmetic on quaternions.  Each Hamilton
-    # product (a, b, c, d)(e, f, g, h) is written out as
-    #   (ae - bf - cg - dh, af + be + ch - dg, ag - bh + ce + df, ah + bg - cf + de),
-    # and each dot product adds from the int 0, left to right, so that a
-    # total of -0.0 reads +0.0.
+    # From here on, float arithmetic on quaternions as tuples, through su2's
+    # four-coordinate formulas; each dot product adds from the int 0, left
+    # to right, so that a total of -0.0 reads +0.0.
     specials = []  # the quaternion of conj(omega) U, omega = sqrt(det U), det U = alpha . alpha
     for c0, c1, c2, c3 in alpha:
         w = cmath.sqrt(0 + c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3).conjugate()
         specials.append(((w * c0).real, (w * c1).real, (w * c2).real, (w * c3).real))
-    p0 = specials[0]
-    if canonical_sign(p0) < 0:
-        p0 = (-p0[0], -p0[1], -p0[2], -p0[3])
+    p0 = canonical_quaternion(specials[0])
     # relative to the anchor each element is T = -i n.X, with quaternion (0, n):
     # conj(p0) times its quaternion, with the canonical sign
-    a, b, c, d = p0[0], -p0[1], -p0[2], -p0[3]
-    rel = []
-    for e, f, g, h in specials[1:]:
-        r = (
-            a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e,
-        )
-        rel.append(r if canonical_sign(r) > 0 else (-r[0], -r[1], -r[2], -r[3]))
+    anchor = quaternion_conjugate(p0)
+    rel = [canonical_quaternion(hamilton_product(anchor, p)) for p in specials[1:]]
     if max(abs(rel[0][0]), abs(rel[1][0]), abs(rel[2][0])) > _FIRST_ORDER_TOL:
         fail(
             "a relative element is not traceless",
@@ -277,16 +270,8 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
     if not defect <= EQ_TOL:
         message = f"||U^H U - 1|| = {defect:.3e} > {EQ_TOL:.1e}"
         fail("the lifted rotation is not special unitary", NotUnitary(f"matrix is not unitary: {message}"))
-    if canonical_sign(q) < 0:
-        e, f, g, h = -e, -f, -g, -h
-    a, b, c, d = p0
-    vs, vx, vy, vz = (  # v = p0 q
-        a * e - b * f - c * g - d * h,
-        a * f + b * e + c * h - d * g,
-        a * g - b * h + c * e + d * f,
-        a * h + b * g - c * f + d * e,
-    )
-    qs, qx, qy, qz = e, -f, -g, -h  # conj(q)
+    q = canonical_quaternion(q)
+    v, qc = hamilton_product(p0, q), quaternion_conjugate(q)
     # perm maps Pauli slot k -> input position perm[k-1]; both candidates are
     # their own inverse, so position mu plays slot sigma[mu]
     sigma = (0, *perm)
@@ -295,17 +280,7 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
         # the rebuilt element is P = i^[k > 0] times the special unitary of
         # w = v u_k conj(q), u_k the unit 1, I, J or K, so tr(P^H U)/2 is the
         # phase, and ||phase P - U|| = sqrt(2) |z w - coords|
-        e, f, g, h = _UNITS[k]
-        a, b, c, d = (
-            vs * e - vx * f - vy * g - vz * h,
-            vs * f + vx * e + vy * h - vz * g,
-            vs * g - vx * h + vy * e + vz * f,
-            vs * h + vx * g - vy * f + vz * e,
-        )
-        w0 = a * qs - b * qx - c * qy - d * qz
-        w1 = a * qx + b * qs + c * qz - d * qy
-        w2 = a * qy - b * qz + c * qs + d * qx
-        w3 = a * qz + b * qy - c * qx + d * qs
+        w0, w1, w2, w3 = hamilton_product(hamilton_product(v, _UNITS[k]), qc)
         z = 0 + w0 * c0 + w1 * c1 + w2 * c2 + w3 * c3
         phase = z if k == 0 else -1j * z
         if abs(abs(phase) - 1.0) > _FRAME_TOL:
@@ -325,18 +300,13 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
         )
     # read-only: the stored frame goes to every later caller
     # su2_batch((v, conj(q))) as one array: the same float expressions, a fraction of the calls
-    V, Vp = _read_only(
-        np.array(
-            [vs - 1j * vz, -vy - 1j * vx, vy - 1j * vx, vs + 1j * vz,
-             qs - 1j * qz, -qy - 1j * qx, qy - 1j * qx, qs + 1j * qz]
-        ).reshape(2, 2, 2)
-    )
+    V, Vp = _read_only(np.array([*su2_entries(v), *su2_entries(qc)]).reshape(2, 2, 2))
     frame = S._derived[key] = OneDesignFrame(V, Vp, tuple(phases), sigma)
     return frame
 
 
 #: the quaternion units 1, I, J, K as tuples
-_UNITS = tuple(map(tuple, np.eye(4).tolist()))
+_UNITS = tuple(map(tuple, QUATERNION_UNITS.tolist()))
 #: the strict upper triangle of a 4x4 Gram matrix: the pairs a < b
 _UPPER = np.triu(np.ones((4, 4), dtype=bool), 1)
 
@@ -380,8 +350,8 @@ NAMED_DESIGNS = tuple(BUILTIN_LABELS)
 
 #: the quaternions of D0's labels, in order: {1, W, W*} x {1, I, J, K}
 D0_QUATERNIONS = hamilton(
-    np.stack([np.eye(4)[0], W_QUATERNION, W_QUATERNION * (1.0, -1.0, -1.0, -1.0)])[:, None],
-    np.eye(4),
+    np.stack([QUATERNION_UNITS[0], W_QUATERNION, W_QUATERNION * (1.0, -1.0, -1.0, -1.0)])[:, None],
+    QUATERNION_UNITS,
 ).reshape(12, 4)
 D0_QUATERNIONS.flags.writeable = False
 

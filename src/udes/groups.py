@@ -10,7 +10,8 @@ binary tetrahedral group (a 24-cell).  Everything here works on that
 
 The closure table reads the exact +-D0 quaternions of the built-in listing,
 whose coordinates lie in {0, +-1/2, +-1}, and derives the Pauli coefficients
-and rotation vectors from them in closed form, with no rounding step.
+(through those of su2's unit basis) and rotation vectors from them in closed
+form, with no rounding step.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .designs import BUILTIN_LABELS, D0_QUATERNIONS
 from .errors import NonUnitPoint, NotHalfInteger, ProportionalElements
 from .linalg import check_tol, gram_floor, near_pairs
 from .su2 import (
+    PAULI_BASIS,
+    QUATERNION_UNITS,
+    UNIT_BASIS,
     AxisAngle,
     axis_angle_batch,
     canonical_signs,
@@ -53,13 +57,12 @@ class Su2Closure(NamedTuple):
     """Both determinant-1 normalizations of every element of a set, as the
     read-only (2n, 4) array `quaternions` of unit quaternions.
 
-    Row 2a is the canonical normalization of original element a (first
+    Row 2a is the canonical normalization of element a of the set (first
     nonzero coordinate positive) and row 2a + 1 its negative;
     su2_batch(C.points()) gives their matrices.  len() is the closure size,
     not the number of fields.
     """
 
-    original: UnitarySet
     quaternions: np.ndarray
 
     def __len__(self) -> int:
@@ -99,7 +102,7 @@ def su2_closure(S: UnitarySet, tol: float = _MEMBER_TOL) -> Su2Closure:
             raise ProportionalElements(f"elements {a} and {b} are proportional and share normalizations")
     Q = _signed(P)
     Q.flags.writeable = False
-    return Su2Closure(S, Q)
+    return Su2Closure(Q)
 
 
 class GroupProfile(NamedTuple):
@@ -113,7 +116,7 @@ class GroupProfile(NamedTuple):
 #: row j holds the (i, k) entries (e_i e_j)_k of the unit basis products, so
 #: that (q @ _RIGHT).reshape(4, 4) is the right-multiplication matrix of q:
 #: p q = p @ (q @ _RIGHT).reshape(4, 4), with hamilton's sign convention
-_RIGHT = hamilton(np.eye(4)[None], np.eye(4)[:, None]).reshape(4, 16)
+_RIGHT = hamilton(QUATERNION_UNITS[None], QUATERNION_UNITS[:, None]).reshape(4, 16)
 
 
 def _lookup(P: np.ndarray, Q: np.ndarray, tol: float) -> np.ndarray:
@@ -167,7 +170,7 @@ _CANDIDATE_SUBGROUPS = (
 )
 
 #: the signed quaternion units, in the order of Q8 above
-_UNITS = _signed(np.eye(4))
+_UNITS = _signed(QUATERNION_UNITS)
 
 
 #: s ^ t on the (a, s, b, t) axes of the signed product table
@@ -343,6 +346,9 @@ def so3_image_table(C: Su2Closure) -> list[AxisAngle]:
 #: angle 2pi/3 about an axis (+-1, +-1, +-1)/sqrt(3)
 ROTATION_C = 2.0 * math.pi / (3.0 * math.sqrt(3.0))
 
+#: each quaternion unit's one Pauli coefficient tr(P_k u_k): 2, -2i, -2i, -2i
+_UNIT_PAULI = np.einsum("kij,kji->k", UNIT_BASIS, PAULI_BASIS)
+
 #: theta / sin(theta/2), theta = 2 arccos(s), at the canonical s of the
 #: closure elements; the vector part vanishes at s = 1
 _ROTATION_SCALE = {1.0: 0.0, 0.0: math.pi, 0.5: 2.0 * ROTATION_C}
@@ -359,13 +365,13 @@ class ClosureTableRow(NamedTuple):
 
 def axis_cycle_closure_table() -> list[ClosureTableRow]:
     """All 24 elements of the closed quaternion-unit completion, row per
-    signed element, exact.  The Pauli coefficients of s 1 - i (x,y,z).sigma
-    are (2s, -2ix, -2iy, -2iz), and the rotation vector is theta n =
+    signed element, exact.  The Pauli coefficients of a quaternion are its
+    coordinates times _UNIT_PAULI, and the rotation vector is theta n =
     (x, y, z) theta / sin(theta/2) at the canonical sign."""
     Q = _signed(D0_QUATERNIONS) + 0.0  # no -0.0
     R = Q * canonical_signs(Q)[:, None]
     scale = np.array([_ROTATION_SCALE[s] for s in R[:, 0].tolist()])
-    coeffs = np.concatenate([2.0 * Q[:, :1], -2j * Q[:, 1:]], axis=1)
+    coeffs = Q * _UNIT_PAULI
     labels = [tag + name for name in BUILTIN_LABELS["D0"] for tag in "+-"]
     return [
         ClosureTableRow(label, tuple(c), tuple(q), tuple(r))

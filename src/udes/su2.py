@@ -14,11 +14,13 @@ The canonical representative of an antipodal pair {U, -U} is the one whose
 quaternion has its first coordinate above 1e-9 in magnitude positive.
 Every module converts through the stack maps below, which take unvalidated
 (..., 2, 2) or (..., 4) arrays; the scalar functions validate and call them.
-The pivot map from rotations to quaternions and the canonical sign of one
-quaternion work on Python floats, for the frame classifier in designs.
-The Hamilton product and the constants the other modules build from, the
-Pauli basis, the quaternion units 1, I, J, K and the axis-cycle generator W,
-live here too.
+Each quaternion formula is written once, on four coordinates that may be
+floats or arrays: hamilton_product, quaternion_conjugate and su2_entries,
+which hamilton and su2_batch apply to stacks.  The pivot map from rotations
+to quaternions and the canonical sign and flip of one quaternion work on
+Python floats, for the frame classifier in designs.  The constants the
+other modules build from, the Pauli basis, the quaternion units 1, I, J, K
+(QUATERNION_UNITS) and the axis-cycle generator W, live here too.
 """
 
 from __future__ import annotations
@@ -78,41 +80,56 @@ class Quaternion(NamedTuple):
         return np.array(self, dtype=float)
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion(self.s, -self.x, -self.y, -self.z)
+        return Quaternion(*quaternion_conjugate(self))
+
+
+def quaternion_conjugate(q) -> tuple:
+    """The conjugate (s, -x, -y, -z) of q = (s, x, y, z), four floats or arrays."""
+    s, x, y, z = q
+    return s, -x, -y, -z
+
+
+def su2_entries(q) -> tuple:
+    """U00, U01, U10, U11 of s 1 - i (x,y,z).sigma, for q = (s, x, y, z) four floats or arrays."""
+    s, x, y, z = q
+    return s - 1j * z, -y - 1j * x, y - 1j * x, s + 1j * z
 
 
 def su2_batch(q) -> np.ndarray:
     """(..., 4) unit quaternions to the (..., 2, 2) stack of special
     unitaries s 1 - i (x,y,z).sigma."""
     q = np.asarray(q, dtype=float)
-    s, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     U = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
-    U[..., 0, 0] = s - 1j * z
-    U[..., 0, 1] = -y - 1j * x
-    U[..., 1, 0] = y - 1j * x
-    U[..., 1, 1] = s + 1j * z
+    entries = su2_entries((q[..., 0], q[..., 1], q[..., 2], q[..., 3]))
+    U[..., 0, 0], U[..., 0, 1], U[..., 1, 0], U[..., 1, 1] = entries
     return U
+
+
+def hamilton_product(p, q) -> tuple:
+    """The Hamilton product p q, for p and q four floats or broadcastable arrays each."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (
+        a * e - b * f - c * g - d * h,
+        a * f + b * e + c * h - d * g,
+        a * g - b * h + c * e + d * f,
+        a * h + b * g - c * f + d * e,
+    )
 
 
 def hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Hamilton products of broadcast quaternion arrays (..., 4); su2_batch
     turns them into matrix products."""
-    a, b, c, d = np.moveaxis(p, -1, 0)
-    e, f, g, h = np.moveaxis(q, -1, 0)
-    return np.stack(
-        [
-            a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e,
-        ],
-        axis=-1,
-    )
+    return np.stack(hamilton_product(np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0)), axis=-1)
 
 
-#: the quaternion units 1, I, J, K as the special unitaries 1, -iX, -iY, -iZ;
+#: the quaternion units 1, I, J, K as the rows of one read-only array
+QUATERNION_UNITS = np.eye(4)
+QUATERNION_UNITS.flags.writeable = False
+
+#: the quaternion units as the special unitaries 1, -iX, -iY, -iZ;
 #: U = sum_k q_k UNIT_BASIS[k]
-UNIT_BASIS = su2_batch(np.eye(4))
+UNIT_BASIS = su2_batch(QUATERNION_UNITS)
 UNIT_BASIS.flags.writeable = False
 
 #: W = (1 + I + J + K)/2, the order-6 axis-cycle generator: its covering
@@ -178,6 +195,11 @@ def canonical_sign(q) -> float:
         if abs(c) > _ZTOL:
             return 1.0 if c > 0 else -1.0
     return 1.0
+
+
+def canonical_quaternion(q):
+    """q given as four floats, or its negation as a tuple where canonical_sign(q) < 0."""
+    return q if canonical_sign(q) > 0 else (-q[0], -q[1], -q[2], -q[3])
 
 
 def normalize_batch(U) -> np.ndarray:

@@ -588,7 +588,7 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int) -> McOracleReport:
     _check_stream_end(h.counter, n)
     seed, start, stop = h.seed, h.counter, h.counter + n
     starts = range(start, stop, chunk)
-    size, k = _MC_ROWS[t] * min(chunk, n), min(_usable_cpus(), len(starts))
+    size, k = _mc_rows(t) * min(chunk, n), min(_usable_cpus(), len(starts))
     # one work array per thread, all this thread's and kept in _KEPT between
     # calls; taken out while in use, so a nested call makes its own, and put
     # back only once every helper is joined (an interrupt can cut a join short)
@@ -619,15 +619,15 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-#: rows of m floats that _mc_block uses at each oracle order t: g and u, then
-#: the degree-t monomials of g's four rows, which at t = 1 are g itself
-_MC_ROWS = {t: 8 if t == 1 else 8 + math.comb(t + 3, t) for t in range(1, _MAX_ORDER + 1)}
+def _mc_rows(t: int) -> int:
+    """Rows of m floats _mc_block uses at order t: g, u and g's monomials (g itself at t = 1)."""
+    return 8 if t == 1 else 8 + math.comb(t + 3, t)
 
 
 def _mc_block(seed: int, start: int, m: int, t: int, work: np.ndarray) -> np.ndarray:
     """The Gram matrix Y Y^T of the monomials of quaternions start, ...,
     start + m - 1 of the stream `seed`, for mc_oracle_check, computed in
-    the first _MC_ROWS[t] * m entries of `work`, a flat float array kept for
+    the first _mc_rows(t) * m entries of `work`, a flat float array kept for
     block after block and call after call: it reads no entry it did not write.
     It calls no traced name and makes no array but its small result, so that
     it can run on helper threads.  numpy still buffers the broadcasts of a
@@ -636,7 +636,7 @@ def _mc_block(seed: int, start: int, m: int, t: int, work: np.ndarray) -> np.nda
     _monomials' multiplies), against 2.2 KB, the Philox generator, at 8192."""
     g, u = work[: 8 * m].reshape(2, 4, m)
     _haar_block(seed, start, g, u)
-    Y = _monomials(g, t, out=work[8 * m : _MC_ROWS[t] * m].reshape(-1, m))
+    Y = _monomials(g, t, out=work[8 * m : _mc_rows(t) * m].reshape(-1, m))
     return np.dot(Y, Y.T)  # not Y @ Y.T, which holds the GIL for the whole product
 
 

@@ -242,6 +242,15 @@ def test_closure_table_is_exact():
         assert np.allclose(np.array(quaternion_of(U)), row.quaternion, atol=1e-12)
 
 
+def test_closure_table_pauli_coefficients_are_exact_and_hold_no_negative_zero():
+    # U = s 1 - i (x X + y Y + z Z) = (c . sigma)/2 with c = (2s, -2ix, -2iy, -2iz)
+    for row in axis_cycle_closure_table():
+        s, x, y, z = row.quaternion
+        assert row.pauli == (2 * s, -2j * x, -2j * y, -2j * z)
+        parts = [v for c in row.pauli for v in (c.real, c.imag)] + [*row.quaternion, *row.rotation]
+        assert not any(v == 0 and math.copysign(1.0, v) < 0 for v in parts)
+
+
 def test_closure_table_antipodal_rows_share_rotation():
     rows = axis_cycle_closure_table()
     for even, odd in zip(rows[0::2], rows[1::2]):
@@ -689,7 +698,7 @@ RECORD_FIELDS = {
     ),
     OneDesignFrame: ("V", "Vp", "phases", "permutation"),
     NamedDesign: ("name", "set"),
-    Su2Closure: ("original", "quaternions"),
+    Su2Closure: ("quaternions",),
     GroupProfile: ("is_group", "order_histogram", "center_size", "cosets", "semidirect_check"),
     PolytopeId: ("kind", "distance_spectrum"),
     ClosureTableRow: ("label", "pauli", "quaternion", "rotation"),

@@ -22,13 +22,16 @@ from udes.su2 import (
     assert_rotation,
     axis_angle_batch,
     axis_angle_of,
+    canonical_quaternion,
     canonical_sign,
     canonical_signs,
     canonical_su2,
     hamilton,
+    hamilton_product,
     normalize_batch,
     normalize_to_su2,
     quaternion_batch,
+    quaternion_conjugate,
     quaternion_of,
     rodrigues,
     rotation_batch,
@@ -36,6 +39,7 @@ from udes.su2 import (
     shift_euler_solutions,
     so3_rep,
     su2_batch,
+    su2_entries,
     su2_from_axis_angle,
     su2_from_euler,
     su2_from_rotation,
@@ -457,6 +461,29 @@ def test_canonical_sign_per_row_equals_canonical_su2():
     # the same signs on a (3, 5) reshaping of the rows, and one row at a time
     assert np.array_equal(canonical_signs(Q.reshape(3, 5, 4)), signs.reshape(3, 5))
     assert [canonical_sign(q) for q in Q.tolist()] == signs.tolist()
+
+
+#: quaternion coordinates at the edges of the shared formulas: signed zeros,
+#: subnormals and the canonical sign's 1e-9 threshold, among any floats of |x| <= 2
+_edge_coordinates = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-9, -1e-9, 0.5, -1.0]),
+    st.floats(min_value=-2.0, max_value=2.0),
+)
+_edge_quaternions = st.tuples(*[_edge_coordinates] * 4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edge_quaternions, _edge_quaternions)
+def test_four_coordinate_formulas_agree_with_the_stack_maps_bit_for_bit(p, q):
+    # the classifier runs these formulas on Python floats and su2_batch and
+    # hamilton on arrays; a float converts to complex before it multiplies
+    # a complex in both, so the signs of zeros agree too
+    bits = lambda x: np.asarray(x).tobytes()
+    assert bits(hamilton_product(p, q)) == bits(hamilton(np.array(p), np.array(q)))
+    assert bits([hamilton_product(p, q), hamilton_product(q, p)]) == bits(hamilton(np.array([p, q]), np.array([q, p])))
+    assert bits(su2_entries(q)) == bits(su2_batch(q).ravel())
+    assert bits(quaternion_conjugate(q)) == bits(np.array(q) * (1.0, -1.0, -1.0, -1.0))
+    assert bits(canonical_quaternion(q)) == bits(canonical_signs(q) * np.array(q))
 
 
 def test_normalize_batch_gives_canonical_det_one_multiples():

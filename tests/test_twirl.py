@@ -1243,7 +1243,7 @@ def test_haar_blocks_concatenate_to_the_pinned_stream(seed, counter, n):
 def test_mc_block_sums_the_monomials(t):
     m = 999
     Y = _monomials(HaarSampler(21, counter=4).quaternions(m).T, t)
-    gram = twirl._mc_block(21, 4, m, t, np.empty(twirl._MC_ROWS[t] * m))
+    gram = twirl._mc_block(21, 4, m, t, np.empty(twirl._mc_rows(t) * m))
     assert np.allclose(gram, Y @ Y.T, rtol=1e-13, atol=0)
 
 
@@ -1314,7 +1314,7 @@ def blockwise_report(seed, t, n, chunk):
     gram = 0
     for lo in range(0, n, chunk):
         m = min(chunk, n - lo)
-        gram = gram + twirl._mc_block(seed, lo, m, t, np.empty(twirl._MC_ROWS[t] * m))
+        gram = gram + twirl._mc_block(seed, lo, m, t, np.empty(twirl._mc_rows(t) * m))
     L = twirl._entry_map(t)
     phi = (L.conj() @ gram @ L.T / n).ravel()[twirl._moment_index(t)]
     deviations = np.linalg.norm(phi - superop_of_twirl("haar", t), axis=0)
@@ -1417,7 +1417,7 @@ def test_a_larger_block_or_more_workers_regrow_the_kept_arrays(monkeypatch):
         assert report_bytes(rep) == blockwise_report(17, 2, 20000, chunk)
         kept = twirl._KEPT.arrays
         assert len(kept) == count
-        assert all(a.size >= twirl._MC_ROWS[2] * chunk for a in kept)
+        assert all(a.size >= twirl._mc_rows(2) * chunk for a in kept)
 
 
 # mc_oracle_check sums its blocks' Gram matrices in block order from the
