@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import designs, groups, qubit, twirl
+from . import designs, groups, twirl
 from .errors import (
     InternalConsistencyError,
     ProportionalElements,
@@ -407,7 +407,7 @@ def cmd_geometry(S, args) -> tuple[dict, int]:
     C = groups.su2_closure(S, args.tol)
     pid = groups.polytope_identify(C.points(), args.tol)
     rotations = [
-        {"axis": list(aa.axis), "angle": aa.angle, "vector": [aa.angle * a for a in aa.axis]}
+        {"axis": list(aa.axis), "angle": aa.angle, "vector": aa.vector().tolist()}
         for aa in groups.so3_image_table(C)
     ]
     result = {
@@ -506,35 +506,16 @@ def _sym(v: float) -> str:
     return format_number(v)
 
 
-def _pauli_term(mag: float, unit: str, letter: str) -> str:
-    if letter == "1" and unit == "":
-        return format_number(mag)
-    prefix = "" if mag == 1 else format_number(mag)
-    return prefix + unit + letter
-
-
 def _pauli_string(coeff) -> str:
-    letters = ("1", "X", "Y", "Z")
-    terms = []
-    for c, letter in zip(coeff, letters):
-        if c == 0:
-            continue
-        re, im = (c.real, c.imag)
-        sign = "-" if (im if re == 0 else re) < 0 else "+"
-        mag = abs(re) if im == 0 else abs(im)
-        unit = "" if im == 0 else "i"
-        terms.append((sign, mag, unit, letter))
-    if not terms:
-        return "0"
-    if len(terms) == 1:
-        sign, mag, unit, letter = terms[0]
-        body = _pauli_term(mag / 2, unit, letter)
-        return ("-" if sign == "-" else "") + body
-    out = ""
-    for k, (sign, mag, unit, letter) in enumerate(terms):
-        body = _pauli_term(mag, unit, letter)
-        out += (("-" if sign == "-" else "") + body) if k == 0 else f" {sign} {body}"
-    return f"({out})/2"
+    """(sum_k c_k sigma_k)/2 as text, for the closure table's two coefficient
+    shapes: one term of modulus 2, written as the unitary itself, or terms
+    of modulus 1 each, written over 2.  The coefficients (2s, -2ix, -2iy,
+    -2iz) are real on 1 and imaginary on X, Y and Z."""
+    out = " ".join(
+        ("- " if (c.real or c.imag) < 0 else "+ ") + text for c, text in zip(coeff, ("1", "iX", "iY", "iZ")) if c
+    )
+    out = out[2:] if out[0] == "+" else "-" + out[2:]  # the first sign joins its term, a + goes
+    return f"({out})/2" if " " in out else out
 
 
 def render_text(report: dict) -> str:

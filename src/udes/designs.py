@@ -35,9 +35,9 @@ from .errors import (
     UnknownName,
 )
 from .linalg import EQ_TOL, check_tol, hs_norm
-from .qubit import pauli
 from .su2 import (
     _UNIT_COORDINATES,
+    PAULI_BASIS,
     QUATERNION_UNITS,
     W_QUATERNION,
     canonical_quaternion,
@@ -82,7 +82,7 @@ class OneDesignFrame(NamedTuple):
 
     `permutation` maps element position -> Pauli index (position 0 always
     plays the identity slot), and the reconstruction is
-    phases[mu] * V @ pauli(permutation[mu]) @ Vp.
+    phases[mu] * V @ PAULI_BASIS[permutation[mu]] @ Vp.
     """
 
     V: np.ndarray
@@ -92,7 +92,7 @@ class OneDesignFrame(NamedTuple):
 
     def reconstruct(self) -> list:
         return [
-            self.phases[mu] * self.V @ pauli(self.permutation[mu]) @ self.Vp
+            self.phases[mu] * self.V @ PAULI_BASIS[self.permutation[mu]] @ self.Vp
             for mu in range(4)
         ]
 
@@ -350,7 +350,7 @@ NAMED_DESIGNS = tuple(BUILTIN_LABELS)
 
 #: the quaternions of D0's labels, in order: {1, W, W*} x {1, I, J, K}
 D0_QUATERNIONS = hamilton(
-    np.stack([QUATERNION_UNITS[0], W_QUATERNION, W_QUATERNION * (1.0, -1.0, -1.0, -1.0)])[:, None],
+    np.stack([QUATERNION_UNITS[0], W_QUATERNION, quaternion_conjugate(W_QUATERNION)])[:, None],
     QUATERNION_UNITS,
 ).reshape(12, 4)
 D0_QUATERNIONS.flags.writeable = False

@@ -2,8 +2,8 @@
 
 Everything downstream works with square numpy arrays of complex128.  This
 module fixes the conventions once: row-major tensor products, the
-Hilbert-Schmidt inner product tr(A^H B), numerical rank by singular values,
-and unitary change of basis T A T^H.
+Hilbert-Schmidt inner product tr(A^H B), and numerical rank by singular
+values.
 """
 
 from __future__ import annotations
@@ -35,14 +35,6 @@ def as_matrix(a, dim: int | None = None) -> np.ndarray:
     if not np.isfinite(m).all():
         raise DimensionMismatch("matrix entries must be finite")
     return m
-
-
-def kron(A, B) -> np.ndarray:
-    """Tensor product with row-major index flattening (i,k) -> i*dim(B)+k.
-
-    (A (x) B)[(i,k),(j,l)] = A[i,j] * B[k,l], which is exactly numpy's kron.
-    """
-    return np.kron(as_matrix(A), as_matrix(B))
 
 
 def kron_power(A, t: int) -> np.ndarray:
@@ -157,24 +149,12 @@ def rank(A, tol: float = RANK_TOL) -> int:
     return int(np.count_nonzero(s > tol * s.max(initial=0.0)))
 
 
-def assert_unitary(U, tol: float = EQ_TOL, what: str = "matrix") -> np.ndarray:
+def assert_unitary(U, tol: float = EQ_TOL) -> np.ndarray:
     """Validate ||U^H U - 1||_HS <= tol and return U as an array."""
     U = as_matrix(U)
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf or nan, refused
         defect = hs_norm(U.conj().T @ U - np.eye(U.shape[0]))
     if not defect <= tol:
-        raise NotUnitary(f"{what} is not unitary: ||U^H U - 1|| = {defect:.3e} > {tol:.1e}")
+        raise NotUnitary(f"matrix is not unitary: ||U^H U - 1|| = {defect:.3e} > {tol:.1e}")
     return U
 
-
-def change_of_basis(A, T) -> np.ndarray:
-    """Conjugate A by the unitary T: returns T A T^H.
-
-    If the columns of T^H are the new basis vectors expressed in the old one,
-    the result is the matrix of A in the new basis.
-    """
-    A = as_matrix(A)
-    T = assert_unitary(T, what="change-of-basis matrix")
-    if A.shape != T.shape:
-        raise DimensionMismatch(f"shapes differ: {A.shape} vs {T.shape}")
-    return T @ A @ T.conj().T

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .linalg import EQ_TOL, as_matrix, assert_unitary, change_of_basis, kron
+from .linalg import EQ_TOL, as_matrix, assert_unitary
 from .su2 import PAULI_BASIS, _euler_args, assert_special_unitary
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
@@ -110,7 +110,7 @@ def swap2() -> np.ndarray:
     """The two-qubit swap; equals half the sum of X_mu (x) X_mu."""
     S = np.zeros((4, 4), dtype=complex)
     for mu in range(4):
-        S += kron(PAULI_BASIS[mu], PAULI_BASIS[mu])
+        S += np.kron(PAULI_BASIS[mu], PAULI_BASIS[mu])
     return 0.5 * S
 
 
@@ -127,7 +127,7 @@ def total_spin_squared() -> np.ndarray:
     J2 = np.zeros((4, 4), dtype=complex)
     eye = PAULI_BASIS[0]
     for i in (1, 2, 3):
-        Ji = 0.5 * (kron(PAULI_BASIS[i], eye) + kron(eye, PAULI_BASIS[i]))
+        Ji = 0.5 * (np.kron(PAULI_BASIS[i], eye) + np.kron(eye, PAULI_BASIS[i]))
         J2 += Ji @ Ji
     return J2
 
@@ -162,7 +162,7 @@ def uu_in_bell_basis(U) -> np.ndarray:
     """
     U = assert_unitary(as_matrix(U, 2))
     B = bell_basis_matrix()
-    return change_of_basis(kron(U, U), B.conj().T)
+    return B.conj().T @ np.kron(U, U) @ B
 
 
 def adapted_bell_matrix() -> np.ndarray:
@@ -185,7 +185,7 @@ def adapted_bell_block(U, tol: float = EQ_TOL) -> np.ndarray:
     """
     U = assert_special_unitary(U, tol)
     T = adapted_bell_matrix()
-    M = change_of_basis(kron(U, U), T.conj().T)
+    M = T.conj().T @ np.kron(U, U) @ T
     corner = np.zeros(4, dtype=complex)
     corner[0] = 1.0
     if (

@@ -16,11 +16,13 @@ Every module converts through the stack maps below, which take unvalidated
 (..., 2, 2) or (..., 4) arrays; the scalar functions validate and call them.
 Each quaternion formula is written once, on four coordinates that may be
 floats or arrays: hamilton_product, quaternion_conjugate and su2_entries,
-which hamilton and su2_batch apply to stacks.  The pivot map from rotations
-to quaternions and the canonical sign and flip of one quaternion work on
-Python floats, for the frame classifier in designs.  The constants the
-other modules build from, the Pauli basis, the quaternion units 1, I, J, K
-(QUATERNION_UNITS) and the axis-cycle generator W, live here too.
+which hamilton and su2_batch apply to stacks; the covering map
+rotation_batch and the Euler map are Hamilton products.  The pivot map
+from rotations to quaternions and the canonical sign and flip of one
+quaternion work on Python floats, for the frame classifier in designs.
+The constants the other modules build from, the Pauli basis, the
+quaternion units 1, I, J, K (QUATERNION_UNITS) and the axis-cycle
+generator W, live here too.
 """
 
 from __future__ import annotations
@@ -253,12 +255,13 @@ def _axis_angle_args(axis, angle) -> tuple[np.ndarray, float]:
 
 
 def su2_from_euler(alpha, beta: float | None = None, gamma: float | None = None) -> np.ndarray:
-    """exp(-i alpha Z/2) exp(-i beta Y/2) exp(-i gamma Z/2), in closed form."""
+    """exp(-i alpha Z/2) exp(-i beta Y/2) exp(-i gamma Z/2): su2_batch of the
+    Hamilton product of the three axis quaternions."""
     alpha, beta, gamma = _euler_args(alpha, beta, gamma)
-    c, s = math.cos(beta / 2), math.sin(beta / 2)
-    ep = complex(math.cos((alpha + gamma) / 2), -math.sin((alpha + gamma) / 2))
-    em = complex(math.cos((alpha - gamma) / 2), -math.sin((alpha - gamma) / 2))
-    return np.array([[ep * c, -em * s], [np.conj(em) * s, np.conj(ep) * c]])
+    z_alpha = (math.cos(alpha / 2), 0.0, 0.0, math.sin(alpha / 2))
+    y_beta = (math.cos(beta / 2), 0.0, math.sin(beta / 2), 0.0)
+    z_gamma = (math.cos(gamma / 2), 0.0, 0.0, math.sin(gamma / 2))
+    return su2_batch(hamilton_product(hamilton_product(z_alpha, y_beta), z_gamma))
 
 
 def shift_euler_solutions() -> list[EulerAngles]:
@@ -289,27 +292,16 @@ def rotation_batch(U) -> np.ndarray:
     """The covering rotations (..., 3, 3) of an unvalidated (..., 2, 2) stack
     of unitaries, R[i,j] = tr(X_i U X_j U^H)/2.
 
-    The unit-basis coordinates a = (a_0, a_v) of U are e^{i phi} (s, v) for
-    the quaternion (s, v) of its special part, so R = (s^2 - |v|^2) 1 +
-    2 v v^T + 2 s [v]_x reads (|a_0|^2 - |a_v|^2) 1 + 2 Re(a_v a_v^H) +
-    2 [Re(a_0 conj(a_v))]_x: blind to the phase, and exactly equal for U and
-    -U, whose coordinates differ only in sign.
+    The unit-basis coordinates a of U are e^{i phi} q for the quaternion q
+    of its special part, so column j of R is the vector part of
+    a e_j conj(a)^*, ^* the quaternion conjugate: q e_j q^*, the phase
+    cancelled against its conjugate.  Blind to the phase, and exactly equal
+    for U and -U, whose coordinates differ only in sign.
     """
     U = np.asarray(U, dtype=complex)
-    a = U.reshape(U.shape[:-2] + (4,)) @ _UNIT_COORDINATES
-    a0, av = a[..., 0], a[..., 1:]
-    R = 2.0 * (av[..., :, None] * av[..., None, :].conj()).real
-    x, y, z = np.moveaxis(2.0 * (a0[..., None] * av.conj()).real, -1, 0)
-    diagonal = a0.real**2 + a0.imag**2 - np.trace(R, axis1=-2, axis2=-1) / 2.0
-    for i in range(3):
-        R[..., i, i] += diagonal
-    R[..., 0, 1] -= z
-    R[..., 1, 0] += z
-    R[..., 0, 2] += y
-    R[..., 2, 0] -= y
-    R[..., 1, 2] -= x
-    R[..., 2, 1] += x
-    return R
+    a = np.moveaxis(U.reshape(U.shape[:-2] + (4,)) @ _UNIT_COORDINATES, -1, 0)[..., None]
+    columns = hamilton_product(hamilton_product(a, QUATERNION_UNITS[1:].T), quaternion_conjugate(a.conj()))
+    return np.stack(columns[1:], axis=-2).real
 
 
 def so3_rep(U) -> np.ndarray:

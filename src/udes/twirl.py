@@ -218,15 +218,16 @@ def unvec(v) -> np.ndarray:
     return v.reshape(D, D, order="F")
 
 
-def twirl_finite(S: UnitarySet, t: int, A) -> np.ndarray:
+def twirl_finite(S: UnitarySet | str, t: int, A) -> np.ndarray:
     """(1/N) sum_a U_a^{(x)t} A (U_a^H)^{(x)t} — the order-t twirl over S,
-    for t = 1 to 5 (superop_of_twirl)."""
+    for t = 1 to 5.  S is any source superop_of_twirl takes: a UnitarySet,
+    or "haar" for the Haar-average twirl."""
     return unvec(superop_of_twirl(S, t) @ vec(as_matrix(A, 2**t)))
 
 
 def haar_twirl(t: int, A) -> np.ndarray:
-    """The Haar-average twirl on qubits, for t = 1 to 5: superop_of_twirl("haar", t) applied to A."""
-    return unvec(superop_of_twirl(HAAR, t) @ vec(as_matrix(A, 2**t)))
+    """The Haar-average twirl on qubits, for t = 1 to 5: twirl_finite("haar", t, A)."""
+    return twirl_finite(HAAR, t, A)
 
 
 #: the highest order superop_of_twirl takes: the gather index of order t has
@@ -293,13 +294,8 @@ def frame_potential(S: UnitarySet, t: int) -> FramePotentialReport:
         if t >= 511 or math.log2(len(S)) + t * math.log2(2 + math.sqrt(2) * S.unitarity_defect) >= 511:
             raise UnsupportedOrder(f"the order-{t} frame potential of {len(S)} elements may overflow")
         value = S._derived[key] = float(mean(np.abs(S.gram) ** (2 * t)))
-    haar_value = _haar_frame_potential(t)
+    haar_value = math.comb(2 * t, t) / (t + 1)  # C_t, an int over an int: correctly rounded
     return FramePotentialReport(t, value, haar_value, value - haar_value)
-
-
-@functools.cache
-def _haar_frame_potential(t: int) -> float:
-    return math.comb(2 * t, t) / (t + 1)  # C_t, an int over an int: correctly rounded
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from udes.cli import (
 from udes.designs import named_design
 from udes.errors import UdesError
 from udes.qubit import pauli
+from udes.su2 import PAULI_BASIS, su2_batch
 from udes.twirl import HaarSampler, UnitarySet, haar_sample
 
 
@@ -1058,6 +1060,32 @@ def test_table_text_mode_renders_symbolic_entries(capsys):
     assert "1/2" in out
     assert "pi" in out
     assert "-iX" in out
+
+
+def _read_pauli_text(text):
+    """The matrix a table unitary such as -iX or (1 - iX - iY - iZ)/2 spells."""
+    halved = text.startswith("(")
+    terms = (text[1:-3] if halved else text).replace(" + ", " ").replace(" - ", " -").split()
+    M = np.zeros((2, 2), dtype=complex)
+    for term in terms:
+        sign = -1 if term.startswith("-") else 1
+        body = term.lstrip("-")
+        M = M + sign * (1j if body.startswith("i") else 1) * PAULI_BASIS["1XYZ".index(body.lstrip("i"))]
+    return M / 2 if halved else M
+
+
+def test_table_text_reads_back_as_the_unitary_of_each_quaternion(capsys):
+    # the golden file pins the bytes; this pins what they say: each row's
+    # unitary column, read as (sum_k c_k sigma_k)/2, is su2_batch of its
+    # quaternion column, read as the fractions it prints
+    code, out, _ = run(capsys, "table")
+    rows = out.splitlines()[3:-1]
+    assert code == 0 and len(rows) == 24
+    for line in rows:
+        head, quaternion, _ = line.rsplit("(", 2)
+        label, unitary = head.split(None, 1)
+        q = [float(Fraction(v)) for v in quaternion.strip().rstrip(")").split()]
+        assert np.array_equal(_read_pauli_text(unitary.strip()), su2_batch(q)), label
 
 
 def test_report_out_file_matches_stdout(tmp_path, capsys):

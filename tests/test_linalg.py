@@ -6,10 +6,8 @@ from udes.errors import DimensionMismatch, NotUnitary
 from udes.linalg import (
     as_matrix,
     assert_unitary,
-    change_of_basis,
     hs_inner,
     hs_norm,
-    kron,
     kron_power,
     mean,
     near_pairs,
@@ -83,12 +81,6 @@ def test_kron_power_rejects_zero():
         kron_power(np.eye(2), 0)
 
 
-def test_kron_matches_numpy():
-    A = rng.normal(size=(2, 2))
-    B = rng.normal(size=(3, 3))
-    assert np.array_equal(kron(A, B), np.kron(A, B))
-
-
 def test_rank_full():
     assert rank(np.eye(4)) == 4
 
@@ -124,18 +116,6 @@ def test_assert_unitary_refuses_entries_whose_defect_overflows(big):
     # U^H U overflows to inf or nan, which no tolerance may let through
     with pytest.raises(NotUnitary):
         assert_unitary(np.diag([big, 1.0]))
-
-
-def test_change_of_basis_is_conjugation():
-    A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    T = random_unitary()
-    assert np.allclose(change_of_basis(A, T), T @ A @ T.conj().T)
-
-
-def test_change_of_basis_preserves_hs_norm():
-    A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    T = random_unitary()
-    assert hs_norm(change_of_basis(A, T)) == pytest.approx(hs_norm(A))
 
 
 @pytest.mark.parametrize("shape, axis", [((7, 3, 3), (1, 2)), ((12, 2, 2), (1, 2)), ((16, 16), 0), ((5, 4, 3), 1)])

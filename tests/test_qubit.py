@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from udes.linalg import hs_inner, hs_norm, kron
+from udes.linalg import hs_inner, hs_norm
 from udes.qubit import (
     BELL_LABELS,
     SPHERICAL_BASIS,
@@ -71,10 +71,10 @@ def test_bell_states_are_orthonormal():
 
 
 def test_bell_projectors_match_pauli_closed_forms():
-    II = kron(pauli(0), pauli(0))
-    XX = kron(pauli(1), pauli(1))
-    YY = kron(pauli(2), pauli(2))
-    ZZ = kron(pauli(3), pauli(3))
+    II = np.kron(pauli(0), pauli(0))
+    XX = np.kron(pauli(1), pauli(1))
+    YY = np.kron(pauli(2), pauli(2))
+    ZZ = np.kron(pauli(3), pauli(3))
     expect = {
         "psi-": (II - XX - YY - ZZ) / 4,
         "phi-": (II - XX + YY + ZZ) / 4,
@@ -87,7 +87,7 @@ def test_bell_projectors_match_pauli_closed_forms():
 
 def test_swap_is_pauli_average():
     S = swap2()
-    expect = sum(kron(pauli(m), pauli(m)) for m in range(4)) / 2
+    expect = sum(np.kron(pauli(m), pauli(m)) for m in range(4)) / 2
     assert np.array_equal(S, S.conj().T)
     assert hs_norm(S - expect) < 1e-15
     assert hs_norm(S @ S - np.eye(4)) < 1e-15
@@ -165,7 +165,7 @@ def test_adapted_bell_block_rejects_plain_unitary():
 def test_twirl_coefficients_reconstruct_bell_diagonal():
     rho = random_herm()
     rho = rho @ rho.conj().T
-    rho = kron(rho / np.trace(rho), np.eye(2) / 2)
+    rho = np.kron(rho / np.trace(rho), np.eye(2) / 2)
     co = twirl_coefficients(rho)
     rebuilt = sum(co.f_beta[n] * bell_projector(n) for n in BELL_LABELS)
     assert hs_norm(rebuilt - bell_diagonal_part(rho)) < 1e-13

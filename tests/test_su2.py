@@ -70,6 +70,12 @@ def su2_of(qtuple):
 def test_euler_constructor_agrees_with_axis_angle_on_shift_generator():
     axis = (1 / math.sqrt(3),) * 3
     assert hs_norm(W - su2_from_axis_angle(axis, 2 * math.pi / 3)) < 1e-15
+    # and on any angles: the product of its three axis rotations
+    g = np.random.default_rng(8)
+    for alpha, beta, gamma in g.uniform(0, 1, (50, 3)) * (2 * math.pi, math.pi, 4 * math.pi):
+        Z, Y = (0, 0, 1), (0, 1, 0)
+        factors = su2_from_axis_angle(Z, alpha) @ su2_from_axis_angle(Y, beta) @ su2_from_axis_angle(Z, gamma)
+        assert hs_norm(su2_from_euler(alpha, beta, gamma) - factors) < 1e-15
 
 
 def test_shift_generator_is_exact_dyadic():

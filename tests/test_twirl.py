@@ -20,7 +20,7 @@ from udes.errors import (
     UnsupportedOrder,
 )
 from udes.designs import named_design, verify_design
-from udes.linalg import EQ_TOL, RANK_TOL, gram_floor, hs_norm, kron, kron_power
+from udes.linalg import EQ_TOL, RANK_TOL, gram_floor, hs_norm, kron_power
 from udes.qubit import bell_diagonal_part, pauli, singlet_triplet
 from udes import twirl
 from udes.twirl import (
@@ -587,7 +587,7 @@ def test_vec_of_conjugation_is_kron_action():
     M = random_op(3)
     A = random_op(3)
     lhs = vec(M @ A @ M.conj().T)
-    rhs = kron(M.conj(), M) @ vec(A)
+    rhs = np.kron(M.conj(), M) @ vec(A)
     assert np.allclose(lhs, rhs)
 
 
