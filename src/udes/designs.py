@@ -49,7 +49,7 @@ from .su2 import (
     su2_batch,
     su2_entries,
 )
-from .twirl import HAAR, UnitarySet, _read_only, frame_potential, superop_of_twirl
+from .twirl import UnitarySet, _check_order, _gram, _read_only, _twirl_errors_sq, frame_potential
 
 #: order-6 special unitary whose covering rotation is the cyclic axis shift
 #: x -> y -> z -> x; all four entries are exact dyadic rationals
@@ -105,31 +105,32 @@ class NamedDesign(NamedTuple):
 def verify_design(S: UnitarySet, t: int, tol: float = EQ_TOL, method: str = "both") -> DesignReport:
     """Check whether S is a t-design, by two independent criteria.
 
-    With Delta = Phi_S - Phi_Haar, the twirl criterion is the largest column
-    norm of Delta (the worst twirl error on a basis operator E(i, j)) and the
-    frame criterion the gap of the Gram-matrix frame potential over its Haar
-    value.  `method` ("twirl", "frame" or "both") picks which one, compared
-    with `tol`, is the verdict; "both" takes the twirl one.  Near a design
-    the deviation (~eps) and the gap (~eps^2) can fall on either side of one
-    `tol`, which `method_agreement` reports.  "both" checks the identity
-    gap = ||Delta||_F^2 instead and raises InternalConsistencyError when the
-    two differ by more than 1e-12 4^t, for rounding (at most 6e-16 4^t was
-    measured on sets of up to 1000 elements), plus 2 h ((1 + delta)^t - 1),
-    the identity's error for elements unitary only to within
-    delta = S.unitarity_defect, with h the Haar frame potential.
+    With Delta = Phi_S - Phi_Haar, never formed, the twirl criterion is its
+    largest column norm (the worst twirl error on a basis operator E(i, j)),
+    from column sums of the gathered |G_S - G_Haar|^2, and the frame
+    criterion the gap of the frame potential over its Haar value.  `method`
+    ("twirl", "frame" or "both") picks which one, compared with `tol`, is
+    the verdict; "both" takes the twirl one.  Near a design the deviation
+    (~eps) and the gap (~eps^2) can fall on either side of one `tol`, which
+    `method_agreement` reports.  "both" checks gap = ||Delta||_F^2, the sum
+    of those column sums, and raises InternalConsistencyError past 1e-12 4^t
+    for rounding (at most 2e-14 4^t was measured on sets of up to 1000
+    elements, t = 1 to 5) plus 2 h ((1 + delta)^t - 1), the identity's error
+    for elements unitary only to within delta = S.unitarity_defect, with h
+    the Haar frame potential.
     """
     check_tol(tol)
-    oracle = superop_of_twirl(HAAR, t)  # refuses the orders it lacks
+    _check_order(t)
     if method not in ("twirl", "frame", "both"):
         raise ValueError(f"unknown method {method!r}")
-    delta = superop_of_twirl(S, t) - oracle
-    # the largest of norms(delta, 0) as the root of the largest squared column
-    # norm, one sqrt: sqrt is correctly rounded and monotone, so the same float
-    max_dev = math.sqrt(np.add.reduce((delta.conj() * delta).real, 0).max())
+    errors_sq = _twirl_errors_sq(_gram(S, t), t)
+    # the largest column norm of Delta as the root of the largest squared one,
+    # one sqrt: sqrt is correctly rounded and monotone, so the same float
+    max_dev = math.sqrt(errors_sq.max())
     fp = frame_potential(S, t)
     gap = fp.gap
     if method == "both":
-        dist_sq = np.vdot(delta, delta).real
+        dist_sq = errors_sq.sum()
         bound = 1e-12 * 4**t + 2 * fp.haar_value * ((1 + S.unitarity_defect) ** t - 1)
         if abs(gap - dist_sq) > bound:
             raise InternalConsistencyError(

@@ -10,14 +10,14 @@ Every twirl reads one moment: the Hermitian Gram matrix G of the degree-t
 monomials of the four entries of U (10 x 10 at t = 2), each entry of
 U^{(x)t} being one of them.  The twirl superoperator Phi_S = (1/N) sum_a
 conj(M_a) (x) M_a, M_a = U_a^{(x)t}, is a fixed gather of G's entries,
-Phi[(a,c),(b,d)] = G[(a,b),(c,d)] / N (_moment_index).  The Monte Carlo
-check sums the same Gram matrix in the monomials of the Haar quaternion q,
-maps it to the entries' by one exact change of coordinates, and ends in the
-same gather; so does the exact Haar twirl, from S^3 moments (_haar_superop).
-Twirls of operators and Choi matrices are read off Phi, and design checks
-use Delta = Phi_S - Phi_Haar, whose largest column norm is the worst twirl
-error on a basis operator and whose squared norm is the frame-potential gap
-(Gross, Audenaert & Eisert, JMP 48, 052104 (2007)).
+Phi[(a,c),(b,d)] = G[(a,b),(c,d)] / N (_moment_index), read for twirls of
+operators and Choi matrices.  The Monte Carlo check sums the same G in the
+monomials of the Haar quaternion q, mapped to the entries' by one exact
+change of coordinates; the exact Haar G comes from S^3 moments (_haar_gram).
+Design checks never form Delta = Phi_S - Phi_Haar: its squared column norms
+(the largest is the worst twirl error on a basis operator) are column sums
+of the gathered |G_S - G_Haar|^2, and their total is the frame-potential
+gap (Gross, Audenaert & Eisert, JMP 48, 052104 (2007)).
 """
 
 from __future__ import annotations
@@ -245,18 +245,35 @@ def superop_of_twirl(source, t: int) -> np.ndarray:
     """
     if isinstance(source, str) and source != HAAR:
         raise ValueError(f"unknown twirl source {source!r}")
+    _check_order(t)
+    return _haar_superop(t) if isinstance(source, str) else _gram(source, t).ravel()[_moment_index(t)]
+
+
+def _check_order(t) -> None:
     if not _is_int(t) or t < 1:
         raise UnsupportedOrder(f"twirl order must be an int >= 1, got {t!r}")
     if t > _MAX_ORDER:
         raise UnsupportedOrder(
             f"twirl order must be <= {_MAX_ORDER}, got {t}: its superoperator would have 4^{2 * t} entries"
         )
-    if isinstance(source, str):
-        return _haar_superop(t)
-    n = len(source)
-    Y = _monomials(source.stack.reshape(n, 4).T, t)
-    G = np.dot(Y.conj(), Y.T) / n  # np.dot: less overhead than @ on matrices this small
-    return G.ravel()[_moment_index(t)]
+
+
+def _gram(S: UnitarySet, t: int) -> np.ndarray:
+    """The order-t Gram matrix conj(Y) Y^T / N of the monomials Y of S's entries."""
+    Y = _monomials(S.stack.reshape(-1, 4).T, t)
+    return np.dot(Y.conj(), Y.T) / len(S)  # np.dot: less overhead than @ on matrices this small
+
+
+def _twirl_errors_sq(G: np.ndarray, t: int) -> np.ndarray:
+    """The squared column norms of Phi - Phi_Haar, Phi laid out from the order-t
+    Gram matrix G, as column sums of the gathered |G - G_Haar|^2."""
+    D = G - _haar_gram(t)
+    return _column_sums((D.conj() * D).real, t)
+
+
+def _column_sums(M: np.ndarray, t: int) -> np.ndarray:
+    """The column sums of the superoperator laid out from a Gram-shaped M."""
+    return np.add.reduce(M.ravel()[_moment_index(t)], 0)
 
 
 def choi(Phi) -> np.ndarray:
@@ -487,20 +504,26 @@ def _entry_map(t: int) -> np.ndarray:
 
 
 @functools.cache
-def _haar_superop(t: int) -> np.ndarray:
-    """The order-t Haar twirl from exact moments of a Haar quaternion q (Folland,
-    Amer. Math. Monthly 108 (2001) 446-448): N = 4^t (t + 1)! E[Y Y^T], for Y the
-    degree-t monomials of q, holds prod_i k_i! / (k_i / 2)!, or 0 if an exponent
-    k_i of the product is odd.  With _entry_map(t) = A + iB, conj(L) N L^T has
-    integer parts, laid out by a set's gather and divided once: correctly rounded."""
+def _haar_gram(t: int) -> np.ndarray:
+    """The order-t Haar Gram matrix from exact moments of a Haar quaternion q
+    (Folland, Amer. Math. Monthly 108 (2001) 446-448): N = 4^t (t + 1)! E[Y
+    Y^T], for Y the degree-t monomials of q, holds prod_i k_i! / (k_i / 2)!,
+    or 0 if an exponent k_i of the product is odd.  With _entry_map(t) = A +
+    iB, conj(L) N L^T has integer parts, divided once: correctly rounded."""
     P = np.array([np.bincount(j, minlength=4) for j in _monomial_rows(t)])  # (n_t, 4) exponents
     f = np.array([math.factorial(k) // math.factorial(k // 2) * (1 - k % 2) for k in range(2 * t + 1)])
     N = f[P[:, None] + P].prod(axis=2)
     L, scale = _entry_map(t), 4**t * math.factorial(t + 1)
     A, B = L.real.astype(np.int64), L.imag.astype(np.int64)
-    Phi = ((A @ N @ A.T + B @ N @ B.T) / scale).astype(complex)
-    Phi.imag = (A @ N @ B.T - B @ N @ A.T) / scale
-    return _read_only(Phi.ravel()[_moment_index(t)])
+    G = ((A @ N @ A.T + B @ N @ B.T) / scale).astype(complex)
+    G.imag = (A @ N @ B.T - B @ N @ A.T) / scale
+    return _read_only(G)
+
+
+@functools.cache
+def _haar_superop(t: int) -> np.ndarray:
+    """The order-t Haar twirl superoperator, laid out from _haar_gram(t)."""
+    return _read_only(_haar_gram(t).ravel()[_moment_index(t)])
 
 
 #: the Monte Carlo gate: a report is ok when every deviation is within this
@@ -555,12 +578,12 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int) -> McOracleReport:
     oracle.  Each block sums the real Gram matrix Y Y^T of the (n_t, m)
     monomials Y of its quaternions (n_t = 4 at t = 1, 10 at t = 2).  The
     monomials of U's entries are L_t Y, for the exact, constant L_t of
-    _entry_map, so after the last block conj(L_t) (sum Y Y^T) L_t^T is the
-    Gram matrix that superop_of_twirl forms from a set, and the same gather
-    (_moment_index) lays it out as the superoperator.
-    Every column of kron(conj(M), M) is a unit vector for unitary M, so the
-    entry variances of a column sum to 1 - ||mean column||^2, and that sum
-    over n gives the column's squared standard error.
+    _entry_map, so after the last block G = conj(L_t) (sum Y Y^T) L_t^T / n
+    is a set's Gram matrix, and it is compared with Haar's as a set's is
+    (_twirl_errors_sq).  Every column of kron(conj(M), M) is a unit vector
+    for unitary M, so the entry variances of a column sum to 1 - ||mean
+    column||^2, and ||mean column||^2 is the column sum of the gathered
+    |G|^2 (_column_sums); over n, that is its squared standard error.
 
     The samples h.counter, ..., h.counter + n - 1 of h's stream are split
     into blocks of CHUNK = 8192 (the last may be shorter), each drawn and
@@ -569,13 +592,13 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int) -> McOracleReport:
     thread at t = 2).  The calling thread takes blocks, and so does one
     helper thread per further CPU this process may use (os.sched_getaffinity;
     os.cpu_count outside Linux), up to one thread per block (_map_in_threads).
-    The Gram matrices, one slot per block, are added in block order at the
-    end.  The partition depends on n and CHUNK alone, so the report is
-    bit-identical on any number of CPUs; a different CHUNK moves it only by
-    floating-point summation order.  h.counter advances by n once every block
-    has succeeded.
+    The Gram matrices are added in block order as they come in, each
+    dropped once added.  The partition depends on n and CHUNK alone, so the
+    report is bit-identical on any number of CPUs; a different CHUNK moves it
+    only by floating-point summation order.  h.counter advances by n once
+    every block has succeeded.
     """
-    oracle = superop_of_twirl(HAAR, t)
+    _check_order(t)
     if not _is_int(n):
         raise ValueError(f"n must be an int, got {type(n).__name__}")
     if n < 2:
@@ -590,17 +613,15 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int) -> McOracleReport:
     # back only once every helper is joined (an interrupt can cut a join short)
     kept = [a if a.size >= size else np.empty(size) for a in vars(_KEPT).pop("arrays", [])]
     kept += [np.empty(size) for _ in range(k - len(kept))]
-    grams = _map_in_threads(
+    gram = _map_in_threads(
         lambda lo, s: _mc_block(seed, lo, min(chunk, stop - lo), t, s), starts, kept[:k]
     )
     _KEPT.arrays = kept
-    gram = sum(grams)  # the left fold in block order, on any number of threads
     h.counter = stop
-    L = _entry_map(t)
-    phi = (L.conj() @ gram @ L.T / n).ravel()[_moment_index(t)]
-    deviations = np.linalg.norm(phi - oracle, axis=0)
+    G = _entry_map(t).conj() @ gram @ _entry_map(t).T / n
+    deviations = np.sqrt(_twirl_errors_sq(G, t))
     # a mean column of samples that all agree can round to norm 1 + ulp
-    std_errors = np.sqrt(np.maximum(1.0 - (np.abs(phi) ** 2).sum(axis=0), 0.0) / n)
+    std_errors = np.sqrt(np.maximum(1.0 - _column_sums(np.abs(G) ** 2, t), 0.0) / n)
     return McOracleReport(t, n, h.seed, deviations, std_errors)
 
 
@@ -636,28 +657,34 @@ def _mc_block(seed: int, start: int, m: int, t: int, work: np.ndarray) -> np.nda
     return np.dot(Y, Y.T)  # not Y @ Y.T, which holds the GIL for the whole product
 
 
-def _map_in_threads(fn, items, scratch) -> list:
-    """[fn(item, s) for item in items], with s the work array of the thread
-    that makes the call: scratch[0] is the calling thread's, and each further
-    one a helper thread's, so with one work array no thread starts.  Each
-    thread takes the next item under a lock and writes fn's result into the
-    item's slot.  Once a call raises, no thread takes another item; once
-    every started helper is joined, the exception of the earliest item that
-    raised propagates unchanged.  No thread outlives the call."""
-    slots, todo, lock = [None] * len(items), enumerate(items), threading.Lock()
+def _map_in_threads(fn, items, scratch):
+    """The left fold (0 + fn(items[0], s)) + fn(items[1], s) + ..., s the work
+    array of the thread that calls fn: scratch[0] is the caller's, each
+    further one a helper's, so with one work array no thread starts.  Each
+    thread takes the next item under a lock; a result is added once every
+    earlier one is in, then dropped.  Once a call raises, no thread takes
+    another item; once every started helper is joined, the exception of the
+    earliest item that raised propagates unchanged.  No thread outlives it."""
+    todo, lock = enumerate(items), threading.Lock()
+    total, added, waiting = 0, 0, {}  # the fold of items < added; item index -> result
     failed = {}  # item index -> exception; -1 for one raised outside fn
 
     def work(s):
+        nonlocal total, added
         while True:
             with lock:
                 k, item = (None, None) if failed else next(todo, (None, None))
             if k is None:
                 return
             try:
-                slots[k] = fn(item, s)
+                result = fn(item, s)
             except BaseException as exc:
                 failed[k] = exc
                 return
+            with lock:
+                waiting[k] = result
+                while added in waiting:
+                    total, added = total + waiting.pop(added), added + 1
 
     helpers = []
     try:
@@ -674,4 +701,4 @@ def _map_in_threads(fn, items, scratch) -> list:
             helper.join()
     if failed:
         raise failed[min(failed)]
-    return slots
+    return total

@@ -970,6 +970,14 @@ def test_construct_of_a_near_frame_matches_its_golden_file(capsys, monkeypatch, 
     assert out.encode("utf-8") == (DATA / f"construct_near_frame.{ext}").read_bytes()
 
 
+def test_verify_of_d_at_order_5_matches_its_golden_file(capsys):
+    # D is a 2-design and not a 5-design (exit 1); the report pins the order-5
+    # twirl deviation and frame potential, which no report of GOLDEN reaches
+    code, out, err = run(capsys, "verify", "--builtin", "D", "--t", "5", "--format", "json")
+    assert code == 1 and err == ""
+    assert out.encode("utf-8") == (DATA / "verify_D_t5.json").read_bytes()
+
+
 def test_construct_out_of_a_near_frame_matches_its_golden_file(capsys, monkeypatch, tmp_path):
     # the set file --out writes, every entry to its last bit, and the labels;
     # loading and saving it again gives the same bytes

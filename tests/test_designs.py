@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -41,7 +42,8 @@ from udes.su2 import (
     su2_batch,
     su2_from_rotation,
 )
-from udes.twirl import HaarSampler, UnitarySet, frame_potential, haar_sample
+from udes import twirl
+from udes.twirl import HaarSampler, UnitarySet, frame_potential, haar_sample, mc_oracle_check, superop_of_twirl
 
 W = AXIS_CYCLE
 SQ2 = 1 / np.sqrt(2)
@@ -236,6 +238,50 @@ def test_verify_design_single_methods():
 def test_verify_design_unsupported_order():
     with pytest.raises(UnsupportedOrder):
         verify_design(named_design("B").set, 6)
+
+
+def phased_haar_set(n, seed):
+    """n Haar unitaries of the stream `seed`, each times a random phase."""
+    phases = np.exp(2j * np.pi * np.random.default_rng(seed).random(n))
+    return UnitarySet(su2_batch(HaarSampler(seed).quaternions(n)) * phases[:, None, None])
+
+
+@pytest.mark.parametrize("t", [3, 4, 5])
+def test_max_twirl_deviation_is_the_largest_column_norm_of_delta_bit_for_bit(t):
+    # verify_design sums the gathered |G_S - G_Haar|^2 down the columns and
+    # never forms Delta = Phi_S - Phi_Haar; the squares commute with the
+    # gather, so its deviation is the norm of Delta's columns to the last bit
+    sets = [phased_haar_set(n, n) for n in range(1, 61)] + [near_d(1e-7)]
+    sets += [named_design(name).set for name in ("B0", "B", "D0", "D1", "D2", "D")]
+    haar = superop_of_twirl("haar", t)
+    for S in sets:
+        expect = np.linalg.norm(superop_of_twirl(S, t) - haar, axis=0).max()
+        assert np.float64(verify_design(S, t, method="twirl").max_twirl_deviation).tobytes() == expect.tobytes()
+
+
+def test_both_keeps_a_wide_margin_to_its_rounding_bound():
+    # the worst |gap - ||Delta||^2| / 4^t measured on random phased sets of 1
+    # to 1,000 elements at t = 1 to 5 was 1.98e-14, on this one element at
+    # t = 5: 50 times below the bound's rounding term 1e-12 4^t
+    q = np.array([[-0.36151655090084933, 0.8232148052006848, 0.3428906834680698, 0.2721197293728483]])
+    S = UnitarySet(su2_batch(q) * np.exp(1j * np.array([3.918937837401085]))[:, None, None])
+    t = 5
+    fp = frame_potential(S, t)
+    worst = abs(fp.gap - twirl._twirl_errors_sq(twirl._gram(S, t), t).sum())
+    bound = 1e-12 * 4**t + 2 * fp.haar_value * ((1 + S.unitarity_defect) ** t - 1)
+    assert worst <= 2.5e-14 * 4**t and 40 * worst < bound
+    verify_design(S, t)
+
+
+def test_order_5_checks_never_lay_out_the_haar_superoperator(monkeypatch):
+    # verify_design and mc_oracle_check compare Gram matrices: neither builds
+    # the (1024, 1024) Phi_Haar that superop_of_twirl("haar", 5) returns
+    monkeypatch.setattr(twirl, "_haar_superop", functools.cache(twirl._haar_superop.__wrapped__))
+    verify_design(named_design("D").set, 5)
+    mc_oracle_check(HaarSampler(1), 5, 100)
+    assert twirl._haar_superop.cache_info().currsize == 0
+    assert superop_of_twirl("haar", 5) is superop_of_twirl("haar", 5)
+    assert twirl._haar_superop.cache_info().currsize == 1
 
 
 def test_rotation_sum_vanishes_for_designs_only():

@@ -1326,7 +1326,7 @@ def report_bytes(rep):
     return rep.deviations.tobytes(), rep.std_errors.tobytes()
 
 
-@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("t", [1, 2, 3])
 @pytest.mark.parametrize("n", [2, 8193, 70000])
 def test_mc_oracle_check_on_kept_work_arrays_matches_fresh_ones(monkeypatch, t, n):
     # each call runs on the arrays the calls before it left, of whatever size,
@@ -1356,6 +1356,24 @@ def test_a_second_call_on_a_thread_makes_no_work_array(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[0] >= 1_000_000 and peaks[1] < 100_000, peaks
+
+
+def test_a_call_of_many_blocks_holds_no_gram_matrix_per_block(monkeypatch):
+    # 4,000 blocks of 16 samples at t = 1: kept until the end, their Gram
+    # matrices would take 1 MB; on one worker each is added as it comes in.
+    # On more, a block's matrix also waits while an earlier block still runs
+    import tracemalloc
+
+    monkeypatch.setattr(twirl, "CHUNK", 16)
+    workers(monkeypatch, 1)
+    mc_oracle_check(HaarSampler(1), 1, 64)  # the work arrays, outside the trace
+    tracemalloc.start()
+    try:
+        mc_oracle_check(HaarSampler(2), 1, 64_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000, peak
 
 
 def test_threads_calling_at_once_each_keep_their_own_work_arrays(monkeypatch):
@@ -1420,8 +1438,8 @@ def test_a_larger_block_or_more_workers_regrow_the_kept_arrays(monkeypatch):
         assert all(a.size >= twirl._mc_rows(2) * chunk for a in kept)
 
 
-# mc_oracle_check sums its blocks' Gram matrices in block order from the
-# slots of twirl._map_in_threads, which the sum_in_order tests check
+# mc_oracle_check sums its blocks' Gram matrices in block order through
+# twirl._map_in_threads' left fold, which the sum_in_order tests check
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -1448,10 +1466,8 @@ def test_sum_in_order_is_the_left_fold_on_any_number_of_workers(k):
         return values[i]
 
     before = threading.active_count()
-    slots = twirl._map_in_threads(fn, range(len(values)), scratch)
+    total = twirl._map_in_threads(fn, range(len(values)), scratch)
     assert threading.active_count() == before
-    assert slots == values
-    total = sum(slots)
     assert total == sum(values) and type(total) is float
     assert calls == [1] * len(values)
     assert 1 <= most[0] <= k
@@ -1507,7 +1523,7 @@ def test_map_in_threads_starts_no_thread_with_one_work_array(monkeypatch):
         assert threading.current_thread() is main and s is work
         return 2 * i
 
-    assert twirl._map_in_threads(fn, range(7), [work]) == [0, 2, 4, 6, 8, 10, 12]
+    assert twirl._map_in_threads(fn, range(7), [work]) == 42
 
 
 def test_map_in_threads_joins_its_helpers_on_an_interrupt():
