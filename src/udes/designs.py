@@ -34,11 +34,12 @@ from .errors import (
     DuplicateElements,
     UnknownName,
 )
-from .linalg import EQ_TOL, check_tol, hs_norm
+from .linalg import EQ_TOL, check_tol, hs_norm, read_only
+from .moments import check_order, gram, twirl_errors_sq
 from .su2 import (
-    _UNIT_COORDINATES,
     PAULI_BASIS,
     QUATERNION_UNITS,
+    UNIT_COORDINATES,
     W_QUATERNION,
     canonical_quaternion,
     hamilton,
@@ -49,7 +50,7 @@ from .su2 import (
     su2_batch,
     su2_entries,
 )
-from .twirl import UnitarySet, _check_order, _gram, _read_only, _twirl_errors_sq, frame_potential
+from .twirl import UnitarySet, frame_potential
 
 #: order-6 special unitary whose covering rotation is the cyclic axis shift
 #: x -> y -> z -> x; all four entries are exact dyadic rationals
@@ -120,10 +121,10 @@ def verify_design(S: UnitarySet, t: int, tol: float = EQ_TOL, method: str = "bot
     the Haar frame potential.
     """
     check_tol(tol)
-    _check_order(t)
+    t = check_order(t)
     if method not in ("twirl", "frame", "both"):
         raise ValueError(f"unknown method {method!r}")
-    errors_sq = _twirl_errors_sq(_gram(S, t), t)
+    errors_sq = twirl_errors_sq(gram(S, t), t)
     # the largest column norm of Delta as the root of the largest squared one,
     # one sqrt: sqrt is correctly rounded and monotone, so the same float
     max_dev = math.sqrt(errors_sq.max())
@@ -214,7 +215,7 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
             )
         raise internal
 
-    alpha = (X @ _UNIT_COORDINATES).tolist()
+    alpha = (X @ UNIT_COORDINATES).tolist()
     # From here on, float arithmetic on quaternions as tuples, through su2's
     # four-coordinate formulas; each dot product adds from the int 0, left
     # to right, so that a total of -0.0 reads +0.0.
@@ -301,7 +302,7 @@ def classify_min_1design(S, tol: float = 1e-9) -> OneDesignFrame:
         )
     # read-only: the stored frame goes to every later caller
     # su2_batch((v, conj(q))) as one array: the same float expressions, a fraction of the calls
-    V, Vp = _read_only(np.array([*su2_entries(v), *su2_entries(qc)]).reshape(2, 2, 2))
+    V, Vp = read_only(np.array([*su2_entries(v), *su2_entries(qc)]).reshape(2, 2, 2))
     frame = S._derived[key] = OneDesignFrame(V, Vp, tuple(phases), sigma)
     return frame
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .designs import BUILTIN_LABELS, D0_QUATERNIONS
 from .errors import NonUnitPoint, NotHalfInteger, ProportionalElements
-from .linalg import check_tol, gram_floor, near_pairs
+from .linalg import check_tol, gram_floor, near_pairs, read_only
 from .su2 import (
     PAULI_BASIS,
     QUATERNION_UNITS,
@@ -100,9 +100,7 @@ def su2_closure(S: UnitarySet, tol: float = _MEMBER_TOL) -> Su2Closure:
         if hit.size:
             a, b = i[hit[0]], j[hit[0]]
             raise ProportionalElements(f"elements {a} and {b} are proportional and share normalizations")
-    Q = _signed(P)
-    Q.flags.writeable = False
-    return Su2Closure(Q)
+    return Su2Closure(read_only(_signed(P)))
 
 
 class GroupProfile(NamedTuple):

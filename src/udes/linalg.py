@@ -21,6 +21,15 @@ EQ_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def as_matrix(a, dim: int | None = None) -> np.ndarray:
     """Coerce input to a square complex matrix and validate it.
 
@@ -109,8 +118,7 @@ def gram_floor(low: float, high: float, radius: float) -> float:
 
 
 #: near_pairs' answer when no entry off the diagonal reaches the floor
-_NO_PAIRS = np.empty(0, np.intp)
-_NO_PAIRS.flags.writeable = False
+_NO_PAIRS = read_only(np.empty(0, np.intp))
 
 
 def near_pairs(overlap: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError
 from .linalg import EQ_TOL, as_matrix, assert_unitary
-from .su2 import PAULI_BASIS, _euler_args, assert_special_unitary
+from .su2 import PAULI_BASIS, assert_special_unitary, euler_args
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
 
@@ -139,7 +139,7 @@ def wigner_d1(alpha, beta: float | None = None, gamma: float | None = None) -> n
     Closed form; equals the covering rotation of the corresponding special
     unitary conjugated into the spherical basis.
     """
-    alpha, beta, gamma = _euler_args(alpha, beta, gamma)
+    alpha, beta, gamma = euler_args(alpha, beta, gamma)
     ch, sh = math.cos(beta / 2.0), math.sin(beta / 2.0)
     c2, s2, sb = ch * ch, sh * sh, math.sin(beta)
     ea = complex(math.cos(alpha), -math.sin(alpha))  # e^{-i alpha}

@@ -38,11 +38,10 @@ from .errors import (
     NotRotation,
     NotSpecialUnitary,
 )
-from .linalg import EQ_TOL, as_matrix, assert_unitary, hs_norm
+from .linalg import EQ_TOL, as_matrix, assert_unitary, hs_norm, read_only
 
 #: the Pauli basis 1, X, Y, Z as one read-only (4, 2, 2) stack
-PAULI_BASIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-PAULI_BASIS.flags.writeable = False
+PAULI_BASIS = read_only(np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]))
 
 #: cyclic coordinate shift e_i -> e_{i+1 mod 3}; the rotation image of the
 #: completion generator (axis (1,1,1)/sqrt(3), angle 2pi/3)
@@ -126,30 +125,27 @@ def hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 #: the quaternion units 1, I, J, K as the rows of one read-only array
-QUATERNION_UNITS = np.eye(4)
-QUATERNION_UNITS.flags.writeable = False
+QUATERNION_UNITS = read_only(np.eye(4))
 
 #: the quaternion units as the special unitaries 1, -iX, -iY, -iZ;
 #: U = sum_k q_k UNIT_BASIS[k]
-UNIT_BASIS = su2_batch(QUATERNION_UNITS)
-UNIT_BASIS.flags.writeable = False
+UNIT_BASIS = read_only(su2_batch(QUATERNION_UNITS))
 
 #: W = (1 + I + J + K)/2, the order-6 axis-cycle generator: its covering
 #: rotation, angle 2pi/3 about (1,1,1)/sqrt(3), permutes the axes x -> y -> z
-W_QUATERNION = np.full(4, 0.5)
-W_QUATERNION.flags.writeable = False
+W_QUATERNION = read_only(np.full(4, 0.5))
 
 #: a = (U flattened) @ this gives U = sum_k a_k UNIT_BASIS[k] for any 2x2 U:
 #: the units are orthogonal, of squared norm 2.  For a special unitary a is
 #: its quaternion, real up to rounding
-_UNIT_COORDINATES = UNIT_BASIS.reshape(4, 4).conj().T / 2.0
+UNIT_COORDINATES = read_only(UNIT_BASIS.reshape(4, 4).conj().T / 2.0)
 
 
 def quaternion_batch(U) -> np.ndarray:
     """Inverse of su2_batch: coordinates (..., 4) of a (..., 2, 2) stack of
     special unitaries, the real part of their unit-basis coordinates."""
     U = np.asarray(U, dtype=complex)
-    return (U.reshape(U.shape[:-2] + (4,)) @ _UNIT_COORDINATES).real
+    return (U.reshape(U.shape[:-2] + (4,)) @ UNIT_COORDINATES).real
 
 
 def rotation_quaternion(R) -> tuple[float, float, float, float]:
@@ -225,7 +221,7 @@ def axis_angle_batch(Q) -> tuple[np.ndarray, np.ndarray]:
     return axes, np.where(small[..., 0], 0.0, 2.0 * np.arctan2(vnorm[..., 0], R[..., 0]))
 
 
-def _euler_args(alpha, beta, gamma) -> EulerAngles:
+def euler_args(alpha, beta, gamma) -> EulerAngles:
     """Accept either three angles or a single EulerAngles-like triple."""
     if beta is None and gamma is None:
         alpha, beta, gamma = alpha
@@ -257,7 +253,7 @@ def _axis_angle_args(axis, angle) -> tuple[np.ndarray, float]:
 def su2_from_euler(alpha, beta: float | None = None, gamma: float | None = None) -> np.ndarray:
     """exp(-i alpha Z/2) exp(-i beta Y/2) exp(-i gamma Z/2): su2_batch of the
     Hamilton product of the three axis quaternions."""
-    alpha, beta, gamma = _euler_args(alpha, beta, gamma)
+    alpha, beta, gamma = euler_args(alpha, beta, gamma)
     z_alpha = (math.cos(alpha / 2), 0.0, 0.0, math.sin(alpha / 2))
     y_beta = (math.cos(beta / 2), 0.0, math.sin(beta / 2), 0.0)
     z_gamma = (math.cos(gamma / 2), 0.0, 0.0, math.sin(gamma / 2))
@@ -299,7 +295,7 @@ def rotation_batch(U) -> np.ndarray:
     for U and -U, whose coordinates differ only in sign.
     """
     U = np.asarray(U, dtype=complex)
-    a = np.moveaxis(U.reshape(U.shape[:-2] + (4,)) @ _UNIT_COORDINATES, -1, 0)[..., None]
+    a = np.moveaxis(U.reshape(U.shape[:-2] + (4,)) @ UNIT_COORDINATES, -1, 0)[..., None]
     columns = hamilton_product(hamilton_product(a, QUATERNION_UNITS[1:].T), quaternion_conjugate(a.conj()))
     return np.stack(columns[1:], axis=-2).real
 

@@ -1,29 +1,15 @@
 """Twirling channels over finite unitary sets, exact Haar twirl oracles
 at orders 1 to 5, superoperator/Choi machinery, frame potentials, and a
-deterministic Monte-Carlo Haar sampler.
+deterministic Monte-Carlo Haar sampler.  Every twirl reads one moment,
+the Gram matrix of moments.py.
 
 Vectorization is column-stacking throughout: vec(A) = A.reshape(-1,
 order="F"), so vec(M A M^H) = kron(conj(M), M) vec(A) and the standard
 basis operator E(i, j) vectorizes to the unit vector at index j*D + i.
-
-Every twirl reads one moment: the Hermitian Gram matrix G of the degree-t
-monomials of the four entries of U (10 x 10 at t = 2), each entry of
-U^{(x)t} being one of them.  The twirl superoperator Phi_S = (1/N) sum_a
-conj(M_a) (x) M_a, M_a = U_a^{(x)t}, is a fixed gather of G's entries,
-Phi[(a,c),(b,d)] = G[(a,b),(c,d)] / N (_moment_index), read for twirls of
-operators and Choi matrices.  The Monte Carlo check sums the same G in the
-monomials of the Haar quaternion q, mapped to the entries' by one exact
-change of coordinates; the exact Haar G comes from S^3 moments (_haar_gram).
-Design checks never form Delta = Phi_S - Phi_Haar: its squared column norms
-(the largest is the worst twirl error on a basis operator) are column sums
-of the gathered |G_S - G_Haar|^2, and their total is the frame-potential
-gap (Gross, Audenaert & Eisert, JMP 48, 052104 (2007)).
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import os
 import threading
@@ -32,18 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, DuplicateElements, NotUnitary, UnsupportedOrder
-from .linalg import (
-    EQ_TOL,
-    RANK_TOL,
-    as_matrix,
-    check_tol,
-    gram_floor,
-    mean,
-    near_pairs,
-    norms,
-    rank,
-)
-from .su2 import UNIT_BASIS, su2_batch
+from .linalg import EQ_TOL, RANK_TOL, as_matrix, check_tol, gram_floor, is_int, mean, near_pairs, norms, rank, read_only
+from .moments import check_order, column_sums, entry_map, gram, haar_superop, monomials, moment_index, twirl_errors_sq
+from .su2 import su2_batch
 
 HAAR = "haar"
 
@@ -117,8 +94,8 @@ class UnitarySet:
             if hit.size:
                 raise DuplicateElements(f"elements {i[hit[0]]} and {j[hit[0]]} coincide within {tol}")
         self.labels = _labels(labels, n)
-        self.stack = _read_only(stack)  # (N, 2, 2)
-        self.gram = _read_only(gram)
+        self.stack = read_only(stack)  # (N, 2, 2)
+        self.gram = read_only(gram)
         self.unitarity_defect = defect  # max ||U^H U - 1||_HS
         self._derived = {}
 
@@ -158,12 +135,7 @@ def _labels(labels, n: int) -> tuple[str, ...] | None:
     return labels
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-_EYE = _read_only(np.eye(2, dtype=complex))
+_EYE = read_only(np.eye(2, dtype=complex))
 
 
 def _qubit_stack(elems) -> np.ndarray:
@@ -230,50 +202,17 @@ def haar_twirl(t: int, A) -> np.ndarray:
     return twirl_finite(HAAR, t, A)
 
 
-#: the highest order superop_of_twirl takes: the gather index of order t has
-#: 4^{2t} entries, 8.4 MB at t = 5, then 134 MB at t = 6 and 2.1 GB at t = 7,
-#: so a higher order is refused before its index is built
-_MAX_ORDER = 5
-
-
 def superop_of_twirl(source, t: int) -> np.ndarray:
     """The (D^2, D^2) matrix of the order-t twirl channel on vectorized operators.
 
     `source` is either a UnitarySet or the string "haar" for the exact
-    Haar-average channel (_haar_superop, cached and read-only); for both, t
-    is an int from 1 to _MAX_ORDER = 5.
+    Haar-average channel (moments.haar_superop, cached and read-only); for
+    both, t is an int from 1 to moments.MAX_ORDER = 5.
     """
     if isinstance(source, str) and source != HAAR:
         raise ValueError(f"unknown twirl source {source!r}")
-    _check_order(t)
-    return _haar_superop(t) if isinstance(source, str) else _gram(source, t).ravel()[_moment_index(t)]
-
-
-def _check_order(t) -> None:
-    if not _is_int(t) or t < 1:
-        raise UnsupportedOrder(f"twirl order must be an int >= 1, got {t!r}")
-    if t > _MAX_ORDER:
-        raise UnsupportedOrder(
-            f"twirl order must be <= {_MAX_ORDER}, got {t}: its superoperator would have 4^{2 * t} entries"
-        )
-
-
-def _gram(S: UnitarySet, t: int) -> np.ndarray:
-    """The order-t Gram matrix conj(Y) Y^T / N of the monomials Y of S's entries."""
-    Y = _monomials(S.stack.reshape(-1, 4).T, t)
-    return np.dot(Y.conj(), Y.T) / len(S)  # np.dot: less overhead than @ on matrices this small
-
-
-def _twirl_errors_sq(G: np.ndarray, t: int) -> np.ndarray:
-    """The squared column norms of Phi - Phi_Haar, Phi laid out from the order-t
-    Gram matrix G, as column sums of the gathered |G - G_Haar|^2."""
-    D = G - _haar_gram(t)
-    return _column_sums((D.conj() * D).real, t)
-
-
-def _column_sums(M: np.ndarray, t: int) -> np.ndarray:
-    """The column sums of the superoperator laid out from a Gram-shaped M."""
-    return np.add.reduce(M.ravel()[_moment_index(t)], 0)
+    t = check_order(t)
+    return haar_superop(t) if isinstance(source, str) else gram(source, t).ravel()[moment_index(t)]
 
 
 def choi(Phi) -> np.ndarray:
@@ -303,8 +242,9 @@ def frame_potential(S: UnitarySet, t: int) -> FramePotentialReport:
     UnitarySet), so the sum, and C_t < 4^t, stay in the float range while
     N^2 times that to the power 2t is below 2^1022.  Higher orders are refused,
     t >= 511 (which fails that test for any N) before t becomes a float."""
-    if not _is_int(t) or t < 1:
+    if not is_int(t) or t < 1:
         raise UnsupportedOrder(f"frame potential order must be an int >= 1, got {t!r}")
+    t = int(t)  # a numpy int would overflow 2 t and share cache keys with the int
     key = ("frame_potential", t)
     value = S._derived.get(key)
     if value is None:
@@ -349,9 +289,9 @@ class HaarSampler:
     __slots__ = ("seed", "counter")
 
     def __init__(self, seed: int, counter: int = 0):
-        if not _is_int(seed) or not 0 <= seed < 2**64:
+        if not is_int(seed) or not 0 <= seed < 2**64:
             raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
-        if not _is_int(counter) or not 0 <= counter < _STREAM_END:
+        if not is_int(counter) or not 0 <= counter < _STREAM_END:
             raise ValueError(f"counter must be an int in [0, 2**256), got {counter!r}")
         self.seed = int(seed)
         self.counter = int(counter)
@@ -366,7 +306,7 @@ class HaarSampler:
 
     def quaternions(self, n: int) -> np.ndarray:
         """Draw n uniform points of S^3 as an (n, 4) array, advancing the state."""
-        if not _is_int(n) or n < 1:
+        if not is_int(n) or n < 1:
             raise ValueError(f"n must be an int >= 1, got {n!r}")
         n = int(n)  # a numpy int would overflow the counter's sum from 2**63 up
         _check_stream_end(self.counter, n)
@@ -406,124 +346,6 @@ def _haar_block(seed: int, counter: int, g: np.ndarray, u: np.ndarray) -> None:
 def haar_sample(h: HaarSampler) -> np.ndarray:
     """One Haar-distributed special unitary, advancing the sampler."""
     return su2_batch(h.quaternions(1))[0]
-
-
-def _monomials(W: np.ndarray, t: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Rows of the degree-t monomials of the rows of a (k, m) array, in
-    itertools.combinations_with_replacement order: W itself at t = 1.
-
-    The row of j_1 <= ... <= j_d is W[j_1] times the degree-(d - 1) row of
-    j_2 ... j_d, one IEEE product in either layout.  Without `out` (a finite
-    set's few columns) each degree is one cached gather, W[first] * Y[rest].
-    With `out`, a (C(k + t - 1, t), m) array (a Monte Carlo block's 8,192
-    columns), the rows are written into it by slices, with no other array
-    made: a gather there would copy two block-sized temporaries.  One
-    column also takes the slices: numpy forms a one-element broadcast
-    product, as the slices make for the last row, without the fused
-    multiply-add of its vector loops, so a gather would move last bits."""
-    if t == 1:
-        return W
-    k, m = W.shape
-    if out is None and m > 1:
-        Y = W
-        for first, rest in _monomial_gathers(k, t):
-            Y = W[first] * Y[rest]
-        return Y
-    Y = np.empty((math.comb(k + t - 1, t), m), W.dtype) if out is None else out
-    # Raise the degree one at a time: the degree-d rows that start with W[a]
-    # are W[a] times the last C(k - a + d - 2, d - 1) rows P of degree d - 1.
-    # P is W, then the first rows of Y, which those that start with W[0] take
-    # over last.
-    P = W
-    for d in range(2, t + 1):
-        row = len(P)
-        for a in range(1, k):
-            tail = P[len(P) - math.comb(k - a + d - 2, d - 1) :]
-            np.multiply(W[a], tail, out=Y[row : row + len(tail)])
-            row += len(tail)
-        np.multiply(W[0], P, out=Y[: len(P)])
-        P = Y[:row]
-    return Y
-
-
-@functools.cache
-def _monomial_gathers(k: int, t: int) -> tuple:
-    """For d = 2, ..., t, the index arrays (first, rest) with which the
-    degree-d monomial rows of k variables are W[first] * Y[rest], Y the
-    degree-(d - 1) rows: each row's first variable and the row of the rest."""
-    gathers = []
-    for d in range(2, t + 1):
-        rank = {j: r for r, j in enumerate(itertools.combinations_with_replacement(range(k), d - 1))}
-        rows = list(itertools.combinations_with_replacement(range(k), d))
-        first = np.array([j[0] for j in rows], np.intp)
-        rest = np.array([rank[j[1:]] for j in rows], np.intp)
-        gathers.append((_read_only(first), _read_only(rest)))
-    return tuple(gathers)
-
-
-@functools.cache
-def _monomial_rows(t: int) -> dict:
-    """The row in _monomials of the degree-t monomial of entries j_1 <= ... <= j_t."""
-    return {j: r for r, j in enumerate(itertools.combinations_with_replacement(range(4), t))}
-
-
-@functools.cache
-def _moment_index(t: int) -> np.ndarray:
-    """Phi = G.ravel()[this] / N lays the Gram matrix G = conj(Y) Y^T of the
-    monomials Y of N unitaries' four entries out as their twirl
-    superoperator: Phi[(a,c),(b,d)] = G[(a,b),(c,d)], where (a,b) is the
-    monomial that is entry [a, b] of U^{(x)t}, the product over the factors
-    s of U[a_s, b_s], entry 2 a_s + b_s of the four."""
-    row = _monomial_rows(t)
-    bits = list(itertools.product((0, 1), repeat=t))  # the bits a_1 ... a_t of each index a
-    rank = np.array([[row[tuple(sorted(2 * x + y for x, y in zip(a, b)))] for b in bits] for a in bits])
-    index = rank[:, None, :, None] * len(row) + rank[None, :, None, :]  # [a, c, b, d]
-    return _read_only(index.reshape(rank.size, rank.size))
-
-
-@functools.cache
-def _entry_map(t: int) -> np.ndarray:
-    """L_t with _monomials(u, t) = L_t @ _monomials(q, t) for the four
-    entries u_j = sum_k q_k B[k, j] of U = sum_k q_k UNIT_BASIS[k]: the row
-    of j_1 <= ... <= j_t expands prod_s u_{j_s} over the monomials of q.
-
-    Built by raising the degree: the row of (j_1, rest) is the sum over k of
-    B[k, j_1] times the row of rest, moved to the columns of the monomials
-    with one more factor q_k.  Its entries are sums of products of 0, +-1
-    and +-i, so exact, and those summed into the zeros stay +0.0."""
-    if t == 0:
-        return _read_only(np.ones((1, 1), dtype=complex))
-    B = UNIT_BASIS.reshape(4, 4)
-    rows, lower = _monomial_rows(t), _monomial_rows(t - 1)
-    first = [j[0] for j in rows]
-    P = _entry_map(t - 1)[[lower[j[1:]] for j in rows]]
-    L = np.zeros((len(rows), len(rows)), dtype=complex)
-    for k in range(4):
-        L[:, [rows[tuple(sorted((k, *m)))] for m in lower]] += B[k, first, None] * P
-    return _read_only(L)
-
-
-@functools.cache
-def _haar_gram(t: int) -> np.ndarray:
-    """The order-t Haar Gram matrix from exact moments of a Haar quaternion q
-    (Folland, Amer. Math. Monthly 108 (2001) 446-448): N = 4^t (t + 1)! E[Y
-    Y^T], for Y the degree-t monomials of q, holds prod_i k_i! / (k_i / 2)!,
-    or 0 if an exponent k_i of the product is odd.  With _entry_map(t) = A +
-    iB, conj(L) N L^T has integer parts, divided once: correctly rounded."""
-    P = np.array([np.bincount(j, minlength=4) for j in _monomial_rows(t)])  # (n_t, 4) exponents
-    f = np.array([math.factorial(k) // math.factorial(k // 2) * (1 - k % 2) for k in range(2 * t + 1)])
-    N = f[P[:, None] + P].prod(axis=2)
-    L, scale = _entry_map(t), 4**t * math.factorial(t + 1)
-    A, B = L.real.astype(np.int64), L.imag.astype(np.int64)
-    G = ((A @ N @ A.T + B @ N @ B.T) / scale).astype(complex)
-    G.imag = (A @ N @ B.T - B @ N @ A.T) / scale
-    return _read_only(G)
-
-
-@functools.cache
-def _haar_superop(t: int) -> np.ndarray:
-    """The order-t Haar twirl superoperator, laid out from _haar_gram(t)."""
-    return _read_only(_haar_gram(t).ravel()[_moment_index(t)])
 
 
 #: the Monte Carlo gate: a report is ok when every deviation is within this
@@ -578,12 +400,12 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int) -> McOracleReport:
     oracle.  Each block sums the real Gram matrix Y Y^T of the (n_t, m)
     monomials Y of its quaternions (n_t = 4 at t = 1, 10 at t = 2).  The
     monomials of U's entries are L_t Y, for the exact, constant L_t of
-    _entry_map, so after the last block G = conj(L_t) (sum Y Y^T) L_t^T / n
+    entry_map, so after the last block G = conj(L_t) (sum Y Y^T) L_t^T / n
     is a set's Gram matrix, and it is compared with Haar's as a set's is
-    (_twirl_errors_sq).  Every column of kron(conj(M), M) is a unit vector
+    (twirl_errors_sq).  Every column of kron(conj(M), M) is a unit vector
     for unitary M, so the entry variances of a column sum to 1 - ||mean
     column||^2, and ||mean column||^2 is the column sum of the gathered
-    |G|^2 (_column_sums); over n, that is its squared standard error.
+    |G|^2 (column_sums); over n, that is its squared standard error.
 
     The samples h.counter, ..., h.counter + n - 1 of h's stream are split
     into blocks of CHUNK = 8192 (the last may be shorter), each drawn and
@@ -598,8 +420,8 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int) -> McOracleReport:
     only by floating-point summation order.  h.counter advances by n once
     every block has succeeded.
     """
-    _check_order(t)
-    if not _is_int(n):
+    t = check_order(t)
+    if not is_int(n):
         raise ValueError(f"n must be an int, got {type(n).__name__}")
     if n < 2:
         raise ValueError(f"n must be >= 2 for a standard error, got {n}")
@@ -618,10 +440,10 @@ def mc_oracle_check(h: HaarSampler, t: int, n: int) -> McOracleReport:
     )
     _KEPT.arrays = kept
     h.counter = stop
-    G = _entry_map(t).conj() @ gram @ _entry_map(t).T / n
-    deviations = np.sqrt(_twirl_errors_sq(G, t))
+    G = entry_map(t).conj() @ gram @ entry_map(t).T / n
+    deviations = np.sqrt(twirl_errors_sq(G, t))
     # a mean column of samples that all agree can round to norm 1 + ulp
-    std_errors = np.sqrt(np.maximum(1.0 - _column_sums(np.abs(G) ** 2, t), 0.0) / n)
+    std_errors = np.sqrt(np.maximum(1.0 - column_sums(np.abs(G) ** 2, t), 0.0) / n)
     return McOracleReport(t, n, h.seed, deviations, std_errors)
 
 
@@ -630,10 +452,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity outside Linux
         return os.cpu_count() or 1
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _mc_rows(t: int) -> int:
@@ -650,10 +468,10 @@ def _mc_block(seed: int, start: int, m: int, t: int, work: np.ndarray) -> np.nda
     it can run on helper threads.  numpy still buffers the broadcasts of a
     short block: under tracemalloc a call peaks at 34 KB for m = 999 and 68 KB
     for m = 4096, at t = 1 and 2 (_haar_block's divide; at t = 2 also
-    _monomials' multiplies), against 2.2 KB, the Philox generator, at 8192."""
+    monomials' multiplies), against 2.2 KB, the Philox generator, at 8192."""
     g, u = work[: 8 * m].reshape(2, 4, m)
     _haar_block(seed, start, g, u)
-    Y = _monomials(g, t, out=work[8 * m : _mc_rows(t) * m].reshape(-1, m))
+    Y = monomials(g, t, out=work[8 * m : _mc_rows(t) * m].reshape(-1, m))
     return np.dot(Y, Y.T)  # not Y @ Y.T, which holds the GIL for the whole product
 
 

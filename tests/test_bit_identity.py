@@ -1,7 +1,7 @@
 """The completion path against the code it replaced, bit for bit.
 
 classify_min_1design, extend_to_2design, superop_of_twirl (through
-_monomials) and verify_design were rewritten in fewer numpy calls and
+monomials) and verify_design were rewritten in fewer numpy calls and
 interpreter steps.  The functions below are their earlier bodies, kept here
 as references; every comparison is by tobytes(), so a changed last bit or the
 sign of a zero fails it.
@@ -21,16 +21,17 @@ from udes.designs import AXIS_CYCLE, classify_min_1design, extend_to_2design, na
 from udes.errors import InternalConsistencyError, NotOrthogonalBasis, NotRotation, NotUnitary
 from udes.linalg import EQ_TOL, norms
 from udes.qubit import pauli
-from udes.su2 import _UNIT_COORDINATES, canonical_sign, rotation_quaternion, su2_batch
-from udes import twirl
-from udes.twirl import HAAR, UnitarySet, _monomials, frame_potential, superop_of_twirl
+from udes.su2 import UNIT_COORDINATES, canonical_sign, rotation_quaternion, su2_batch
+from udes import moments
+from udes.moments import monomials
+from udes.twirl import HAAR, UnitarySet, frame_potential, superop_of_twirl
 
 
 # ---- the earlier bodies -------------------------------------------------------
 
 
 def ref_monomials(W, t):
-    """_monomials' slice loop: the degree-d rows that start with W[a] are
+    """monomials' slice loop: the degree-d rows that start with W[a] are
     W[a] times the last C(k - a + d - 2, d - 1) rows of degree d - 1."""
     if t == 1:
         return W
@@ -52,7 +53,7 @@ def ref_superop(S, t):
     n = len(S)
     Y = ref_monomials(S.stack.reshape(n, 4).T, t)
     G = np.dot(Y.conj(), Y.T) / n
-    return G.ravel()[twirl._moment_index(t)]
+    return G.ravel()[moments.moment_index(t)]
 
 
 def ref_verify(S, t, tol=EQ_TOL, method="both"):
@@ -130,7 +131,7 @@ def ref_classify(S, tol=1e-9):
             )
         raise internal
 
-    alpha = (X @ _UNIT_COORDINATES).tolist()
+    alpha = (X @ UNIT_COORDINATES).tolist()
     p0 = _canonical(_special(alpha[0]))
     anchor = _conjugate(p0)
     rel = [_canonical(_product(anchor, _special(a))) for a in alpha[1:]]
@@ -230,7 +231,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 epsilons = st.floats(min_value=-12.0, max_value=-3.0).map(lambda e: 10.0**e)
 
 
-# ---- _monomials and superop_of_twirl ---------------------------------------
+# ---- monomials and superop_of_twirl ----------------------------------------
 
 
 @settings(max_examples=60, deadline=None)
@@ -238,10 +239,10 @@ epsilons = st.floats(min_value=-12.0, max_value=-3.0).map(lambda e: 10.0**e)
 def test_monomials_form_the_products_of_the_slice_loop(seed, m, t):
     g = np.random.default_rng(seed)
     W = g.normal(size=(4, m)) + 1j * g.normal(size=(4, m))
-    assert bits(_monomials(W, t)) == bits(ref_monomials(W, t))
+    assert bits(monomials(W, t)) == bits(ref_monomials(W, t))
     out = np.empty((math.comb(t + 3, t), m), complex)
     if t > 1:  # the Monte Carlo blocks' layout, with `out`, keeps the loop
-        assert _monomials(W, t, out=out) is out and bits(out) == bits(ref_monomials(W, t))
+        assert monomials(W, t, out=out) is out and bits(out) == bits(ref_monomials(W, t))
 
 
 @settings(max_examples=60, deadline=None)

@@ -855,11 +855,11 @@ LIMIT_1 = "error: twirl order must be <= 1, got 2: its superoperator would have 
     ids=["verify", "mc", "frame-potential"],
 )
 def test_one_order_limit_serves_verify_and_mc(monkeypatch, capsys, cmd, code, err):
-    # sets and the Haar oracle share twirl._MAX_ORDER; the frame potential
+    # sets and the Haar oracle share moments.MAX_ORDER; the frame potential
     # needs no twirl, so its orders do not follow it
-    from udes import twirl
+    from udes import moments
 
-    monkeypatch.setattr(twirl, "_MAX_ORDER", 1)
+    monkeypatch.setattr(moments, "MAX_ORDER", 1)
     source = ["--samples", "100"] if cmd == "mc" else ["--builtin", "D"]
     got, out, got_err = run(capsys, cmd, *source, "--t", "2")
     assert (got, got_err) == (code, err) and (out == "") == bool(code)

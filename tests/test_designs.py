@@ -42,7 +42,7 @@ from udes.su2 import (
     su2_batch,
     su2_from_rotation,
 )
-from udes import twirl
+from udes import moments, twirl
 from udes.twirl import HaarSampler, UnitarySet, frame_potential, haar_sample, mc_oracle_check, superop_of_twirl
 
 W = AXIS_CYCLE
@@ -194,11 +194,9 @@ def test_both_takes_the_twirl_verdict_near_a_design(eps):
 
 
 def test_verification_reads_the_cached_haar_operator(monkeypatch):
-    import udes.twirl as twirl
-
     D = named_design("D").set
     assert verify_design(D, 2).is_design
-    monkeypatch.setattr(twirl, "_entry_map", lambda t: pytest.fail("Haar operator rebuilt"))
+    monkeypatch.setattr(moments, "entry_map", lambda t: pytest.fail("Haar operator rebuilt"))
     assert verify_design(D, 2).is_design
 
 
@@ -267,7 +265,7 @@ def test_both_keeps_a_wide_margin_to_its_rounding_bound():
     S = UnitarySet(su2_batch(q) * np.exp(1j * np.array([3.918937837401085]))[:, None, None])
     t = 5
     fp = frame_potential(S, t)
-    worst = abs(fp.gap - twirl._twirl_errors_sq(twirl._gram(S, t), t).sum())
+    worst = abs(fp.gap - moments.twirl_errors_sq(moments.gram(S, t), t).sum())
     bound = 1e-12 * 4**t + 2 * fp.haar_value * ((1 + S.unitarity_defect) ** t - 1)
     assert worst <= 2.5e-14 * 4**t and 40 * worst < bound
     verify_design(S, t)
@@ -276,12 +274,63 @@ def test_both_keeps_a_wide_margin_to_its_rounding_bound():
 def test_order_5_checks_never_lay_out_the_haar_superoperator(monkeypatch):
     # verify_design and mc_oracle_check compare Gram matrices: neither builds
     # the (1024, 1024) Phi_Haar that superop_of_twirl("haar", 5) returns
-    monkeypatch.setattr(twirl, "_haar_superop", functools.cache(twirl._haar_superop.__wrapped__))
+    # one fresh cache on both module bindings; a name bound from either module
+    # at import time still calls the real cache, whose call count must not move
+    real = moments.haar_superop
+    calls = real.cache_info().hits + real.cache_info().misses
+    fresh = functools.cache(real.__wrapped__)
+    monkeypatch.setattr(moments, "haar_superop", fresh)
+    monkeypatch.setattr(twirl, "haar_superop", fresh)
     verify_design(named_design("D").set, 5)
     mc_oracle_check(HaarSampler(1), 5, 100)
-    assert twirl._haar_superop.cache_info().currsize == 0
+    assert fresh.cache_info().currsize == 0
+    assert real.cache_info().hits + real.cache_info().misses == calls
     assert superop_of_twirl("haar", 5) is superop_of_twirl("haar", 5)
-    assert twirl._haar_superop.cache_info().currsize == 1
+    assert fresh.cache_info().currsize == 1
+
+
+INT_TYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def order_reports(t):
+    """verify_design, mc_oracle_check and frame_potential at order t, on a
+    fresh copy of D, which has no frame potential stored yet, and the Haar
+    operator of order t."""
+    D = UnitarySet(named_design("D").set.stack)
+    reports = verify_design(D, t), mc_oracle_check(HaarSampler(5), t, 100), frame_potential(D, t)
+    return reports, superop_of_twirl("haar", t)
+
+
+def fingerprint(reports, haar):
+    design, mc, fp = reports
+    return repr(design), repr(fp), repr(mc[:3]), mc.deviations.tobytes(), mc.std_errors.tobytes(), haar.tobytes()
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+def test_a_numpy_int_order_gives_the_int_orders_reports(monkeypatch, t):
+    # 4^t (t + 1)! and 2 t overflow in int8 and int16, and a numpy int key
+    # hashes and compares equal to the int's, so a cache filled from one
+    # would give its result to the other
+    expect = fingerprint(*order_reports(t))
+    for name in ("monomial_gathers", "monomial_rows", "moment_index", "entry_map", "haar_gram", "haar_superop"):
+        fresh = functools.cache(getattr(moments, name).__wrapped__)
+        monkeypatch.setattr(moments, name, fresh)
+        if hasattr(twirl, name):
+            monkeypatch.setattr(twirl, name, fresh)
+    assert fingerprint(*order_reports(np.int8(t))) == expect  # the first calls fill the caches
+    assert fingerprint(*order_reports(np.int64(t))) == expect
+    for int_type in INT_TYPES:
+        reports, haar = order_reports(int_type(t))
+        assert fingerprint(reports, haar) == expect
+        assert all(type(r.t) is int for r in reports)
+
+
+@pytest.mark.parametrize("int_type,t", [(np.int8, 64), (np.int16, 300)])
+def test_the_frame_potential_of_a_numpy_int_order_is_the_ints(int_type, t):
+    D = UnitarySet(named_design("D").set.stack)
+    got = frame_potential(D, int_type(t))  # stored on D, under a key equal to the int's
+    assert repr(got) == repr(frame_potential(D, t)) == repr(frame_potential(UnitarySet(D.stack), t))
+    assert type(got.t) is int and type(got.haar_value) is float
 
 
 def test_rotation_sum_vanishes_for_designs_only():

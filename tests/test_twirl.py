@@ -22,10 +22,11 @@ from udes.errors import (
 from udes.designs import named_design, verify_design
 from udes.linalg import EQ_TOL, RANK_TOL, gram_floor, hs_norm, kron_power
 from udes.qubit import bell_diagonal_part, pauli, singlet_triplet
-from udes import twirl
+from udes import moments, twirl
+from udes.moments import monomials
+from udes.su2 import UNIT_BASIS
 from udes.twirl import (
     _haar_block,
-    _monomials,
     HaarSampler,
     UnitarySet,
     choi,
@@ -688,7 +689,7 @@ def test_finite_twirl_refuses_an_order_past_5_before_building_its_index(t):
         lambda: twirl_finite(PAULI_SET, t, A),
         lambda: choi_rank(superop_of_twirl(PAULI_SET, t)),
     ]
-    cached = twirl._moment_index.cache_info().currsize
+    cached = moments.moment_index.cache_info().currsize
     tracemalloc.start()
     try:
         for call in calls:
@@ -698,7 +699,7 @@ def test_finite_twirl_refuses_an_order_past_5_before_building_its_index(t):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert twirl._moment_index.cache_info().currsize == cached
+    assert moments.moment_index.cache_info().currsize == cached
     assert peak < 2**20
 
 
@@ -749,11 +750,11 @@ def test_monomials_follow_combinations_with_replacement(dtype, t):
         W += 1j * rng.integers(-3, 4, size=(4, 9))
     rows = itertools.combinations_with_replacement(range(4), t)
     expect = np.array([np.prod(W[list(j)], axis=0) for j in rows])
-    Y = _monomials(W, t)
+    Y = monomials(W, t)
     assert Y.dtype == W.dtype and np.array_equal(Y, expect)
     if t > 1:
         out = np.empty_like(expect)
-        assert _monomials(W, t, out=out) is out
+        assert monomials(W, t, out=out) is out
         assert np.array_equal(out, expect)
 
 
@@ -1097,17 +1098,17 @@ def test_moment_maps_reproduce_the_tensor_power(t):
     # L_t takes the monomials of q to those of U's entries, exactly: its
     # entries are Gaussian integers; and the gather lays each sample's Gram
     # matrix out as kron(conj(M), M), M = U^{(x)t}
-    L = twirl._entry_map(t)
-    assert L.shape == (len(_monomials(np.eye(4), t)),) * 2
+    L = moments.entry_map(t)
+    assert L.shape == (len(monomials(np.eye(4), t)),) * 2
     assert np.array_equal(L, np.round(L))
     q = rng.normal(size=(40, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     U = su2_batch(q)
-    Y = L @ _monomials(q.T, t)
-    assert np.max(np.abs(Y - _monomials(U.reshape(40, 4).T, t))) < 1e-14
+    Y = L @ monomials(q.T, t)
+    assert np.max(np.abs(Y - monomials(U.reshape(40, 4).T, t))) < 1e-14
     for y, u in zip(Y.T, U):
         M = kron_power(u, t)
-        phi = np.outer(y.conj(), y).ravel()[twirl._moment_index(t)]
+        phi = np.outer(y.conj(), y).ravel()[moments.moment_index(t)]
         assert np.max(np.abs(phi - np.kron(M.conj(), M))) < 1e-14
 
 
@@ -1115,8 +1116,8 @@ def _entry_map_reference(t):
     """_entry_map as it was built: every row j expands prod_s u_{j_s} over
     all 4^t index tuples k, adding prod_s B[k_s, j_s] into the monomial of
     sorted(k); kept as the oracle for the degree recursion."""
-    B = twirl.UNIT_BASIS.reshape(4, 4)
-    row = twirl._monomial_rows(t)
+    B = UNIT_BASIS.reshape(4, 4)
+    row = moments.monomial_rows(t)
     L = np.zeros((len(row), len(row)), dtype=complex)
     for j, r in row.items():
         for k in itertools.product(range(4), repeat=t):
@@ -1128,7 +1129,7 @@ def _entry_map_reference(t):
 def test_entry_map_matches_the_loop_bit_for_bit(t):
     # the entries are small Gaussian integers, so every order of summation is
     # exact; the zeros, -0.0 in three entries of UNIT_BASIS, must stay +0.0
-    L = twirl._entry_map(t)
+    L = moments.entry_map(t)
     assert L.tobytes() == _entry_map_reference(t).tobytes()
     assert not np.signbit(L.view(float)[L.view(float) == 0]).any()
     assert not L.flags.writeable
@@ -1242,7 +1243,7 @@ def test_haar_blocks_concatenate_to_the_pinned_stream(seed, counter, n):
 @pytest.mark.parametrize("t", [1, 2])
 def test_mc_block_sums_the_monomials(t):
     m = 999
-    Y = _monomials(HaarSampler(21, counter=4).quaternions(m).T, t)
+    Y = monomials(HaarSampler(21, counter=4).quaternions(m).T, t)
     gram = twirl._mc_block(21, 4, m, t, np.empty(twirl._mc_rows(t) * m))
     assert np.allclose(gram, Y @ Y.T, rtol=1e-13, atol=0)
 
@@ -1315,8 +1316,8 @@ def blockwise_report(seed, t, n, chunk):
     for lo in range(0, n, chunk):
         m = min(chunk, n - lo)
         gram = gram + twirl._mc_block(seed, lo, m, t, np.empty(twirl._mc_rows(t) * m))
-    L = twirl._entry_map(t)
-    phi = (L.conj() @ gram @ L.T / n).ravel()[twirl._moment_index(t)]
+    L = moments.entry_map(t)
+    phi = (L.conj() @ gram @ L.T / n).ravel()[moments.moment_index(t)]
     deviations = np.linalg.norm(phi - superop_of_twirl("haar", t), axis=0)
     std_errors = np.sqrt(np.maximum(1.0 - (np.abs(phi) ** 2).sum(axis=0), 0.0) / n)
     return deviations.tobytes(), std_errors.tobytes()
