@@ -407,7 +407,7 @@ def cmd_geometry(S, args) -> tuple[dict, int]:
     C = groups.su2_closure(S, args.tol)
     pid = groups.polytope_identify(C.points(), args.tol)
     rotations = [
-        {"axis": list(aa.axis), "angle": aa.angle, "vector": aa.vector().tolist()}
+        {"axis": list(aa.axis), "angle": aa.angle, "vector": [aa.angle * x for x in aa.axis]}
         for aa in groups.so3_image_table(C)
     ]
     result = {

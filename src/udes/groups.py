@@ -45,7 +45,9 @@ _ORDER_CAP = 48  # largest element order we ever probe for
 
 def _signed(A: np.ndarray) -> np.ndarray:
     """The rows of A interleaved with their negatives: A[0], -A[0], A[1], ..."""
-    return np.stack([A, -A], axis=1).reshape(-1, *A.shape[1:])
+    out = np.empty((2 * len(A), *A.shape[1:]), A.dtype)
+    out[0::2], out[1::2] = A, -A
+    return out
 
 
 def _hs_distance(d: np.ndarray) -> np.ndarray:
@@ -133,7 +135,7 @@ def _lookup(P: np.ndarray, Q: np.ndarray, tol: float) -> np.ndarray:
     step = max(1, 2**15 // len(Q))
     for lo in range(0, len(flat), step):
         out[lo : lo + step] = np.argmax(flat[lo : lo + step] @ Q.T, axis=1)
-    out[_hs_distance(flat - Q[out]) > tol] = -1
+    out[_hs_distance(flat - Q.take(out, axis=0)) > tol] = -1
     return out.reshape(P.shape[:-1])
 
 
@@ -171,10 +173,6 @@ _CANDIDATE_SUBGROUPS = (
 _UNITS = _signed(QUATERNION_UNITS)
 
 
-#: s ^ t on the (a, s, b, t) axes of the signed product table
-_SIGN_FLIPS = np.array([[0, 1], [1, 0]])[:, None, :]
-
-
 def _product_table(Q: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The (n, n) index table of the products of the signed closure Q, -1
     where a product lies farther than tol from every element, and which
@@ -190,8 +188,10 @@ def _product_table(Q: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     right = (R @ _RIGHT).reshape(m, 4, 4)
     T = (R @ right.transpose(1, 0, 2).reshape(4, 4 * m)).reshape(m, m, 4)  # T[a, b] = R_a R_b
     rep = _lookup(T, Q, tol)
-    prod = (rep[:, None, :, None] ^ _SIGN_FLIPS).reshape(2 * m, 2 * m)
-    prod[prod < 0] = -1  # -1 ^ 1 is -2
+    flip = np.where(rep < 0, -1, rep ^ 1)  # -1 ^ 1 is -2
+    prod = np.empty((2 * m, 2 * m), dtype=int)
+    prod[0::2, 0::2] = prod[1::2, 1::2] = rep
+    prod[0::2, 1::2] = prod[1::2, 0::2] = flip
     commutes = (_hs_distance(T - T.swapaxes(0, 1)) <= tol).all(axis=1)
     return prod, commutes
 
@@ -206,31 +206,30 @@ def group_profile(C: Su2Closure, tol: float = _MEMBER_TOL) -> GroupProfile:
     Q = C.points()
     n = len(C)
     prod, commutes = _product_table(Q, tol)
-    is_group = bool((prod >= 0).all())
     histogram = dict(Counter(_orders(Q, tol).tolist()))
     # g commutes with everything exactly when -g does
     center = 2 * int(np.count_nonzero(commutes))
 
-    cosets, semidirect = None, False
-    if is_group:
-        e = int(np.argmax((prod == np.arange(n)).all(axis=1)))
-        inverse = np.argmax(prod == e, axis=1)
-        units = dict(zip(_CANDIDATE_SUBGROUPS[0], _lookup(_UNITS, Q, tol)))
-        for names in _CANDIDATE_SUBGROUPS:
-            idx = np.array([units[nm] for nm in names])
-            if (idx < 0).any() or len(idx) >= n:
-                continue
-            member = np.zeros(n, dtype=bool)
-            member[idx] = True
-            # normal: g h g^-1 stays in the subgroup for every g
-            if member[prod[prod[:, idx], inverse[:, None]]].all():
-                # row r starts a new left coset rH exactly when r is its smallest member
-                left = prod[:, idx]
-                starts = np.flatnonzero(left.min(axis=1) == np.arange(n))
-                cosets = tuple(tuple(sorted(left[r].tolist())) for r in starts)
-                semidirect = _has_cyclic_complement(prod.tolist(), set(idx.tolist()), e)
-                break
-    return GroupProfile(is_group, histogram, center, cosets, semidirect)
+    # a group: closed, with an identity row e that every row holds (an inverse)
+    table = prod.tolist() if (prod >= 0).all() else []
+    ident = list(range(n))
+    e = table.index(ident) if ident in table else -1
+    if e < 0 or not all(e in row for row in table):
+        return GroupProfile(False, histogram, center, None, False)
+    inverse = [row.index(e) for row in table]
+    units = dict(zip(_CANDIDATE_SUBGROUPS[0], _lookup(_UNITS, Q, tol).tolist()))
+    for names in _CANDIDATE_SUBGROUPS:
+        idx = [units[nm] for nm in names]
+        if -1 in idx or len(idx) >= n:
+            continue
+        members = set(idx)
+        # normal: g h g^-1 stays in the subgroup for every g
+        if all(table[row[h]][g_inv] in members for row, g_inv in zip(table, inverse) for h in idx):
+            # row r starts a new left coset rH exactly when r is its smallest member
+            left = np.sort(prod.take(idx, axis=1), axis=1)
+            cosets = tuple(map(tuple, left[left[:, 0] == np.arange(n)].tolist()))
+            return GroupProfile(True, histogram, center, cosets, _has_cyclic_complement(table, members, e))
+    return GroupProfile(True, histogram, center, None, False)
 
 
 def _has_cyclic_complement(prod: list, members: set, e: int) -> bool:

@@ -1,27 +1,34 @@
-"""The completion path against the code it replaced, bit for bit.
+"""The completion path and the structure commands against the code they
+replaced, bit for bit.
 
 classify_min_1design, extend_to_2design, superop_of_twirl (through
-monomials) and verify_design were rewritten in fewer numpy calls and
+monomials), verify_design, group_profile's tail after the product table, and
+geometry's rotation list were rewritten in fewer numpy calls and
 interpreter steps.  The functions below are their earlier bodies, kept here
 as references; every comparison is by tobytes(), so a changed last bit or the
 sign of a zero fails it.
 """
 
+import argparse
 import cmath
 import functools
+import itertools
 import math
 import operator
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import udes.designs as designs
+from udes import cli, groups
 from udes.designs import AXIS_CYCLE, classify_min_1design, extend_to_2design, named_design, verify_design
 from udes.errors import InternalConsistencyError, NotOrthogonalBasis, NotRotation, NotUnitary
+from udes.groups import su2_closure
 from udes.linalg import EQ_TOL, norms
 from udes.qubit import pauli
-from udes.su2 import UNIT_COORDINATES, canonical_sign, rotation_quaternion, su2_batch
+from udes.su2 import UNIT_COORDINATES, canonical_sign, hamilton, rotation_quaternion, su2_batch
 from udes import moments
 from udes.moments import monomials
 from udes.twirl import HAAR, UnitarySet, frame_potential, superop_of_twirl
@@ -364,3 +371,122 @@ def lattice_frames():
 @pytest.mark.parametrize("elems", list(lattice_frames()))
 def test_classify_and_extend_keep_their_bits_on_the_lattice(elems):
     check_completion(np.array(elems), 1e-9)
+
+
+# ---- group and geometry -------------------------------------------------------
+#
+# group_profile built its table's four sign blocks in one broadcast XOR and
+# read its identity, inverses, normal subgroups and cosets from n x n array
+# comparisons, and cmd_geometry built each rotation vector from an AxisAngle.
+# ref_lookup, the search over all 2m signed rows of a closure, pins the rows
+# any other search (say, over the m representatives) must pick.
+
+
+def ref_lookup(P, Q, tol):
+    flat = P.reshape(-1, 4)
+    out = np.empty(len(flat), dtype=int)
+    step = max(1, 2**15 // len(Q))
+    for lo in range(0, len(flat), step):
+        out[lo : lo + step] = np.argmax(flat[lo : lo + step] @ Q.T, axis=1)
+    out[groups._hs_distance(flat - Q[out]) > tol] = -1
+    return out.reshape(P.shape[:-1])
+
+
+def ref_profile(C, tol):
+    Q = C.points()
+    n = len(C)
+    R = Q[0::2]
+    m = len(R)
+    right = (R @ groups._RIGHT).reshape(m, 4, 4)
+    T = (R @ right.transpose(1, 0, 2).reshape(4, 4 * m)).reshape(m, m, 4)
+    rep = ref_lookup(T, Q, tol)
+    prod = (rep[:, None, :, None] ^ np.array([[0, 1], [1, 0]])[:, None, :]).reshape(2 * m, 2 * m)
+    prod[prod < 0] = -1
+    commutes = (groups._hs_distance(T - T.swapaxes(0, 1)) <= tol).all(axis=1)
+    is_group = bool((prod >= 0).all())
+    # the one change of verdict: a table with no identity row, or a row that
+    # misses it, is no group (argmax of an all-False row read row 0)
+    identity = (prod == np.arange(n)).all(axis=1)
+    is_group = is_group and bool(identity.any()) and bool((prod == np.argmax(identity)).any(axis=1).all())
+    histogram = dict(Counter(groups._orders(Q, tol).tolist()))
+    center = 2 * int(np.count_nonzero(commutes))
+    cosets, semidirect = None, False
+    if is_group:
+        e = int(np.argmax((prod == np.arange(n)).all(axis=1)))
+        inverse = np.argmax(prod == e, axis=1)
+        units = dict(zip(groups._CANDIDATE_SUBGROUPS[0], ref_lookup(groups._UNITS, Q, tol)))
+        for names in groups._CANDIDATE_SUBGROUPS:
+            idx = np.array([units[nm] for nm in names])
+            if (idx < 0).any() or len(idx) >= n:
+                continue
+            member = np.zeros(n, dtype=bool)
+            member[idx] = True
+            if member[prod[prod[:, idx], inverse[:, None]]].all():
+                left = prod[:, idx]
+                starts = np.flatnonzero(left.min(axis=1) == np.arange(n))
+                cosets = tuple(tuple(sorted(left[r].tolist())) for r in starts)
+                semidirect = groups._has_cyclic_complement(prod.tolist(), set(idx.tolist()), e)
+                break
+    return groups.GroupProfile(is_group, histogram, center, cosets, semidirect)
+
+
+def ref_rotations(C):
+    return [
+        {"axis": list(aa.axis), "angle": aa.angle, "vector": aa.vector().tolist()}
+        for aa in groups.so3_image_table(C)
+    ]
+
+
+def conjugated(g, elems):
+    """e^{i phi} V S V^H per element, V Haar: a conjugate of S's closure."""
+    V = haar(g, 1)[0]
+    return np.exp(2j * np.pi * g.random(len(elems)))[:, None, None] * (V @ elems @ V.conj().T)
+
+
+def structure_set(kind, g):
+    """The sets that `udes group` and `udes geometry` see in the benchmark's
+    structure workload: a two-sided translate of the Paulis, phased
+    conjugates of the Paulis and of D, and the 24-element union of such a D
+    with a Haar left translate of it."""
+    if kind == "frame":
+        return frame(g)
+    if kind == "pauli":
+        return conjugated(g, np.stack([pauli(k) for k in range(4)]))
+    D = conjugated(g, named_design("D").set.stack)
+    return D if kind == "design" else np.concatenate([D, haar(g, 1)[0] @ D])
+
+
+#: 1e-10 and 1e-6 are the CLI's tolerances; at 0.5 and 3 whole rows of the
+#: table tie, and at 3, past the largest distance 2 sqrt(2), nothing is dropped
+structure_tols = [1e-10, 1e-6, 0.5, 3.0]
+
+
+def same_profile(a, b) -> bool:
+    return a == b and [type(x) for x in a] == [type(x) for x in b]
+
+
+def check_structure(S):
+    C = su2_closure(S)
+    Q = C.points()
+    R = Q[0::2]
+    grid = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=4)))
+    points = [hamilton(R[:, None, :], R[None, :, :]), groups._UNITS, grid, grid / 2]
+    for tol in structure_tols:
+        for P in points:
+            assert bits(groups._lookup(P, Q, tol)) == bits(ref_lookup(P, Q, tol)), tol
+        assert same_profile(groups.group_profile(C, tol), ref_profile(C, tol)), tol
+        # repr tells -0.0 from 0.0 and round-trips every float
+        got = outcome(lambda: cli.cmd_geometry(S, argparse.Namespace(tol=tol))[0]["result"]["rotations"])
+        want = outcome(lambda: ref_rotations(su2_closure(S, tol)))
+        assert repr(got) == repr(want), tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds, st.sampled_from(["frame", "pauli", "design", "union"]))
+def test_group_and_geometry_keep_their_bits_on_structure_sets(seed, kind):
+    check_structure(UnitarySet(structure_set(kind, np.random.default_rng(seed))))
+
+
+@pytest.mark.parametrize("name", ["B", "B0", "D", "D0", "D1", "D2"])
+def test_group_and_geometry_keep_their_bits_on_the_builtins(name):
+    check_structure(named_design(name).set)

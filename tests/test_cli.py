@@ -900,6 +900,18 @@ def test_group_command_detects_non_group(tmp_path, capsys):
     assert doc["result"]["is_group"] is False
 
 
+def test_group_command_calls_a_closed_table_without_identity_no_group(tmp_path, capsys):
+    # at tol 1.2 every product of this closure of four finds an element, but
+    # none is the identity; orders 1, 3, 3, 5 could not be a group's
+    q = np.array([[-0.318, -0.769, 0.389, 0.396], [0.668, -0.351, -0.119, 0.645]])
+    src = tmp_path / "loose.json"
+    save_unitary_set(UnitarySet(list(su2_batch(q / np.linalg.norm(q, axis=1, keepdims=True)))), str(src))
+    code, out, err = run(capsys, "group", "--file", str(src), "--tol", "1.2")
+    assert (code, err) == (1, "")
+    assert "is group: false" in out.splitlines()
+    assert "order histogram: 1:1 3:2 5:1" in out.splitlines()
+
+
 def test_group_command_proportional_exit(tmp_path, capsys):
     src = tmp_path / "prop.json"
     save_unitary_set(UnitarySet([pauli(1), 1j * pauli(1)]), str(src))
@@ -968,6 +980,26 @@ def test_construct_of_a_near_frame_matches_its_golden_file(capsys, monkeypatch, 
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out.encode("utf-8") == (DATA / f"construct_near_frame.{ext}").read_bytes()
+
+
+#: group and geometry off the lattice: near_frame.json's closure of 8 is no
+#: group (exit 1) and traces an "other" polytope with computed chords, and
+#: conjugated_D.json, a rephased V D V^H, closes to a 24-element group, a
+#: 24-cell whose cosets are those of {+-1}
+OFF_LATTICE = [
+    (cmd, name, fmt)
+    for cmd in ("group", "geometry")
+    for name in ("near_frame", "conjugated_D")
+    for fmt in ("json", "text")
+]
+
+
+@pytest.mark.parametrize("cmd,name,fmt", OFF_LATTICE)
+def test_structure_reports_off_the_lattice_match_their_golden_files(capsys, monkeypatch, cmd, name, fmt):
+    monkeypatch.chdir(DATA.parent.parent)
+    code, out, err = run(capsys, cmd, "--file", f"tests/data/{name}.json", "--format", fmt)
+    assert code == (1 if (cmd, name) == ("group", "near_frame") else 0) and err == ""
+    assert out.encode("utf-8") == (DATA / f"{cmd}_{name}.{'json' if fmt == 'json' else 'txt'}").read_bytes()
 
 
 def test_verify_of_d_at_order_5_matches_its_golden_file(capsys):

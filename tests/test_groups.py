@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,53 @@ def test_wing_cosets_alone_do_not_close():
     # every element order in the wings is divisible by three
     assert set(prof.order_histogram) == {3, 6}
     assert sum(prof.order_histogram.values()) == 16
+
+
+#: two elements whose closure of four has a closed table at a loose tol but
+#: no group's: (quaternions, tol, table, orders)
+_LOOSE_NON_GROUPS = [
+    # no row is the identity; orders 1, 3, 3, 5 break Lagrange for a group of 4
+    (
+        [[-0.318, -0.769, 0.389, 0.396], [0.668, -0.351, -0.119, 0.645]],
+        1.2,
+        [[3, 2, 0, 1], [2, 3, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]],
+        {1: 1, 3: 2, 5: 1},
+    ),
+    # row 2 is the identity, but rows 0 and 1 hold no inverse
+    (
+        [[0.624, 0.180, 0.753, 0.100], [0.708, 0.219, -0.124, -0.660]],
+        1.5,
+        [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 2, 3], [1, 0, 3, 2]],
+        {1: 2, 3: 2},
+    ),
+]
+
+
+@pytest.mark.parametrize("quaternions, tol, table, orders", _LOOSE_NON_GROUPS)
+def test_a_closed_table_without_identity_and_inverses_is_no_group(quaternions, tol, table, orders):
+    q = np.array(quaternions)
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    C = su2_closure(UnitarySet(list(su2_batch(q))), tol)
+    assert _product_table(C.points(), tol)[0].tolist() == table
+    prof = group_profile(C, tol)
+    assert (prof.is_group, prof.order_histogram, prof.cosets, prof.semidirect_check) == (False, orders, None, False)
+
+
+def test_group_profile_looks_up_in_bounded_blocks():
+    # 200 Haar elements close to 400: one unblocked search of the m^2
+    # products over the 2m signed rows would hold 1.6e7 dot products (128 MB);
+    # the blocks hold 2^15 at a time
+    rng = np.random.default_rng(5)
+    C = su2_closure(UnitarySet(list(_haar(rng, 200))))
+    assert len(C) == 400
+    tracemalloc.start()
+    try:
+        prof = group_profile(C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not prof.is_group
+    assert peak < 8e6
 
 
 def test_polytope_recognition_from_closures():
